@@ -22,8 +22,9 @@ from .arith import ArithmeticTable, MertensPrefix, sieve_liouville, sieve_mobius
 from .dynsys import OrbitStream, VeechSpec
 from .errors import ParameterError
 
-_MAX_FFT = 1 << 25
+MAX_FFT = 1 << 25  # longest transform (and theta grid) any kernel here allocates
 _GOLDEN = (math.sqrt(5) - 1) / 2
+_TAYLOR_TERMS = 32  # (pi/2)^32 / 32! < 1e-29, see _local_series
 
 
 def _table_head(table: ArithmeticTable, n: int) -> np.ndarray:
@@ -91,13 +92,58 @@ class DavenportResult:
     ratio: float
 
 
+def _phased(v: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of v_k e^(ik theta), k = 1..len(v), built in place."""
+    phase = np.arange(1, len(v) + 1, dtype=np.float64)
+    phase *= theta
+    re = np.cos(phase)
+    im = np.sin(phase, out=phase)
+    re *= v
+    im *= v
+    return re, im
+
+
+def _local_series(v: np.ndarray, center: float, step: float) -> list[complex]:
+    """Coefficients c_m with S(center + t*step) = sum_m c_m t^m, m < _TAYLOR_TERMS.
+
+    c_m = (i^m / m!) sum_k (k*step)^m v_k e^(ik center).  For |t| <= 1 and
+    k*step <= pi/2 the truncation error is below sum|v_k| (pi/2)^M / M!.
+    """
+    re, im = _phased(v, center)
+    scale = np.arange(1, len(v) + 1, dtype=np.float64)
+    scale *= step
+    power = np.ones(len(v))
+    coeffs = []
+    for m in range(_TAYLOR_TERMS):
+        coeffs.append(complex(np.dot(re, power), np.dot(im, power)) * 1j**m / math.factorial(m))
+        power *= scale
+    return coeffs
+
+
 def davenport_sum(table: ArithmeticTable, x: int, a: float = 2.0, refine: bool = True) -> DavenportResult:
+    """Maximum over theta of |S(theta)| = |sum_{k<=x} v(k) e^(ik theta)|.
+
+    A zero-padded real FFT of length pad >= 4x evaluates |S| on the grid
+    theta_j = 2 pi j / pad, j <= pad/2 (|S| is even in theta for real v, so
+    the other half adds nothing).  Tie rule: the smallest maximizing j wins.
+    The theta = 0 bin is replaced by the exact integer theta0 = |sum v(k)|.
+
+    With ``refine``, a 48-step golden-section search runs on
+    [theta_j - step, theta_j + step], step = 2 pi / pad, over the Taylor
+    expansion of S about theta_j (`_local_series`: one O(x) pass; since
+    k*step <= pi/2 the truncation error is below 1e-29 sum|v(k)|).  |S| at
+    the final point is then summed directly and replaces the grid value only
+    if larger, so max_value is a directly evaluated lower bound for the
+    supremum and max_value >= grid_max >= theta0.  That direct sum carries
+    the rounding of cos/sin at arguments up to x*theta: about 1e-8 absolute
+    at x = 10^6.
+    """
     x = int(x)
     if x < 2:
         raise ParameterError("need x >= 2")
     pad = 1 << (4 * x - 1).bit_length()
-    if pad > _MAX_FFT:
-        raise ParameterError(f"transform length {pad} exceeds the memory cap {_MAX_FFT}")
+    if pad > MAX_FFT:
+        raise ParameterError(f"transform length {pad} exceeds the memory cap {MAX_FFT}")
     v = _table_head(table, x).astype(np.float64)
     buf = np.zeros(pad)
     buf[1 : x + 1] = v
@@ -106,15 +152,20 @@ def davenport_sum(table: ArithmeticTable, x: int, a: float = 2.0, refine: bool =
     mags[0] = float(theta0)
     j = int(np.argmax(mags))
     grid_max = float(mags[j])
+    del buf, mags  # the refine pass allocates its own O(x) arrays; keep the peak at the grid's
     argmax_theta = 2 * math.pi * j / pad
     max_value = grid_max
     if refine:
-        ks = np.arange(1, x + 1, dtype=np.float64)
+        step = 2 * math.pi / pad
+        coeffs = _local_series(v, argmax_theta, step)[::-1]
 
         def g(theta: float) -> float:
-            return float(np.abs(np.dot(v, np.exp(1j * theta * ks))))
+            t = (theta - argmax_theta) / step
+            acc = 0j
+            for coeff in coeffs:
+                acc = acc * t + coeff
+            return abs(acc)
 
-        step = 2 * math.pi / pad
         lo, hi = argmax_theta - step, argmax_theta + step
         c = hi - _GOLDEN * (hi - lo)
         d = lo + _GOLDEN * (hi - lo)
@@ -129,7 +180,8 @@ def davenport_sum(table: ArithmeticTable, x: int, a: float = 2.0, refine: bool =
                 c = hi - _GOLDEN * (hi - lo)
                 fc = g(c)
         theta_r = (lo + hi) / 2
-        value_r = g(theta_r)
+        re, im = _phased(v, theta_r)
+        value_r = math.hypot(re.sum(), im.sum())
         if value_r > max_value:
             max_value = value_r
             argmax_theta = theta_r % (2 * math.pi)
@@ -415,11 +467,26 @@ class ZhanResult:
 
 
 def zhan_sup(table: ArithmeticTable, x: int, tau: float, thetas: int = 64) -> ZhanResult:
+    """Double sup over h and theta of |(1/h) sum_{x<n<=x+h} v(n) e^(in theta)|.
+
+    h runs over the ladder ceil(x^tau), doubling, capped at x; theta over the
+    grid theta_j = 2 pi j / T, T = ``thetas`` <= MAX_FFT.  On that grid
+    e^(in theta_j) depends only on n mod T, so each window is folded into
+    exact integer residue sums F_h[r] = sum_{n = r mod T} v(n) and one
+    length-T real FFT gives every |S_h(theta_j)|: O(h + T log T) per h.
+    FFT rounding is ~1e-16 relative to sum |v(n)|; the theta = 0 value is
+    the exact |M(x+h) - M(x)| / h.
+
+    Tie rule: for real v, |S_h(theta_j)| = |S_h(theta_{T-j})|, so only
+    j <= T/2 is scanned and the smallest maximizing j wins, both for each h
+    and for the overall argmax_theta.  Among h, the first (smallest) h
+    reaching the sup wins.
+    """
     x = int(x)
     if x < 1:
         raise ParameterError("need x >= 1")
-    if thetas < 1:
-        raise ParameterError("need at least one theta grid point")
+    if not 1 <= thetas <= MAX_FFT:
+        raise ParameterError(f"thetas={thetas} outside [1, {MAX_FFT}]")
     h_min = _h_floor(x, tau)
     if table.lo > 1 or table.hi < 2 * x:
         raise ParameterError(
@@ -428,23 +495,21 @@ def zhan_sup(table: ArithmeticTable, x: int, tau: float, thetas: int = 64) -> Zh
     h_values = [h_min]
     while h_values[-1] < x:
         h_values.append(min(2 * h_values[-1], x))
-    window = _table_head(table, 2 * x)[x:].astype(np.float64)
-    ns = np.arange(x + 1, 2 * x + 1, dtype=np.float64)
-    theta_grid = 2 * math.pi * np.arange(thetas) / thetas
+    window = _table_head(table, 2 * x)[x:]
+    residues = np.arange(x + 1, 2 * x + 1, dtype=np.int64) % thetas
     per_h, theta0_vals = [], []
     sup, argmax_h, argmax_theta = -1.0, h_values[0], 0.0
     for h in h_values:
-        v, nn = window[:h], ns[:h]
-        best_h, best_theta = -1.0, 0.0
-        for theta in theta_grid:
-            s = float(np.abs(np.dot(v, np.exp(1j * theta * nn)))) / h
-            if theta == 0.0:
-                theta0_vals.append(s)
-            if s > best_h:
-                best_h, best_theta = s, float(theta)
-        per_h.append(best_h)
-        if best_h > sup:
-            sup, argmax_h, argmax_theta = best_h, h, best_theta
+        folded = np.bincount(residues[:h], weights=window[:h], minlength=thetas)
+        mags = np.abs(np.fft.rfft(folded))
+        mags[0] = abs(int(window[:h].sum(dtype=np.int64)))
+        mags /= h
+        j = int(np.argmax(mags))
+        best = float(mags[j])
+        per_h.append(best)
+        theta0_vals.append(float(mags[0]))
+        if best > sup:
+            sup, argmax_h, argmax_theta = best, h, 2 * math.pi * j / thetas
     return ZhanResult(
         x, float(tau), int(thetas), tuple(h_values),
         np.array(per_h), np.array(theta0_vals), sup, argmax_h, argmax_theta,

@@ -54,6 +54,7 @@ from .averaging import (
 from .dynsys import SystemSpec, VeechSpec, veech_window_closure
 from .errors import ParameterError
 from .experiments import (
+    MAX_FFT,
     chowla_decay,
     davenport_sum,
     disjointness_sum,
@@ -733,7 +734,7 @@ _EXPERIMENTS = [
     Experiment(
         "zhan",
         "double sup of short-interval exponential sums over dyadic h and a theta grid",
-        {"x": _int(10000), "tau": _num(0.7), "thetas": _int(64)},
+        {"x": _int(10000), "tau": _num(0.7), "thetas": {**_int(64), "maximum": MAX_FFT}},
         _run_zhan,
     ),
 ]

@@ -7,7 +7,10 @@ code can be checked against it.
 
 from __future__ import annotations
 
+import cmath
 import math
+
+import numpy as np
 
 
 def ref_factorization(n: int) -> dict[int, int]:
@@ -55,6 +58,75 @@ def ref_correlation(values, m: int, n_max: int) -> int:
     for n in range(1, n_max + 1):
         total += int(values[n - 1]) * int(values[n + m - 1])
     return total
+
+
+def ref_exp_sum(values, theta: float, first: int = 1) -> complex:
+    """sum_k v_k e^(i (first + k) theta) over values[k], summed term by term."""
+    return sum(int(v) * cmath.exp(1j * (first + k) * theta) for k, v in enumerate(values))
+
+
+def ref_davenport_refine(values, center: float, step: float) -> tuple[float, float]:
+    """48-step golden-section search for the max of |sum_{k>=1} v_k e^(ik theta)|
+    on [center - step, center + step], every evaluation a direct sum.
+
+    Returns (theta_r, |S(theta_r)|) at the bracket midpoint.
+    """
+    golden = (math.sqrt(5) - 1) / 2
+    v = np.asarray(values, dtype=np.float64)
+    ks = np.arange(1, len(v) + 1, dtype=np.float64)
+
+    def g(theta):
+        return float(np.abs(np.dot(v, np.exp(1j * theta * ks))))
+
+    lo, hi = center - step, center + step
+    c = hi - golden * (hi - lo)
+    d = lo + golden * (hi - lo)
+    fc, fd = g(c), g(d)
+    for _ in range(48):
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = g(d)
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = g(c)
+    theta_r = (lo + hi) / 2
+    return theta_r, g(theta_r)
+
+
+def ref_davenport(values, x: int) -> dict:
+    """Grid maximum of |sum_{k<=x} v_k e^(ik theta)| from a zero-padded rfft
+    of length pad >= 4x (theta = 0 bin exact), then `ref_davenport_refine`."""
+    pad = 1 << (4 * x - 1).bit_length()
+    buf = np.zeros(pad)
+    buf[1 : x + 1] = values[:x]
+    mags = np.abs(np.fft.rfft(buf))
+    theta0 = abs(sum(int(v) for v in values[:x]))
+    mags[0] = float(theta0)
+    j = int(np.argmax(mags))
+    center, step = 2 * math.pi * j / pad, 2 * math.pi / pad
+    theta_r, value_r = ref_davenport_refine(values[:x], center, step)
+    return {
+        "grid_size": pad, "theta0": theta0, "grid_max": float(mags[j]),
+        "center": center, "step": step, "theta_r": theta_r, "value_r": value_r,
+    }
+
+
+def ref_zhan(values, x: int, h_values, thetas: int) -> dict:
+    """The theta x h double loop: |(1/h) sum_{x<n<=x+h} v(n) e^(in theta)| for
+    every theta_j = 2 pi j / T and every h, each a direct sum over the window.
+
+    values[i] holds v(i+1).  Returns the full (len(h_values), T) table plus
+    per-h maxima and theta = 0 values.
+    """
+    table = np.empty((len(h_values), thetas))
+    for i, h in enumerate(h_values):
+        window = values[x : x + h]
+        for j in range(thetas):
+            table[i, j] = abs(ref_exp_sum(window, 2 * math.pi * j / thetas, first=x + 1)) / h
+    theta0 = [abs(sum(int(v) for v in values[x : x + h])) / h for h in h_values]
+    return {"table": table, "per_h": table.max(axis=1), "theta0_values": theta0}
 
 
 def ref_subword_count(word, k: int) -> int:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from ergolab.cli import main
 from ergolab.errors import ParameterError
+from ergolab.experiments import MAX_FFT
 from ergolab.gc_stats import BernoulliCoordinateFamily, FiniteFamily, RotationFamily, SubshiftWindowFamily
 from ergolab.harness import (
     REGISTRY,
@@ -152,6 +153,18 @@ def test_missing_required_key_named(sandbox):
 def test_wrong_type_rejected(sandbox):
     result = invoke(sandbox, "mertens", {"limit": "ten"})
     assert result.exit_code == 2
+
+
+def test_oversized_theta_grid_rejected_before_running(sandbox):
+    config = {"x": 64, "thetas": MAX_FFT + 1}
+    with pytest.raises(ParameterError, match="maximum"):
+        prepare_run(REGISTRY["zhan"], config, None)
+    prepare_run(REGISTRY["zhan"], {**config, "thetas": MAX_FFT}, None)
+    result = invoke(sandbox, "zhan", config)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "config"
+    assert not (sandbox / "results").exists()
+    assert not (sandbox / "cache").exists()
 
 
 def test_resource_bound_exit_code(sandbox):

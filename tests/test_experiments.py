@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab.arith import ArithmeticTable, MertensPrefix, mertens_prefix, sieve_liouville, sieve_mobius
@@ -10,6 +10,8 @@ from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
 from ergolab.errors import ParameterError
 from ergolab.experiments import (
+    MAX_FFT,
+    DavenportResult,
     average_chowla,
     chowla_decay,
     correlations,
@@ -29,6 +31,9 @@ SQRT2M1 = math.sqrt(2) - 1
 
 def ones_table(hi, lo=1):
     return ArithmeticTable("mobius", lo, hi, np.ones(hi - lo + 1, dtype=np.int8))
+
+
+KIND_TABLES = {"mobius": sieve_mobius(20_000), "liouville": sieve_liouville(20_000), "ones": ones_table(20_000)}
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +135,30 @@ class TestDavenport:
         mu = sieve_mobius(10)
         with pytest.raises(ParameterError):
             davenport_sum(mu, 1 << 24, a=2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(KIND_TABLES)), st.integers(2, 400))
+    @example("mobius", 20_000)
+    @example("liouville", 20_000)
+    def test_matches_golden_section_oracle(self, kind, x):
+        ref = helpers.ref_davenport(KIND_TABLES[kind].values, x)
+        res = davenport_sum(KIND_TABLES[kind], x, a=2.0)
+        assert (res.grid_size, res.theta0, res.grid_max) == (ref["grid_size"], ref["theta0"], ref["grid_max"])
+        assert res.max_value == pytest.approx(max(ref["grid_max"], ref["value_r"]), rel=1e-8)
+        assert res.max_value >= res.grid_max >= res.theta0
+        offset = (res.argmax_theta - ref["center"] + math.pi) % (2 * math.pi) - math.pi
+        assert abs(offset) <= ref["step"] * (1 + 1e-9)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_TABLES))
+    @pytest.mark.parametrize("x", [2, 3, 17, 300, 20_000])
+    def test_unrefined_result_is_the_grid(self, kind, x):
+        ref = helpers.ref_davenport(KIND_TABLES[kind].values, x)
+        res = davenport_sum(KIND_TABLES[kind], x, a=2.0, refine=False)
+        grid_max = ref["grid_max"]
+        assert res == DavenportResult(
+            x, 2.0, ref["grid_size"], ref["theta0"], grid_max, grid_max, ref["center"],
+            grid_max / (x / math.log(x) ** 2.0),
+        )
 
     def test_uncovered_x_rejected(self):
         mu = sieve_mobius(10)
@@ -418,3 +447,40 @@ class TestZhan:
     def test_table_must_cover_2x(self):
         with pytest.raises(ParameterError):
             zhan_sup(sieve_mobius(150), 100, 0.5)
+
+    @pytest.mark.parametrize("thetas", [0, MAX_FFT + 1])
+    def test_theta_grid_size_bounded(self, thetas):
+        with pytest.raises(ParameterError):
+            zhan_sup(ones_table(4), 2, 0.5, thetas=thetas)
+
+    def test_mirror_tie_reports_the_smaller_theta(self):
+        # |S(theta_16)| = |S(theta_48)| exactly for real weights
+        res = zhan_sup(sieve_mobius(10_000), 5000, 0.5, thetas=64)
+        assert res.argmax_theta == 2 * math.pi * 16 / 64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(KIND_TABLES)),
+        st.integers(1, 200),
+        st.floats(0.05, 1.0),
+        st.sampled_from([1, 2, 3, 8, 64]),
+    )
+    def test_matches_double_loop_oracle(self, kind, x, tau, thetas):
+        table = KIND_TABLES[kind]
+        res = zhan_sup(table, x, tau, thetas=thetas)
+        ladder = [min(max(1, math.ceil(x**tau)), x)]
+        while ladder[-1] < x:
+            ladder.append(min(2 * ladder[-1], x))
+        assert res.h_values == tuple(ladder)
+        ref = helpers.ref_zhan(table.values, x, ladder, thetas)
+        assert res.theta0_values.tolist() == ref["theta0_values"]
+        # |v| <= 1, so every value is at most 1; the absolute term covers
+        # values that vanish in exact arithmetic, where the oracle's own
+        # rounding (~1e-15) is all there is
+        np.testing.assert_allclose(res.per_h, ref["per_h"], rtol=1e-12, atol=1e-12)
+        assert res.sup == pytest.approx(ref["per_h"].max(), rel=1e-12, abs=1e-12)
+        j = round(res.argmax_theta * thetas / (2 * math.pi))
+        assert res.argmax_theta == 2 * math.pi * j / thetas
+        assert 0 <= j <= thetas // 2
+        row = res.h_values.index(res.argmax_h)
+        assert ref["table"][row, j] == pytest.approx(res.sup, rel=1e-12, abs=1e-12)
