@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
+DRAW_CHUNK = 1 << 17  # uniforms held at once by fill_signs (1 MiB)
+
 
 def map_indexed(fn, count: int, threads: int = 1) -> list:
     """[fn(0), ..., fn(count-1)], optionally computed on a thread pool.
@@ -15,3 +19,20 @@ def map_indexed(fn, count: int, threads: int = 1) -> list:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def fill_signs(rng: np.random.Generator, out: np.ndarray, p: float) -> None:
+    """Fill the C-contiguous int8 array ``out`` with +1 where a uniform draw is
+    < p and -1 elsewhere.
+
+    The uniforms are drawn in C order, DRAW_CHUNK at a time, so ``out`` ends
+    up equal to np.where(rng.random(out.shape) < p, 1, -1) and the generator
+    in the same state, without holding 8 bytes per entry.
+    """
+    flat = out.reshape(-1)
+    hits = flat.view(np.bool_)
+    for start in range(0, flat.size, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, flat.size)
+        np.less(rng.random(stop - start), p, out=hits[start:stop])
+    flat *= 2
+    flat -= 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import map_indexed
+from ._util import DRAW_CHUNK, fill_signs, map_indexed
 from .arith import ArithmeticTable, MertensPrefix, sieve_liouville, sieve_mobius
 from .dynsys import OrbitStream, VeechSpec
 from .errors import ParameterError
@@ -25,6 +25,7 @@ from .errors import ParameterError
 MAX_FFT = 1 << 25  # longest transform (and theta grid) any kernel here allocates
 _GOLDEN = (math.sqrt(5) - 1) / 2
 _TAYLOR_TERMS = 32  # (pi/2)^32 / 32! < 1e-29, see _local_series
+_SUP_BLOCK = 1024  # walk indices per block bounded at once by _interval_sup
 
 
 def _table_head(table: ArithmeticTable, n: int) -> np.ndarray:
@@ -316,19 +317,70 @@ def _h_floor(x: int, tau: float) -> int:
     return min(max(1, math.ceil(x**tau)), x)
 
 
+def _block_extrema(walk: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(first, max, min) over the aligned blocks walk[b*B : (b+1)*B], B = _SUP_BLOCK,
+    that lie inside walk[lo : hi + 1]; max[i] and min[i] belong to block first + i."""
+    first = -(-lo // _SUP_BLOCK)
+    stop = max((hi + 1) // _SUP_BLOCK, first)
+    blocks = walk[first * _SUP_BLOCK : stop * _SUP_BLOCK].reshape(-1, _SUP_BLOCK)
+    return first, blocks.max(axis=1), blocks.min(axis=1)
+
+
+def _interval_sup(walk: np.ndarray, x: int, h_min: int, extrema) -> tuple[float, int]:
+    """max over h in [h_min, x] of |walk[x+h] - walk[x]| / h, and the smallest h
+    attaining it, equal to a scan of every h.
+
+    ``extrema`` is `_block_extrema` over a range holding [x + h_min, 2x].  A
+    block starting at walk index x + h_lo has every |walk[x+h] - walk[x]| / h
+    below max(|blkmax - walk[x]|, |blkmin - walk[x]|) / h_lo, and rounded
+    division is monotone, so that bound holds for the float ratios too.  The
+    ragged ends and the block with the top bound are scanned first; then
+    every block whose bound is >= the best value so far (ties included, so
+    the smallest maximizing h is found).
+    """
+    first, bmax, bmin = extrema
+    b_lo = -(-(x + h_min) // _SUP_BLOCK)
+    b_hi = max((2 * x + 1) // _SUP_BLOCK, b_lo)
+    base = walk[x]
+
+    def scan(start: int, stop: int) -> tuple[float, int]:
+        if start >= stop:
+            return -1.0, 0
+        ratios = np.abs(walk[start:stop] - base) / np.arange(start - x, stop - x, dtype=np.int64)
+        k = int(np.argmax(ratios))
+        return float(ratios[k]), start - x + k
+
+    found = [scan(x + h_min, min(b_lo * _SUP_BLOCK, 2 * x + 1)), scan(b_hi * _SUP_BLOCK, 2 * x + 1)]
+    if b_hi > b_lo:
+        span = slice(b_lo - first, b_hi - first)
+        reach = np.maximum(np.abs(bmax[span] - base), np.abs(bmin[span] - base))
+        bounds = reach / (np.arange(b_lo, b_hi, dtype=np.int64) * _SUP_BLOCK - x)
+        top = int(np.argmax(bounds))
+        start = (b_lo + top) * _SUP_BLOCK
+        best = max(max(found)[0], scan(start, start + _SUP_BLOCK)[0])
+        chosen = np.flatnonzero(bounds >= best) + b_lo
+        if len(chosen):
+            idx = (chosen[:, None] * _SUP_BLOCK + np.arange(_SUP_BLOCK)).ravel()
+            ratios = np.abs(walk[idx] - base) / (idx - x)
+            k = int(np.argmax(ratios))
+            found.append((float(ratios[k]), int(idx[k]) - x))
+    sup = max(v for v, _ in found)
+    return sup, min(h for v, h in found if v == sup)
+
+
 def short_interval_sup(prefix: MertensPrefix, x: int, tau: float) -> IntervalStat:
-    """Exact sup by scanning every integer h in [ceil(x^tau), x]; O(x) work."""
+    """Exact sup over every integer h in [ceil(x^tau), x], with the smallest
+    maximizing h; `_interval_sup` skips the blocks of h it can bound below
+    the running best."""
     x = int(x)
     if x < 1:
         raise ParameterError("need x >= 1")
     h_min = _h_floor(x, tau)
     if prefix.limit < 2 * x:
         raise ParameterError(f"prefix limit {prefix.limit} below the required 2x = {2 * x}")
-    hs = np.arange(h_min, x + 1, dtype=np.int64)
-    deltas = prefix.prefix[x + hs] - prefix.prefix[x]
-    ratios = np.abs(deltas) / hs
-    k = int(np.argmax(ratios))
-    return IntervalStat(x, float(tau), h_min, x, float(ratios[k]), int(hs[k]))
+    walk = prefix.prefix
+    sup, argmax_h = _interval_sup(walk, x, h_min, _block_extrema(walk, x + h_min, 2 * x))
+    return IntervalStat(x, float(tau), h_min, x, sup, argmax_h)
 
 
 @dataclass(frozen=True)
@@ -410,11 +462,31 @@ class RandomMertensResult:
     bound: np.ndarray
 
 
+def _random_walk(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """W(0..n): W(0) = 0 and step k is +1 if the k-th uniform draw is < p, else -1.
+
+    Built one draw chunk at a time (int8 steps, then an int64 cumsum shifted
+    by the walk so far), so no 8-byte-per-step array exists besides W.
+    """
+    walk = np.empty(n + 1, dtype=np.int64)
+    walk[0] = 0
+    steps = np.empty(min(n, DRAW_CHUNK), dtype=np.int8)
+    for start in range(0, n, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, n)
+        part = steps[: stop - start]
+        fill_signs(rng, part, p)
+        np.cumsum(part, dtype=np.int64, out=walk[start + 1 : stop + 1])
+        walk[start + 1 : stop + 1] += walk[start]
+    return walk
+
+
 def random_mertens_sim(
     grid, tau: float, paths: int = 256, p: float = 0.5, seed: int = 0, threads: int = 1
 ) -> RandomMertensResult:
     """Walk M(n) = sum of i.i.d. +-1 with P(+1) = p; per path and per grid x,
-    the exact sup over h in [ceil(x^tau), x] of |M(x+h) - M(x)| / h.
+    the exact sup over h in [ceil(x^tau), x] of |M(x+h) - M(x)| / h.  Each
+    walk's block extrema are taken once and serve every grid x
+    (`_interval_sup`).
 
     Path i draws from a generator seeded with seed XOR i, so results do not
     depend on the thread count.
@@ -430,14 +502,9 @@ def random_mertens_sim(
     n_max = 2 * xs[-1]
 
     def one(path: int) -> np.ndarray:
-        rng = np.random.default_rng(seed ^ path)
-        steps = np.where(rng.random(n_max) < p, 1, -1)
-        walk = np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
-        out = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            hs = np.arange(h_mins[i], x + 1, dtype=np.int64)
-            out[i] = np.max(np.abs(walk[x + hs] - walk[x]) / hs)
-        return out
+        walk = _random_walk(np.random.default_rng(seed ^ path), n_max, p)
+        extrema = _block_extrema(walk, 0, n_max)
+        return np.array([_interval_sup(walk, x, h, extrema)[0] for x, h in zip(xs, h_mins)])
 
     sups = np.array(map_indexed(one, paths, threads))
     rms = np.sqrt(np.mean(sups**2, axis=0))

@@ -9,7 +9,8 @@ the family is from being Glivenko-Cantelli at finite n:
   * covering_number           greedy upper/lower bounds for N(eps) in the
                               normalized l1 or the sup norm on sample columns
   * entropy_rate              e_n = (1/n) * mean over reps of log N_upper
-  * is_shattered              exhaustive (alpha, beta)-dichotomy check
+  * is_shattered              (alpha, beta)-dichotomy check: one pass reads
+                              the dichotomy each row realizes
   * shattering_probability    fraction of sampled n-tuples shattered, and
                               its n-th root
   * shattering_dimension      greedy lower bound on the largest shattered n
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import map_indexed
+from ._util import fill_signs, map_indexed
 from .dynsys import _guard_irrational, to_state
 from .errors import ParameterError, ResourceLimitError
 
@@ -93,10 +94,14 @@ class BernoulliCoordinateFamily(FunctionFamily):
         self.bound = 1.0
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.where(rng.random((n, self.size)) < self.p, 1, -1).astype(np.int8)
+        points = np.empty((n, self.size), dtype=np.int8)
+        fill_signs(rng, points, self.p)
+        return points
 
     def evaluate(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64).T
+        # int8 +-1 values: every mean and distance taken of them sums exact
+        # integers, so the results equal those of a float64 matrix
+        return np.asarray(points, dtype=np.int8).T
 
     def true_means(self) -> np.ndarray:
         return np.full(self.size, 2 * self.p - 1)
@@ -238,8 +243,8 @@ def covering_number(sample, eps: float, norm: str = "mean-l1") -> CoveringBounds
     """Greedy bracket [lower, upper] for the eps-covering number of the rows."""
     if norm not in ("mean-l1", "linf"):
         raise ParameterError(f"unknown norm {norm!r}; use 'mean-l1' or 'linf'")
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     matrix = sample.matrix if isinstance(sample, EmpiricalSample) else np.asarray(sample)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ParameterError("need a nonempty 2-d evaluation matrix")
@@ -286,24 +291,20 @@ def entropy_rate(
 # shattering
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    v = x.copy()
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
-
-
 def is_shattered(values, alpha: float, beta: float, *, return_witnesses: bool = False):
     """Whether every dichotomy of the sample columns is realized.
 
     values is the (T, n) evaluation matrix.  A row realizes the dichotomy
     G (bitmask over columns) when it is < alpha on the columns in G and
-    > beta off G.  All 2^n dichotomies are scanned with early exit; n is
-    capped at 24.
+    > beta off G.  Since alpha < beta, a row with every entry < alpha or
+    > beta realizes exactly one dichotomy, its below-alpha mask, and any
+    other row (an entry in [alpha, beta] or NaN) realizes none.  So one pass
+    reads each decided row's mask; the sample is shattered iff all 2^n masks
+    occur.  witnesses[G] is the first row realizing G.  n is capped at 24.
     """
-    if alpha >= beta:
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ParameterError(f"thresholds must be finite, got alpha={alpha}, beta={beta}")
+    if not alpha < beta:
         raise ParameterError(f"need alpha < beta, got {alpha} >= {beta}")
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2 or matrix.size == 0:
@@ -311,29 +312,13 @@ def is_shattered(values, alpha: float, beta: float, *, return_witnesses: bool = 
     n = matrix.shape[1]
     if n > _MAX_SHATTER_POINTS:
         raise ResourceLimitError(f"{n} points exceed the shattering cap {_MAX_SHATTER_POINTS}")
-    powers = 1 << np.arange(n, dtype=np.int64)
-    low = (matrix < alpha) @ powers
-    high = (matrix > beta) @ powers
-    full = (1 << n) - 1
-    needed = full & ~high
-    usable = (needed & ~low) == 0
-    if not usable.any():
+    below = matrix < alpha
+    decided = np.flatnonzero((below | (matrix > beta)).all(axis=1))
+    patterns = below[decided] @ (1 << np.arange(n, dtype=np.int64))
+    realized, first = np.unique(patterns, return_index=True)
+    if len(realized) < (1 << n):
         return (False, None) if return_witnesses else False
-    row_index = np.flatnonzero(usable)
-    low_u = low[usable]
-    needed_u = needed[usable]
-    capacity = np.ldexp(1.0, _popcount(low_u & ~needed_u).astype(np.int64)).sum()
-    if capacity < (1 << n):
-        return (False, None) if return_witnesses else False
-    witnesses = np.empty(1 << n, dtype=np.int64) if return_witnesses else None
-    for g in range(1 << n):
-        ok = ((needed_u & ~g) | (g & ~low_u)) == 0
-        hit = int(np.argmax(ok))
-        if not ok[hit]:
-            return (False, None) if return_witnesses else False
-        if return_witnesses:
-            witnesses[g] = row_index[hit]
-    return (True, witnesses) if return_witnesses else True
+    return (True, decided[first]) if return_witnesses else True
 
 
 @dataclass(frozen=True)

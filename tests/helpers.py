@@ -129,6 +129,40 @@ def ref_zhan(values, x: int, h_values, thetas: int) -> dict:
     return {"table": table, "per_h": table.max(axis=1), "theta0_values": theta0}
 
 
+def ref_is_shattered(values, alpha: float, beta: float):
+    """(alpha, beta)-shattering straight from the definition: for every
+    dichotomy G (bitmask over the n columns) look through the rows for one
+    that is < alpha on the columns in G and > beta on the others.
+
+    Returns (True, witnesses) with witnesses[G] the first such row, or
+    (False, None) at the first dichotomy no row realizes.
+    """
+    rows = [[float(v) for v in row] for row in values]
+    n = len(rows[0])
+    witnesses = []
+    for g in range(1 << n):
+        for t, row in enumerate(rows):
+            if all(row[i] < alpha if g >> i & 1 else row[i] > beta for i in range(n)):
+                witnesses.append(t)
+                break
+        else:
+            return False, None
+    return True, witnesses
+
+
+def ref_interval_sup(walk, x: int, h_min: int) -> tuple[float, int]:
+    """max over h in [h_min, x] of |walk[x+h] - walk[x]| / h, one h at a time,
+    and the smallest h attaining it.  Python's int / int is correctly
+    rounded, as is the float division of the same exact integers."""
+    base = int(walk[x])
+    best, argmax_h = -1.0, None
+    for h in range(h_min, x + 1):
+        ratio = abs(int(walk[x + h]) - base) / h
+        if ratio > best:
+            best, argmax_h = ratio, h
+    return best, argmax_h
+
+
 def ref_subword_count(word, k: int) -> int:
     """Number of distinct length-k blocks in the sequence."""
     seen = set()

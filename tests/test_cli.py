@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -165,6 +166,19 @@ def test_oversized_theta_grid_rejected_before_running(sandbox):
     assert json.loads(result.stderr)["error"] == "config"
     assert not (sandbox / "results").exists()
     assert not (sandbox / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [("covering", {"eps": math.nan}), ("covering", {"eps": math.inf}),
+     ("shatter", {"alpha": math.nan}), ("shatter-prob", {"beta": math.nan})],
+)
+def test_non_finite_threshold_rejected(sandbox, name, config):
+    # json.load accepts NaN and Infinity, and the schema's "number" lets them through
+    result = invoke(sandbox, name, config)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "config"
+    assert not (sandbox / "results").exists()
 
 
 def test_resource_bound_exit_code(sandbox):

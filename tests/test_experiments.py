@@ -10,7 +10,9 @@ from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
 from ergolab.errors import ParameterError
 from ergolab.experiments import (
+    _SUP_BLOCK,
     MAX_FFT,
+    _h_floor,
     DavenportResult,
     average_chowla,
     chowla_decay,
@@ -310,6 +312,60 @@ class TestShortInterval:
             short_interval_sup(prefix, 60, 0.5)
 
 
+def walk_prefix(steps) -> MertensPrefix:
+    vals = np.zeros(len(steps) + 1, dtype=np.int64)
+    np.cumsum(steps, out=vals[1:])
+    return MertensPrefix(len(steps), vals)
+
+
+# x values on both sides of block boundaries, plus the x whose h range at
+# tau = 0.5 is one short of a block and the x whose range is exactly one block
+_BLOCK_XS = sorted(
+    {1, 2, 3, 100, _SUP_BLOCK - 1, _SUP_BLOCK, _SUP_BLOCK + 1, 2 * _SUP_BLOCK - 1, 2 * _SUP_BLOCK,
+     3 * _SUP_BLOCK + 7, 5000, 12_345, 19_999, 20_000}
+    | {next(x for x in range(_SUP_BLOCK, 4 * _SUP_BLOCK) if x - _h_floor(x, 0.5) + 1 == size)
+       for size in (_SUP_BLOCK - 1, _SUP_BLOCK)}
+)
+
+
+class TestIntervalSupOracle:
+    """short_interval_sup against a direct per-h scan, at sizes that cross
+    many blocks of the bounded scan; value and argmax_h compared with ==."""
+
+    @pytest.mark.parametrize("source", ["mobius", "walk", "biased", "ones", "minus-ones", "flat"])
+    def test_matches_direct_scan(self, source):
+        n = 2 * _BLOCK_XS[-1]
+        rng = np.random.default_rng(17)
+        if source == "mobius":
+            prefix = mertens_prefix(n)
+        elif source == "flat":
+            prefix = MertensPrefix(n, np.zeros(n + 1, dtype=np.int64))
+        else:
+            p = {"walk": 0.5, "biased": 0.7, "ones": 1.0, "minus-ones": 0.0}[source]
+            prefix = walk_prefix(np.where(rng.random(n) < p, 1, -1))
+        for tau in (0.05, 0.3, 0.5, 0.8, 1.0):
+            for x in _BLOCK_XS:
+                res = short_interval_sup(prefix, x, tau)
+                expect = helpers.ref_interval_sup(prefix.prefix, x, res.h_min)
+                assert (res.sup, res.argmax_h) == expect, (source, tau, x)
+
+    def test_tie_across_blocks_goes_to_smallest_h(self):
+        # h1 starts a block and h2 = 2 h1 lies in the next one, with
+        # M(x+h2) - M(x) = 2 (M(x+h1) - M(x)) and 0 elsewhere: both ratios
+        # are 3/h1, and the later block has the larger bound, so the tied
+        # earlier block must still be scanned
+        x = 5000
+        h1 = -(-(x + _SUP_BLOCK) // _SUP_BLOCK) * _SUP_BLOCK - x
+        assert h1 > _SUP_BLOCK and (x + 2 * h1) // _SUP_BLOCK == (x + h1) // _SUP_BLOCK + 1
+        vals = np.zeros(2 * x + 1, dtype=np.int64)
+        vals[x + h1] = 3
+        vals[x + 2 * h1] = 6
+        prefix = MertensPrefix(2 * x, vals)
+        res = short_interval_sup(prefix, x, 0.05)
+        assert (res.sup, res.argmax_h) == (3 / h1, h1)
+        assert (res.sup, res.argmax_h) == helpers.ref_interval_sup(vals, x, res.h_min)
+
+
 class TestSecondMoment:
     def test_all_ones_gives_h_squared(self):
         prefix = MertensPrefix(200, np.arange(201, dtype=np.int64))
@@ -405,6 +461,25 @@ class TestRandomMertens:
         h_lo = math.ceil(x**tau)
         brute = max(abs(int(walk[x + h]) - int(walk[x])) / h for h in range(h_lo, x + 1))
         assert res.sups[0, 0] == pytest.approx(brute, abs=1e-15)
+
+    @pytest.mark.parametrize("tau, p", [(0.05, 0.5), (0.5, 0.5), (0.6, 0.3), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)])
+    def test_matches_direct_scan_on_rebuilt_walks(self, tau, p):
+        grid, seed, paths = tuple(_BLOCK_XS), 33, 3
+        res = random_mertens_sim(grid, tau, paths=paths, p=p, seed=seed)
+        for path in range(paths):
+            rng = np.random.default_rng(seed ^ path)
+            walk = np.concatenate([[0], np.cumsum(np.where(rng.random(2 * grid[-1]) < p, 1, -1))])
+            expect = [helpers.ref_interval_sup(walk, x, _h_floor(x, tau))[0] for x in grid]
+            assert res.sups[path].tolist() == expect
+
+    def test_walk_spans_several_draw_chunks(self):
+        grid, tau, seed = (1000, 150_000), 0.95, 4
+        res = random_mertens_sim(grid, tau, paths=2, p=0.45, seed=seed)
+        for path in range(2):
+            rng = np.random.default_rng(seed ^ path)
+            walk = np.concatenate([[0], np.cumsum(np.where(rng.random(2 * grid[-1]) < 0.45, 1, -1))])
+            expect = [helpers.ref_interval_sup(walk, x, _h_floor(x, tau))[0] for x in grid]
+            assert res.sups[path].tolist() == expect
 
     def test_rms_is_root_mean_square(self):
         res = random_mertens_sim((32,), 0.5, paths=16, seed=3)

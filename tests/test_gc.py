@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.errors import ParameterError, ResourceLimitError
 from ergolab.gc_stats import (
@@ -17,6 +19,8 @@ from ergolab.gc_stats import (
     shattering_dimension,
     shattering_probability,
 )
+
+import helpers
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -121,8 +125,9 @@ def test_covering_l1_below_linf_on_family_samples():
 def test_covering_norm_validation():
     with pytest.raises(ParameterError):
         covering_number(np.ones((2, 2)), 0.1, "l2")
-    with pytest.raises(ParameterError):
-        covering_number(np.ones((2, 2)), -0.1, "linf")
+    for eps in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            covering_number(np.ones((2, 2)), eps, "linf")
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +204,48 @@ def test_is_shattered_column_subsets():
 
 
 def test_is_shattered_validation():
-    with pytest.raises(ParameterError):
-        is_shattered(np.ones((2, 2)), 0.75, 0.25)
+    bad = [(0.75, 0.25), (0.5, 0.5), (math.nan, 0.5), (0.25, math.nan), (math.nan, math.nan),
+           (-math.inf, 0.5), (0.25, math.inf)]
+    for alpha, beta in bad:
+        with pytest.raises(ParameterError):
+            is_shattered(np.array([[0.0], [1.0]]), alpha, beta)
     with pytest.raises(ResourceLimitError):
         is_shattered(np.ones((2, 25)), 0.25, 0.75)
+
+
+ALPHA, BETA = 0.25, 0.75
+_BELOW = st.sampled_from([-1.0, 0.0, 0.2499])
+_ABOVE = st.sampled_from([0.7501, 1.0, 2.0])
+_ANY = st.sampled_from([-1.0, 0.0, ALPHA, 0.5, BETA, 1.0, math.nan])
+
+
+@st.composite
+def shatter_matrices(draw):
+    """Up to 40 rows on n <= 5 columns: rows realizing chosen dichotomies
+    (sometimes all of them), rows with entries at alpha, at beta, inside the
+    gap or NaN, and duplicated rows, in any order."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        patterns = list(range(1 << n))
+    else:
+        patterns = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    rows = [[draw(_BELOW) if g >> i & 1 else draw(_ABOVE) for i in range(n)] for g in patterns]
+    rows += draw(st.lists(st.lists(_ANY, min_size=n, max_size=n), min_size=0 if rows else 1, max_size=6))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    return np.array(draw(st.permutations(rows))[:40])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shatter_matrices())
+def test_is_shattered_matches_definition(m):
+    shattered, witnesses = is_shattered(m, ALPHA, BETA, return_witnesses=True)
+    ref_shattered, ref_witnesses = helpers.ref_is_shattered(m, ALPHA, BETA)
+    assert shattered is ref_shattered
+    assert is_shattered(m, ALPHA, BETA) is ref_shattered
+    if ref_shattered:
+        assert witnesses.tolist() == ref_witnesses
+    else:
+        assert witnesses is None
 
 
 def test_rotation_translates_realize_at_most_2n_dichotomies():
@@ -252,6 +295,29 @@ def test_shattering_dimension_of_pattern_family():
 def test_shattering_dimension_trivial():
     fam = FiniteFamily(np.zeros((1, 3)))
     assert shattering_dimension(fam, 0.25, 0.75, budget=100, seed=0) == 0
+
+
+@pytest.mark.parametrize("n, size", [(11, 37), (3, 50_000)])  # the second spans draw chunks
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_bernoulli_sample_points_match_where_form(p, n, size):
+    fam = BernoulliCoordinateFamily(size=size, p=p)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = fam.sample_points(n, rng)
+    expect = np.where(ref_rng.random((n, size)) < p, 1, -1).astype(np.int8)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, expect)
+    assert rng.random() == ref_rng.random()
+
+
+def test_bernoulli_int8_matrix_gives_float64_results():
+    fam = BernoulliCoordinateFamily(size=300, p=0.4)
+    for n in (7, 40):
+        m = fam.evaluate(fam.sample_points(n, np.random.default_rng(n)))
+        as_float = m.astype(np.float64)
+        assert np.array_equal(m.mean(axis=1), as_float.mean(axis=1))
+        for norm in ("mean-l1", "linf"):
+            for eps in (0.05, 0.2, 0.6):
+                assert covering_number(m, eps, norm) == covering_number(as_float, eps, norm)
 
 
 # ---------------------------------------------------------------------------
