@@ -8,7 +8,10 @@ trend and Monte-Carlo criteria plus a thread-determinism comparison.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import tempfile
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,20 +35,51 @@ from .experiments import (
     davenport_sum,
     interval_second_moment,
     partition_mertens_sum,
-    random_mertens_sim,
     short_interval_sup,
 )
-from .gc_stats import (
-    BernoulliCoordinateFamily,
-    RotationFamily,
-    entropy_rate,
-    shattering_probability,
-)
-from .harness import csv_bytes
+from .harness import run_experiment
 
 __all__ = ["CriterionResult", "run_suite", "QUICK", "FULL"]
 
-_ALPHA = math.sqrt(2) - 1
+_GRID = [1 << j for j in range(10, 21)]
+_ROTATION = {"type": "rotation", "alpha": math.sqrt(2) - 1, "size": 256}
+_BERNOULLI = {"type": "bernoulli", "size": 1 << 14}
+_GAP = {"alpha": 0.25, "beta": 0.75, "reps": 64}
+
+# The registry runs criteria 8 and 10 read their numbers from and criterion 12
+# repeats at threads 1 and 2, by label: (experiment, config), all at seed 0.
+RUNS = {
+    "random-mertens tau=0.5": ("random-mertens", {"grid": _GRID, "tau": 0.5, "paths": 256}),
+    "random-mertens tau=0.6": ("random-mertens", {"grid": _GRID, "tau": 0.6, "paths": 256}),
+    "covering rotation": (
+        "covering",
+        {"family": _ROTATION, "ns": [64, 1024], "eps": 0.1, "reps": 32, "sample_n": 1},
+    ),
+    "covering bernoulli": (
+        "covering",
+        {"family": _BERNOULLI, "ns": [2, 4, 6, 8, 10, 12], "eps": 0.1, "reps": 8, "sample_n": 1},
+    ),
+    "shatter-prob bernoulli n=8": ("shatter-prob", {"family": _BERNOULLI, "n": 8, **_GAP}),
+    **{
+        f"shatter-prob rotation n={n}": ("shatter-prob", {"family": _ROTATION, "n": n, **_GAP})
+        for n in (2, 4, 6)
+    },
+    "gc-deviation": ("gc-deviation", {"reps": 8}),
+}
+
+
+@lru_cache(maxsize=None)
+def _outputs(label: str, threads: int) -> dict:
+    """{file name: bytes} of every output but the manifest of run RUNS[label]."""
+    name, config = RUNS[label]
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = run_experiment(name, config, seed=0, out=tmp, threads=threads, cache=tmp)
+        return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir()) if p.name != "manifest.json"}
+
+
+def _rows(label: str, name: str, threads: int) -> list[dict]:
+    """The rows of one CSV output of RUNS[label], as {column: text}."""
+    return list(csv.DictReader(io.StringIO(_outputs(label, threads)[name].decode("ascii"))))
 
 
 @dataclass(frozen=True)
@@ -99,30 +133,15 @@ def criterion_2(threads: int = 1) -> CriterionResult:
     return CriterionResult(2, "mertens-consistency", passed, detail, time.perf_counter() - t0)
 
 
-@lru_cache(maxsize=4)
-def _correlation_runs(threads: int = 1):
-    n = 1 << 12
-    runs = {}
-    for kind, sieve in (("mobius", sieve_mobius), ("liouville", sieve_liouville)):
-        table = sieve(2 * n)
-        runs[kind] = (
-            correlations(table, n, method="fft"),
-            correlations(table, n, method="direct"),
-        )
-    rows = [
-        (kind, m + 1, int(fft[m]), int(direct[m]))
-        for kind, (fft, direct) in runs.items()
-        for m in range(n)
-    ]
-    blob = {"correlations.csv": csv_bytes(("kind", "m", "fft", "direct"), rows)}
-    return runs, blob
-
-
 def criterion_3(threads: int = 1) -> CriterionResult:
     """FFT autocorrelations match the O(N^2) direct sums exactly at N=4096."""
     t0 = time.perf_counter()
-    runs, _ = _correlation_runs(threads)
-    bad = {kind: int(np.count_nonzero(f != d)) for kind, (f, d) in runs.items()}
+    n = 1 << 12
+    bad = {}
+    for kind, sieve in (("mobius", sieve_mobius), ("liouville", sieve_liouville)):
+        table = sieve(2 * n)
+        fft = correlations(table, n, method="fft")
+        bad[kind] = int(np.count_nonzero(fft != correlations(table, n, method="direct")))
     passed = all(v == 0 for v in bad.values())
     detail = ", ".join(f"{kind}: {v} lag mismatches" for kind, v in bad.items())
     return CriterionResult(3, "correlation-fft-vs-direct", passed, detail, time.perf_counter() - t0)
@@ -131,7 +150,7 @@ def criterion_3(threads: int = 1) -> CriterionResult:
 def criterion_4(threads: int = 1) -> CriterionResult:
     """Order-two average correlation of lambda decays and at least halves."""
     t0 = time.perf_counter()
-    series = chowla_decay("liouville", tuple(1 << j for j in (12, 14, 16, 18, 20)))
+    series = chowla_decay(sieve_liouville(2**21).values, tuple(1 << j for j in (12, 14, 16, 18, 20)))
     vals = series.values
     halved = bool(vals[-1] < vals[0] / 2)
     passed = series.strictly_decreasing and halved
@@ -201,42 +220,17 @@ def criterion_7(threads: int = 1) -> CriterionResult:
     return CriterionResult(7, "partition-variation", passed, detail, time.perf_counter() - t0)
 
 
-_GRID = tuple(1 << j for j in range(10, 21))
-
-
-@lru_cache(maxsize=4)
-def _random_walk_runs(threads: int = 1):
-    runs = {
-        tau: random_mertens_sim(_GRID, tau, paths=256, seed=0, threads=threads)
-        for tau in (0.5, 0.6)
-    }
-    sup_rows = [
-        (tau, path, x, res.sups[path, i])
-        for tau, res in runs.items()
-        for path in range(res.paths)
-        for i, x in enumerate(res.grid)
-    ]
-    rms_rows = [
-        (tau, x, res.rms[i], res.bound[i])
-        for tau, res in runs.items()
-        for i, x in enumerate(res.grid)
-    ]
-    blob = {
-        "walk-sups.csv": csv_bytes(("tau", "path", "x", "sup"), sup_rows),
-        "walk-rms.csv": csv_bytes(("tau", "x", "rms", "bound"), rms_rows),
-    }
-    return runs, blob
-
-
 def criterion_8(threads: int = 1) -> CriterionResult:
     """Random-walk analogue: RMS sup bounded at tau=1/2; small tails at tau=0.6."""
     t0 = time.perf_counter()
-    runs, _ = _random_walk_runs(threads)
-    rms_ok = bool(np.all(runs[0.5].rms <= 2.414))
-    tail = float(np.mean(runs[0.6].sups[:, -1] < 0.05))
+    rms = np.array([float(r["rms"]) for r in _rows("random-mertens tau=0.5", "rms.csv", threads)])
+    sups = _rows("random-mertens tau=0.6", "sups.csv", threads)
+    last = np.array([float(r["sup"]) for r in sups if int(r["x"]) == _GRID[-1]])
+    rms_ok = bool(np.all(rms <= 2.414))
+    tail = float(np.mean(last < 0.05))
     passed = rms_ok and tail >= 0.95
     detail = (
-        f"max RMS {runs[0.5].rms.max():.4f} (cap 2.414); "
+        f"max RMS {rms.max():.4f} (cap 2.414); "
         f"{tail:.1%} of paths below 0.05 at x=2^20 (need 95%)"
     )
     return CriterionResult(8, "random-walk-mertens", passed, detail, time.perf_counter() - t0)
@@ -261,54 +255,39 @@ def criterion_9(threads: int = 1) -> CriterionResult:
     return CriterionResult(9, "step-function-window-closure", passed, detail, time.perf_counter() - t0)
 
 
-@lru_cache(maxsize=4)
-def _gc_runs(threads: int = 1):
-    rotation = RotationFamily(_ALPHA, 256)
-    bernoulli = BernoulliCoordinateFamily(1 << 14)
-    rot_entropy = entropy_rate(rotation, (64, 1024), eps=0.1, reps=32, seed=0, threads=threads)
-    ber_entropy = entropy_rate(bernoulli, (2, 4, 6, 8, 10, 12), eps=0.1, reps=8, seed=0, threads=threads)
-    ber_shatter = shattering_probability(bernoulli, 8, 0.25, 0.75, reps=64, seed=0, threads=threads)
-    rot_shatter = [
-        shattering_probability(rotation, n, 0.25, 0.75, reps=64, seed=0, threads=threads)
-        for n in (2, 4, 6)
-    ]
-    entropy_rows = [("rotation", pt.n, pt.e_mean, pt.e_std) for pt in rot_entropy]
-    entropy_rows += [("bernoulli", pt.n, pt.e_mean, pt.e_std) for pt in ber_entropy]
-    shatter_rows = [("bernoulli", ber_shatter.n, ber_shatter.fraction, ber_shatter.root)]
-    shatter_rows += [("rotation", s.n, s.fraction, s.root) for s in rot_shatter]
-    blob = {
-        "entropy.csv": csv_bytes(("family", "n", "e_mean", "e_std"), entropy_rows),
-        "shatter.csv": csv_bytes(("family", "n", "fraction", "root"), shatter_rows),
-    }
-    return (rot_entropy, ber_entropy, ber_shatter, rot_shatter), blob
-
-
 def criterion_10(threads: int = 1) -> CriterionResult:
     """Covering entropy collapses for rotations but not for coordinate maps;
     shattering probability separates the two the same way."""
     t0 = time.perf_counter()
-    (rot_entropy, ber_entropy, ber_shatter, rot_shatter), _ = _gc_runs(threads)
-    rot_ratio = rot_entropy[0].e_mean / rot_entropy[1].e_mean
+    rot_entropy = [float(r["e_mean"]) for r in _rows("covering rotation", "entropy.csv", threads)]
+    ber_entropy = [float(r["e_mean"]) for r in _rows("covering bernoulli", "entropy.csv", threads)]
+    ber_root = float(_rows("shatter-prob bernoulli n=8", "result.csv", threads)[0]["root"])
+    rot_shatter = [
+        _rows(f"shatter-prob rotation n={n}", "result.csv", threads)[0] for n in (2, 4, 6)
+    ]
+    rot_roots = [float(s["root"]) for s in rot_shatter]
+    rot_ratio = rot_entropy[0] / rot_entropy[1]
     rot_ok = rot_ratio >= 4.0
-    ber_floor = min(pt.e_mean for pt in ber_entropy)
+    ber_floor = min(ber_entropy)
     ber_ok = ber_floor >= 0.5 * math.log(2)
-    shatter_ok = ber_shatter.root >= 0.9
+    shatter_ok = ber_root >= 0.9
     # Translates of one unimodal circle function realize at most 2n of the
     # 2^n dichotomies on n points: the shifts that put some point in the gap
     # [alpha, beta] form 2n arcs, and each of the <= 2n pieces left over fixes
     # one dichotomy.  So no sample with n >= 3 can be shattered, while n = 2
     # (4 dichotomies, bound 4) can.
-    first = rot_shatter[0]
-    bound_ok = all(s.shattered == 0 for s in rot_shatter if s.n >= 3)
-    roots_ok = bound_ok and first.root > 0 and all(s.root < ber_shatter.root for s in rot_shatter)
+    bound_ok = all(int(s["shattered"]) == 0 for s in rot_shatter if int(s["n"]) >= 3)
+    roots_ok = bound_ok and rot_roots[0] > 0 and all(r < ber_root for r in rot_roots)
     passed = rot_ok and ber_ok and shatter_ok and roots_ok
-    counts = ", ".join(f"n={s.n} {s.shattered}/{s.reps} root {s.root:.3f}" for s in rot_shatter)
+    counts = ", ".join(
+        f"n={s['n']} {s['shattered']}/{s['reps']} root {r:.3f}" for s, r in zip(rot_shatter, rot_roots)
+    )
     detail = (
         f"rotation e_64/e_1024={rot_ratio:.1f} (need >=4); "
         f"bernoulli min e_n={ber_floor:.3f} (need >={0.5 * math.log(2):.3f}); "
-        f"bernoulli root={ber_shatter.root:.3f} (need >=0.9); "
+        f"bernoulli root={ber_root:.3f} (need >=0.9); "
         f"rotation shattered {counts} (need 0 at n>=3, since translates realize <=2n of 2^n "
-        f"dichotomies; root at n={first.n} >0; every root <{ber_shatter.root:.3f}) ok={roots_ok}"
+        f"dichotomies; root at n={rot_shatter[0]['n']} >0; every root <{ber_root:.3f}) ok={roots_ok}"
     )
     return CriterionResult(10, "entropy-shattering-contrast", passed, detail, time.perf_counter() - t0)
 
@@ -335,20 +314,11 @@ def criterion_11(threads: int = 1) -> CriterionResult:
 
 
 def criterion_12(threads: int = 1) -> CriterionResult:
-    """Identical seeds with different thread counts emit byte-identical CSVs."""
+    """Every run in RUNS writes byte-identical files at threads 1 and 2."""
     t0 = time.perf_counter()
-    checks = []
-    for label, fn in (
-        ("correlations", _correlation_runs),
-        ("random-walk", _random_walk_runs),
-        ("entropy-shattering", _gc_runs),
-    ):
-        _, one = fn(1)
-        _, two = fn(2)
-        same = set(one) == set(two) and all(one[k] == two[k] for k in one)
-        checks.append((label, same))
-    passed = all(same for _, same in checks)
-    detail = ", ".join(f"{label} {'identical' if same else 'DIFFERS'}" for label, same in checks)
+    same = {label: _outputs(label, 1) == _outputs(label, 2) for label in RUNS}
+    passed = all(same.values())
+    detail = ", ".join(f"{label} {'identical' if ok else 'DIFFERS'}" for label, ok in same.items())
     return CriterionResult(12, "thread-determinism", passed, detail, time.perf_counter() - t0)
 
 

@@ -15,11 +15,9 @@ All values are exact; nothing here is floating point.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,13 +94,6 @@ class ArithmeticTable:
             raise ParameterError("table blob length does not match header window")
         values = np.frombuffer(body, dtype=np.int8).copy()
         return cls(_CODE_KINDS[code], lo, hi, values)
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "value"])
-            for i, v in enumerate(self.values):
-                writer.writerow([self.lo + i, int(v)])
 
 
 def primes_up_to(n: int) -> np.ndarray:

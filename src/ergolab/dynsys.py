@@ -11,7 +11,7 @@ Systems:
   * skew-affine       (x, y) -> (x+alpha, x+y)
   * sturmian          symbolic coding of a rotation, w_n in {0, 1}
   * bernoulli         i.i.d. +-1 stream (the positive-entropy contrast)
-  * table shift       reads an ArithmeticTable through the left shift
+  * table shift       reads a value array (a sieve table's values) through the left shift
 
 Step functions with growing plateaus (VeechSpec / veech_function) live here
 too, together with the window-closure scan that looks for the constant limit
@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import ArithmeticTable, MertensPrefix, mertens_prefix
+from .arith import MertensPrefix, mertens_prefix
 from .errors import ParameterError, ResourceLimitError
 
 _MASK = (1 << 64) - 1
@@ -246,11 +246,6 @@ def bernoulli_stream(p: float = 0.5, seed: int = 0) -> BernoulliStream:
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"bias p={p} outside [0, 1]")
     return BernoulliStream(float(p), int(seed))
-
-
-def shift_observable(table: ArithmeticTable) -> TableStream:
-    """Stream reading the table values from its left edge onward."""
-    return TableStream(table.values)
 
 
 # ---------------------------------------------------------------------------

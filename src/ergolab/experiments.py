@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import DRAW_CHUNK, fill_signs, map_indexed
-from .arith import ArithmeticTable, MertensPrefix, sieve_liouville, sieve_mobius
+from .arith import ArithmeticTable, MertensPrefix
 from .dynsys import OrbitStream, VeechSpec
 from .errors import ParameterError
 
@@ -242,9 +242,6 @@ def average_chowla(values, n: int, method: str = "fft") -> ChowlaPoint:
     return ChowlaPoint(int(n), int(np.abs(c).sum()))
 
 
-_DECAY_KINDS = {"mobius", "liouville", "ones"}
-
-
 @dataclass(frozen=True)
 class DecaySeries:
     """D(N_j) over a schedule with a least-squares fit D ~ C / (log N)^kappa.
@@ -260,9 +257,6 @@ class DecaySeries:
     residual: float
     strictly_decreasing: bool
 
-    def refit(self, values) -> "DecaySeries":
-        return _fit_decay(self.abscissae, np.asarray(values, dtype=np.float64))
-
 
 def _fit_decay(ns: tuple[int, ...], ds: np.ndarray) -> DecaySeries:
     decreasing = bool(np.all(np.diff(ds) < 0))
@@ -275,23 +269,16 @@ def _fit_decay(ns: tuple[int, ...], ds: np.ndarray) -> DecaySeries:
     return DecaySeries(ns, ds, math.nan, math.nan, math.nan, decreasing)
 
 
-def chowla_decay(kind: str, schedule) -> DecaySeries:
-    """D(N) across a strictly increasing schedule, with the decay fit."""
-    if kind not in _DECAY_KINDS:
-        raise ParameterError(f"unknown weight kind {kind!r}; use one of {sorted(_DECAY_KINDS)}")
+def chowla_decay(values, schedule) -> DecaySeries:
+    """D(N) of a weight sequence (array or table, at least 2*max(schedule)
+    values from n = 1) across a strictly increasing schedule, with the decay
+    fit."""
     ns = tuple(int(n) for n in schedule)
     if len(ns) < 2:
         raise ParameterError("need at least two schedule points")
     if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ParameterError("schedule must be strictly increasing and positive")
-    top = 2 * ns[-1]
-    if kind == "ones":
-        values = np.ones(top, dtype=np.int8)
-    elif kind == "mobius":
-        values = sieve_mobius(top).values
-    else:
-        values = sieve_liouville(top).values
-    ds = np.array([average_chowla(values[: 2 * n], n).value for n in ns])
+    ds = np.array([average_chowla(values, n).value for n in ns])
     return _fit_decay(ns, ds)
 
 

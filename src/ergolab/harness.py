@@ -108,13 +108,6 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([format_cell(cell) for cell in row])
 
 
-def csv_bytes(header, rows) -> bytes:
-    """The exact bytes write_csv would produce, for in-memory comparison."""
-    lines = [",".join(header)]
-    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
 @dataclass(frozen=True)
 class CsvTable:
     name: str
@@ -411,9 +404,12 @@ def _run_davenport(p, ctx):
 
 
 def _run_chowla(p, ctx):
-    series = chowla_decay(p["kind"], p["schedule"])
-    if p["kind"] in ("mobius", "liouville"):
-        ctx.limits[p["kind"]] = max(ctx.limits.get(p["kind"], 0), 2 * max(p["schedule"]))
+    top = 2 * max(p["schedule"])
+    if p["kind"] == "ones":
+        values = np.ones(top, dtype=np.int8)
+    else:
+        values = ctx.table(p["kind"], top).values
+    series = chowla_decay(values, p["schedule"])
     decay = list(zip(series.abscissae, series.values))
     fit = [(series.c, series.kappa, series.residual, series.strictly_decreasing)]
     return [
@@ -762,11 +758,23 @@ def load_config(path) -> dict:
     return doc
 
 
+def _non_finite(value) -> bool:
+    """Whether a JSON value holds NaN or an infinity anywhere (json.load
+    accepts both, and the schema's "number" lets them through)."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(_non_finite(v) for v in value)
+
+
 def validate_config(experiment: Experiment, doc: dict) -> None:
     validator = Draft202012Validator(experiment.schema())
     errors = sorted(validator.iter_errors(doc), key=lambda e: str(e.path))
     if errors:
         raise ParameterError(f"invalid config: {errors[0].message}")
+    if _non_finite(doc):
+        raise ParameterError("invalid config: NaN and Infinity are not allowed")
 
 
 def prepare_run(experiment: Experiment, config: dict | None, seed: int | None):

@@ -11,8 +11,10 @@ the n=2 root stays positive.  README.md carries the full argument.
 
 import pytest
 
-from ergolab.acceptance import _CRITERIA, FULL, QUICK, criterion_1, run_suite
+from ergolab import acceptance
+from ergolab.acceptance import _CRITERIA, FULL, QUICK, criterion_1, criterion_12, run_suite
 from ergolab.errors import ParameterError
+from ergolab.harness import REGISTRY, CsvTable, Experiment
 
 _IDS = {
     1: "sieve-exactness",
@@ -45,6 +47,18 @@ def test_corrupting_one_sieve_value_is_caught():
     result = criterion_1(corrupt=corrupt)
     assert not result.passed
     assert "0 divisor-sum failures" not in result.detail
+
+
+def test_thread_dependent_output_is_caught(monkeypatch):
+    def runner(p, ctx):
+        return [CsvTable("out.csv", ("threads",), [(ctx.threads,)])]
+
+    probe = Experiment("threads-probe", "writes its own thread count", {}, runner)
+    monkeypatch.setitem(REGISTRY, probe.name, probe)
+    monkeypatch.setattr(acceptance, "RUNS", {"threads-probe": (probe.name, {})})
+    result = criterion_12()
+    assert not result.passed
+    assert result.detail == "threads-probe DIFFERS"
 
 
 def test_suite_compositions():

@@ -324,14 +324,6 @@ def test_roundtrip_arbitrary_windows(lo, width):
     assert (back.lo, back.hi) == (lo, lo + width)
 
 
-def test_table_csv_export(tmp_path):
-    table = sieve_mobius(5)
-    path = tmp_path / "mu.csv"
-    table.write_csv(path)
-    text = path.read_bytes().decode()
-    assert text == "n,value\n1,1\n2,-1\n3,-1\n4,0\n5,-1\n"
-
-
 def test_value_at_bounds():
     table = sieve_mobius_range(100, 110)
     assert table.value_at(100) == helpers.ref_mobius(100)

@@ -16,7 +16,6 @@ from ergolab.harness import (
     RunContext,
     build_family,
     cached_sieve,
-    csv_bytes,
     format_cell,
     list_experiments,
     prepare_run,
@@ -171,7 +170,8 @@ def test_oversized_theta_grid_rejected_before_running(sandbox):
 @pytest.mark.parametrize(
     "name, config",
     [("covering", {"eps": math.nan}), ("covering", {"eps": math.inf}),
-     ("shatter", {"alpha": math.nan}), ("shatter-prob", {"beta": math.nan})],
+     ("shatter", {"alpha": math.nan}), ("shatter-prob", {"beta": math.nan}),
+     ("davenport", {"a": math.nan}), ("second-moment", {"exponent": math.nan})],
 )
 def test_non_finite_threshold_rejected(sandbox, name, config):
     # json.load accepts NaN and Infinity, and the schema's "number" lets them through
@@ -252,12 +252,10 @@ def test_format_cell_rules():
     assert format_cell("plain") == "plain"
 
 
-def test_csv_bytes_matches_file_output(tmp_path):
-    header = ("a", "b")
-    rows = [(1, 0.5), (2, None), (3, True)]
+def test_write_csv_bytes(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, header, rows)
-    assert path.read_bytes() == csv_bytes(header, rows)
+    write_csv(path, ("a", "b"), [(1, 0.5), (2, None), (3, True)])
+    assert path.read_bytes() == b"a,b\n1,0.5\n2,\n3,true\n"
 
 
 def test_prepare_run_merges_defaults_and_seed():

@@ -6,10 +6,10 @@ import pytest
 
 from ergolab.arith import mertens_prefix, sieve_mobius
 from ergolab.dynsys import (
+    TableStream,
     VeechSpec,
     bernoulli_stream,
     rotation_orbit,
-    shift_observable,
     skew_orbit,
     state_fraction,
     sturmian_word,
@@ -238,9 +238,9 @@ def test_bernoulli_advance():
 # table streams
 
 
-def test_shift_observable_reads_table():
+def test_table_stream_reads_table():
     table = sieve_mobius(100)
-    stream = shift_observable(table)
+    stream = TableStream(table.values)
     assert np.array_equal(stream.take(10), table.values[:10])
     assert np.array_equal(stream.advance(5).take(5), table.values[5:10])
     with pytest.raises(ParameterError):

@@ -14,6 +14,7 @@ from ergolab.experiments import (
     MAX_FFT,
     _h_floor,
     DavenportResult,
+    _fit_decay,
     average_chowla,
     chowla_decay,
     correlations,
@@ -241,14 +242,14 @@ class TestAverageChowla:
 
 class TestChowlaDecay:
     def test_constant_weights_flagged_non_decaying(self):
-        series = chowla_decay("ones", (64, 128, 256))
+        series = chowla_decay(np.ones(512, dtype=np.int8), (64, 128, 256))
         assert np.allclose(series.values, 1.0)
         assert abs(series.kappa) < 1e-9
         assert series.c == pytest.approx(1.0)
         assert not series.strictly_decreasing
 
     def test_liouville_values_positive_with_positive_kappa(self):
-        series = chowla_decay("liouville", (1 << 10, 1 << 12, 1 << 14))
+        series = chowla_decay(sieve_liouville(1 << 15), (1 << 10, 1 << 12, 1 << 14))
         assert np.all(series.values > 0)
         assert series.kappa > 0
         diffs = np.diff(series.values)
@@ -257,21 +258,20 @@ class TestChowlaDecay:
     def test_fit_reproduces_exact_power_law(self):
         # synthetic series following C / (log N)^kappa exactly
         ns = (1 << 8, 1 << 10, 1 << 12, 1 << 14)
-        series = chowla_decay("ones", ns)
         logs = np.log(np.log(np.array(ns, dtype=float)))
         fake = np.exp(0.7 - 1.3 * logs)
-        refit = series.refit(fake)
+        refit = _fit_decay(ns, fake)
         assert refit.kappa == pytest.approx(1.3, abs=1e-9)
         assert refit.c == pytest.approx(math.exp(0.7), rel=1e-9)
         assert refit.residual < 1e-12
 
     def test_schedule_must_increase(self):
         with pytest.raises(ParameterError):
-            chowla_decay("mobius", (256, 128))
+            chowla_decay(sieve_mobius(512), (256, 128))
 
-    def test_unknown_kind_rejected(self):
+    def test_short_values_rejected(self):
         with pytest.raises(ParameterError):
-            chowla_decay("gauss", (64, 128))
+            chowla_decay(np.ones(255, dtype=np.int8), (64, 128))
 
 
 # ---------------------------------------------------------------------------
