@@ -13,22 +13,12 @@ t = 1..N is values[t-1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import BFreeSpec, bfree_indicator
-from .dynsys import (
-    OrbitStream,
-    SkewStream,
-    SystemSpec,
-    bernoulli_stream,
-    rotation_orbit,
-    skew_orbit,
-    sturmian_word,
-    to_state,
-)
+from .dynsys import OrbitStream
 from .errors import ParameterError
 
 
@@ -198,50 +188,8 @@ class ProbeRow:
 _DEFAULT_DELTAS = tuple(2.0**-j for j in range(1, 11))
 
 
-def _pair_streams(spec: SystemSpec, delta: float, rng: np.random.Generator, n: int):
-    """Two orbits started at points delta apart, sampled from the natural measure."""
-    variant = spec.variant
-    p = spec.params
-    check = bool(p.get("check", True))
-    mask = (1 << 64) - 1
-    if variant in ("rotation", "sturmian"):
-        make = rotation_orbit if variant == "rotation" else sturmian_word
-        base = make(p["alpha"], 0.0, check=check)
-        x = int(rng.integers(0, 2**64, dtype=np.uint64))
-        f = type(base)(base.alpha_state, x)
-        g = type(base)(base.alpha_state, (x + to_state(delta)) & mask)
-        return f.take(n), g.take(n)
-    if variant in ("skew-additive", "skew-affine"):
-        skew_variant = "additive" if variant == "skew-additive" else "affine"
-        base = skew_orbit(
-            skew_variant,
-            x0=p.get("x0", 0.0),
-            y0=0.0,
-            alpha=p.get("alpha"),
-            check=check,
-        )
-        x = base.x_state
-        if skew_variant == "affine":
-            # the base coordinate is distributed by the rotation; draw it
-            x = int(rng.integers(0, 2**64, dtype=np.uint64))
-        y = int(rng.integers(0, 2**64, dtype=np.uint64))
-        f = SkewStream(skew_variant, base.alpha_state, x, y)
-        g = SkewStream(skew_variant, base.alpha_state, x, (y + to_state(delta)) & mask)
-        return f.take(n), g.take(n)
-    if variant == "bernoulli":
-        bias = p.get("p", 0.5)
-        prefix_len = min(n, max(0, math.ceil(math.log2(1.0 / delta)))) if delta < 1 else 0
-        s1, s2 = int(rng.integers(0, 2**63)), int(rng.integers(0, 2**63))
-        f = bernoulli_stream(bias, s1).take(n)
-        g = f.copy()
-        if prefix_len < n:
-            g[prefix_len:] = bernoulli_stream(bias, s2).take(n)[prefix_len:]
-        return f, g
-    raise ParameterError(f"no pair sampler for variant {variant!r}")
-
-
 def mean_equicontinuity_probe(
-    spec: SystemSpec,
+    stream: OrbitStream,
     deltas=_DEFAULT_DELTAS,
     pairs: int = 32,
     n: int = 1 << 14,
@@ -251,10 +199,11 @@ def mean_equicontinuity_probe(
 ) -> list[ProbeRow]:
     """Estimate the Besicovitch distance between orbits of nearby points.
 
-    For each delta (sorted increasingly) the mean and max of the distance
-    estimates over `pairs` sampled point pairs are reported; envelope is the
-    running maximum of the means, i.e. a monotone summary of the empirical
-    modulus of continuity.
+    Pairs come from `stream.shifted_pair`: the system's parameters stay and
+    the start point is drawn.  For each delta (sorted increasingly) the mean
+    and max of the distance estimates over `pairs` sampled point pairs are
+    reported; envelope is the running maximum of the means, i.e. a monotone
+    summary of the empirical modulus of continuity.
     """
     if pairs < 1:
         raise ParameterError("need at least one pair per delta")
@@ -268,7 +217,7 @@ def mean_equicontinuity_probe(
         rng = np.random.default_rng(seed ^ (i + 1))
         ests = []
         for _ in range(pairs):
-            f, g = _pair_streams(spec, delta, rng, schedule.max_length)
+            f, g = stream.shifted_pair(delta, rng, schedule.max_length)
             ests.append(besicovitch_distance(f, g, schedule, r).estimate)
         mean_est = float(np.mean(ests))
         envelope = max(envelope, mean_est)

@@ -17,19 +17,15 @@ Step functions with growing plateaus (VeechSpec / veech_function) live here
 too, together with the window-closure scan that looks for the constant limit
 windows.
 
-JSON schemas (used by the CLI):
-  VeechSpec   {"starts": [int...], "signs": [int...]}
-              or {"generator": "triangular", "sign_rule":
-                  "alternating"|"plus"|"minus"|"mertens",
-                  "mertens_limit": int (required for "mertens")}
-  SystemSpec  {"variant": "rotation"|"skew-additive"|"skew-affine"|
-               "sturmian"|"bernoulli", ...variant parameters...}
+Every stream but the table shift has shifted_pair, which samples a start
+point from the natural measure and returns the orbits of it and of a point
+delta away; the mean-equicontinuity probe is built on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -99,9 +95,20 @@ class OrbitStream:
         """The stream started at T^m x; advance then take equals skipping."""
         raise NotImplementedError
 
+    def shifted_pair(self, delta: float, rng: np.random.Generator, n: int):
+        """The first n values of the orbits of a start point drawn from rng
+        (under the natural measure) and of a point delta away from it."""
+        raise NotImplementedError
+
+
+def _draw_state(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 2**64, dtype=np.uint64))
+
 
 @dataclass(frozen=True)
-class RotationStream(OrbitStream):
+class _CircleStream(OrbitStream):
+    """Orbit of the rotation by alpha; subclasses choose the observable."""
+
     alpha_state: int
     x_state: int
 
@@ -109,31 +116,30 @@ class RotationStream(OrbitStream):
         _check_take(n)
         return _linear_states(self.x_state, self.alpha_state, n)
 
+    def advance(self, m: int):
+        return replace(self, x_state=(self.x_state + m * self.alpha_state) & _MASK)
+
+    def shifted_pair(self, delta, rng, n):
+        x = _draw_state(rng)
+        f = replace(self, x_state=x)
+        g = replace(self, x_state=(x + to_state(delta)) & _MASK)
+        return f.take(n), g.take(n)
+
+
+@dataclass(frozen=True)
+class RotationStream(_CircleStream):
     def take(self, n: int) -> np.ndarray:
         return _phase(self.states(n))
 
-    def advance(self, m: int) -> "RotationStream":
-        return RotationStream(self.alpha_state, (self.x_state + m * self.alpha_state) & _MASK)
-
 
 @dataclass(frozen=True)
-class SturmianStream(OrbitStream):
-    alpha_state: int
-    x_state: int
-
-    def states(self, n: int) -> np.ndarray:
-        _check_take(n)
-        return _linear_states(self.x_state, self.alpha_state, n)
-
+class SturmianStream(_CircleStream):
     def take(self, n: int) -> np.ndarray:
         states = self.states(n)
         if self.alpha_state % _SCALE == 0:
             return np.zeros(n, dtype=np.int8)
         threshold = np.uint64(_SCALE - (self.alpha_state % _SCALE))
         return (states >= threshold).astype(np.int8)
-
-    def advance(self, m: int) -> "SturmianStream":
-        return SturmianStream(self.alpha_state, (self.x_state + m * self.alpha_state) & _MASK)
 
 
 @dataclass(frozen=True)
@@ -144,11 +150,6 @@ class SkewStream(OrbitStream):
     alpha_state: int
     x_state: int
     y_state: int
-
-    def base_states(self, n: int) -> np.ndarray:
-        _check_take(n)
-        step = self.alpha_state if self.variant == "affine" else 0
-        return _linear_states(self.x_state, step, n)
 
     def fiber_states(self, n: int) -> np.ndarray:
         _check_take(n)
@@ -169,6 +170,16 @@ class SkewStream(OrbitStream):
         y = (self.y_state + m * self.x_state + (m * (m - 1) // 2) * self.alpha_state) & _MASK
         return SkewStream(self.variant, self.alpha_state, x, y)
 
+    def shifted_pair(self, delta, rng, n):
+        # the fiber coordinate is drawn; so is the base coordinate of the
+        # affine product, which the rotation distributes, while the additive
+        # base point is fixed by the system
+        x = _draw_state(rng) if self.variant == "affine" else self.x_state
+        y = _draw_state(rng)
+        f = SkewStream(self.variant, self.alpha_state, x, y)
+        g = SkewStream(self.variant, self.alpha_state, x, (y + to_state(delta)) & _MASK)
+        return f.take(n), g.take(n)
+
 
 @dataclass(frozen=True)
 class BernoulliStream(OrbitStream):
@@ -186,6 +197,17 @@ class BernoulliStream(OrbitStream):
 
     def advance(self, m: int) -> "BernoulliStream":
         return BernoulliStream(self.p, self.seed, self.offset + m)
+
+    def shifted_pair(self, delta, rng, n):
+        # points delta apart in the shift metric share their first
+        # ceil(log2(1/delta)) coordinates; the tails are independent
+        prefix_len = min(n, max(0, math.ceil(math.log2(1.0 / delta)))) if delta < 1 else 0
+        s1, s2 = int(rng.integers(0, 2**63)), int(rng.integers(0, 2**63))
+        f = BernoulliStream(self.p, s1).take(n)
+        g = f.copy()
+        if prefix_len < n:
+            g[prefix_len:] = BernoulliStream(self.p, s2).take(n)[prefix_len:]
+        return f, g
 
 
 @dataclass(frozen=True)
@@ -249,59 +271,6 @@ def bernoulli_stream(p: float = 0.5, seed: int = 0) -> BernoulliStream:
 
 
 # ---------------------------------------------------------------------------
-# system specs (config-level description of a stream)
-
-_VARIANT_PARAMS = {
-    "rotation": ({"alpha"}, {"x0": 0.0}),
-    "skew-additive": ({"x0"}, {"y0": 0.0}),
-    "skew-affine": ({"alpha"}, {"x0": 0.0, "y0": 0.0}),
-    "sturmian": ({"alpha"}, {"x0": 0.0}),
-    "bernoulli": (set(), {"p": 0.5, "seed": 0}),
-}
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """Variant name plus numeric parameters, buildable into a stream."""
-
-    variant: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.variant not in _VARIANT_PARAMS:
-            raise ParameterError(f"unknown system variant {self.variant!r}")
-        required, optional = _VARIANT_PARAMS[self.variant]
-        for key in self.params:
-            if key not in required and key not in optional and key != "check":
-                raise ParameterError(f"unknown parameter {key!r} for {self.variant}")
-        for key in required:
-            if key not in self.params:
-                raise ParameterError(f"{self.variant} requires parameter {key!r}")
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SystemSpec":
-        if "variant" not in doc:
-            raise ParameterError("system spec needs a 'variant' key")
-        params = {k: v for k, v in doc.items() if k != "variant"}
-        return cls(doc["variant"], params)
-
-    def build(self) -> OrbitStream:
-        p = dict(self.params)
-        check = bool(p.pop("check", True))
-        if self.variant == "rotation":
-            return rotation_orbit(p["alpha"], p.get("x0", 0.0), check=check)
-        if self.variant == "skew-additive":
-            return skew_orbit("additive", x0=p["x0"], y0=p.get("y0", 0.0), check=check)
-        if self.variant == "skew-affine":
-            return skew_orbit(
-                "affine", x0=p.get("x0", 0.0), y0=p.get("y0", 0.0), alpha=p["alpha"], check=check
-            )
-        if self.variant == "sturmian":
-            return sturmian_word(p["alpha"], p.get("x0", 0.0), check=check)
-        return bernoulli_stream(p.get("p", 0.5), p.get("seed", 0))
-
-
-# ---------------------------------------------------------------------------
 # step functions with strictly growing plateaus
 
 
@@ -355,28 +324,6 @@ class VeechSpec:
     @classmethod
     def generated(cls, generator: str, sign_rule: str, mertens_limit: int | None = None) -> "VeechSpec":
         return cls(generator=generator, sign_rule=sign_rule, mertens_limit=mertens_limit)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "VeechSpec":
-        known = {"starts", "signs", "generator", "sign_rule", "mertens_limit"}
-        for key in doc:
-            if key not in known:
-                raise ParameterError(f"unknown key {key!r} in veech spec")
-        if "generator" in doc:
-            return cls.generated(
-                doc["generator"], doc.get("sign_rule", "alternating"), doc.get("mertens_limit")
-            )
-        if "starts" not in doc or "signs" not in doc:
-            raise ParameterError("explicit veech spec needs starts and signs")
-        return cls.explicit(doc["starts"], doc["signs"])
-
-    def to_json_dict(self) -> dict:
-        if self.generator is not None:
-            doc = {"generator": self.generator, "sign_rule": self.sign_rule}
-            if self.mertens_limit:
-                doc["mertens_limit"] = self.mertens_limit
-            return doc
-        return {"starts": list(self.starts), "signs": list(self.signs)}
 
 
 class VeechFunction:

@@ -138,7 +138,10 @@ class FiniteFamily(FunctionFamily):
     """Explicit T x m value matrix on a uniform m-atom space."""
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.float64)
+        try:
+            m = np.asarray(matrix, dtype=np.float64)
+        except ValueError as exc:  # rows of unequal length
+            raise ParameterError(f"need a rectangular matrix: {exc}") from exc
         if m.ndim != 2 or m.size == 0:
             raise ParameterError("need a nonempty 2-d matrix")
         self.matrix = m

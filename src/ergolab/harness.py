@@ -29,7 +29,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
+from jsonschema.exceptions import best_match, relevance
 
 from . import __version__
 from .arith import (
@@ -51,7 +52,14 @@ from .averaging import (
     mean_equicontinuity_probe,
     upper_banach_density,
 )
-from .dynsys import SystemSpec, VeechSpec, veech_window_closure
+from .dynsys import (
+    VeechSpec,
+    bernoulli_stream,
+    rotation_orbit,
+    skew_orbit,
+    sturmian_word,
+    veech_window_closure,
+)
 from .errors import ParameterError
 from .experiments import (
     MAX_FFT,
@@ -81,7 +89,6 @@ from .gc_stats import (
 CACHE_ENV = "ERGOLAB_CACHE_DIR"
 _SQRT2M1 = math.sqrt(2) - 1
 _DEFAULT_SYSTEM = {"variant": "rotation", "alpha": _SQRT2M1}
-_DEFAULT_FAMILY = {"type": "rotation", "alpha": _SQRT2M1, "size": 64}
 
 
 # ---------------------------------------------------------------------------
@@ -176,38 +183,37 @@ class RunContext:
 # shared builders
 
 
-_FAMILY_KEYS = {
-    "rotation": {"type", "alpha", "size", "check"},
-    "bernoulli": {"type", "size", "p"},
-    "subshift": {"type", "kind", "length", "size"},
-    "finite": {"type", "matrix"},
-}
+# Both builders take documents that prepare_run has validated against
+# _FAMILY / _SYSTEM and filled with the defaults of their branch.
 
 
 def build_family(doc, ctx: RunContext):
-    """Function family from a JSON document: rotation translates, coordinate
-    maps on sign sequences, sliding windows of a sieve table, or an explicit
-    matrix."""
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ParameterError("family spec needs a 'type' key")
+    """Function family from a `family` document: rotation translates,
+    coordinate maps on sign sequences, sliding windows of a sieve table, or
+    an explicit matrix."""
     kind = doc["type"]
-    if kind not in _FAMILY_KEYS:
-        raise ParameterError(f"unknown family type {kind!r}")
-    extra = set(doc) - _FAMILY_KEYS[kind]
-    if extra:
-        raise ParameterError(f"unknown family key {sorted(extra)[0]!r} for type {kind!r}")
     if kind == "rotation":
-        return RotationFamily(
-            doc.get("alpha", _SQRT2M1), doc.get("size", 64), check=doc.get("check", True)
-        )
+        return RotationFamily(doc["alpha"], doc["size"], check=doc["check"])
     if kind == "bernoulli":
-        return BernoulliCoordinateFamily(doc.get("size", 1024), doc.get("p", 0.5))
+        return BernoulliCoordinateFamily(doc["size"], doc["p"])
     if kind == "subshift":
-        table = ctx.table(doc.get("kind", "mobius"), doc.get("length", 1 << 16))
-        return SubshiftWindowFamily(table.values.astype(np.float64), doc.get("size", 64))
-    if "matrix" not in doc:
-        raise ParameterError("finite family needs a 'matrix' key")
+        table = ctx.table(doc["kind"], doc["length"])
+        return SubshiftWindowFamily(table.values.astype(np.float64), doc["size"])
     return FiniteFamily(doc["matrix"])
+
+
+def build_system(doc):
+    """Orbit stream from a `system` document."""
+    variant = doc["variant"]
+    if variant == "rotation":
+        return rotation_orbit(doc["alpha"], doc["x0"], check=doc["check"])
+    if variant == "sturmian":
+        return sturmian_word(doc["alpha"], doc["x0"], check=doc["check"])
+    if variant == "skew-additive":
+        return skew_orbit("additive", doc["x0"], doc["y0"], check=doc["check"])
+    if variant == "skew-affine":
+        return skew_orbit("affine", doc["x0"], doc["y0"], doc["alpha"], check=doc["check"])
+    return bernoulli_stream(doc["p"], doc["seed"])
 
 
 def _window_string(window) -> str:
@@ -277,7 +283,7 @@ def _run_admissible(p, ctx):
 
 
 def _run_veech(p, ctx):
-    spec = VeechSpec.from_json_dict(p["spec"])
+    spec = VeechSpec(**p["spec"])
     scan = veech_window_closure(spec, p["w"], p["budget"])
     samples = [(s.center, s.radius, _window_string(s.window)) for s in scan.samples]
     above = [
@@ -294,8 +300,7 @@ def _run_veech(p, ctx):
 
 
 def _run_orbit(p, ctx):
-    stream = SystemSpec.from_json_dict(p["system"]).build()
-    values = stream.take(p["n"])
+    values = build_system(p["system"]).take(p["n"])
     if np.iscomplexobj(values):
         rows = [(i, v.real, v.imag) for i, v in enumerate(values)]
         return [CsvTable("orbit.csv", ("n", "re", "im"), rows)]
@@ -320,12 +325,12 @@ def _run_besicovitch(p, ctx):
 
 
 def _run_probe_equicont(p, ctx):
-    spec = SystemSpec.from_json_dict(p["system"])
+    stream = build_system(p["system"])
     kwargs = {}
     if p["deltas"] is not None:
         kwargs["deltas"] = tuple(p["deltas"])
     rows = mean_equicontinuity_probe(
-        spec, pairs=p["pairs"], n=p["n"], seed=ctx.seed, r=p["r"], **kwargs
+        stream, pairs=p["pairs"], n=p["n"], seed=ctx.seed, r=p["r"], **kwargs
     )
     out = [(r.delta, r.mean_estimate, r.max_estimate, r.envelope, r.pairs) for r in rows]
     return [CsvTable("probe.csv", ("delta", "mean", "max", "envelope", "pairs"), out)]
@@ -420,8 +425,7 @@ def _run_chowla(p, ctx):
 
 def _run_disjointness(p, ctx):
     table = ctx.table(p["kind"], p["n"])
-    stream = SystemSpec.from_json_dict(p["system"]).build()
-    res = disjointness_sum(table, stream, p["n"])
+    res = disjointness_sum(table, build_system(p["system"]), p["n"])
     path = np.asarray(res.path, dtype=np.complex128)
     rows = [(k, path[k - 1].real, path[k - 1].imag, abs(path[k - 1]))
             for k in _geometric_checkpoints(p["n"])]
@@ -528,6 +532,54 @@ def _int_array(default):
 
 
 _KIND_ENUM = {"enum": ["mobius", "liouville"], "default": "mobius"}
+_NUMBER = {"type": "number"}
+_CHECK = {"type": "boolean", "default": True}
+_BIAS = {"type": "number", "minimum": 0, "maximum": 1, "default": 0.5}
+
+
+def _defaults(properties) -> dict:
+    return {k: v["default"] for k, v in properties.items() if "default" in v}
+
+
+def _object(required, **properties):
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(required),
+        "additionalProperties": False,
+    }
+
+
+# Sub-documents: one branch per family type, system variant and veech form.
+# prepare_run fills in the defaults of the branch a document matches.
+_FAMILY = {"oneOf": [
+    _object(["type"], type={"const": "rotation"}, alpha=_num(_SQRT2M1), size=_int(64), check=_CHECK),
+    _object(["type"], type={"const": "bernoulli"}, size=_int(1024), p=_BIAS),
+    _object(["type"], type={"const": "subshift"}, kind=_KIND_ENUM, length=_int(1 << 16), size=_int(64)),
+    _object(["type", "matrix"], type={"const": "finite"}, matrix={
+        "type": "array", "minItems": 1,
+        "items": {"type": "array", "minItems": 1, "items": _NUMBER},
+    }),
+]}
+_SYSTEM = {"oneOf": [
+    _object(["variant", "alpha"], variant={"const": "rotation"}, alpha=_NUMBER, x0=_num(0.0), check=_CHECK),
+    _object(["variant", "x0"], variant={"const": "skew-additive"}, x0=_NUMBER, y0=_num(0.0), check=_CHECK),
+    _object(["variant", "alpha"], variant={"const": "skew-affine"}, alpha=_NUMBER, x0=_num(0.0),
+         y0=_num(0.0), check=_CHECK),
+    _object(["variant", "alpha"], variant={"const": "sturmian"}, alpha=_NUMBER, x0=_num(0.0), check=_CHECK),
+    # check is accepted for every variant; a Bernoulli stream has nothing to check
+    _object(["variant"], variant={"const": "bernoulli"}, p=_BIAS, seed=_int(0, minimum=0), check=_CHECK),
+]}
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
+_VEECH_SPEC = {"oneOf": [
+    _object(["starts", "signs"], starts=_INTEGERS, signs=_INTEGERS),
+    _object(
+        ["generator"],
+        generator={"enum": ["triangular"]},
+        sign_rule={"enum": ["alternating", "plus", "minus", "mertens"], "default": "alternating"},
+        mertens_limit={"type": ["integer", "null"], "default": None},
+    ),
+]}
 
 
 @dataclass(frozen=True)
@@ -552,7 +604,7 @@ class Experiment:
         }
 
     def defaults(self) -> dict:
-        return {k: v["default"] for k, v in self.properties.items() if "default" in v}
+        return _defaults(self.properties)
 
 
 _EXPERIMENTS = [
@@ -594,7 +646,7 @@ _EXPERIMENTS = [
         "veech",
         "window-closure scan of a growing-plateau step function",
         {
-            "spec": {"type": "object", "default": {"generator": "triangular", "sign_rule": "alternating"}},
+            "spec": {**_VEECH_SPEC, "default": {"generator": "triangular"}},
             "w": _int(8, minimum=0),
             "budget": _int(256, minimum=8),
         },
@@ -603,7 +655,7 @@ _EXPERIMENTS = [
     Experiment(
         "orbit",
         "observable values along a torus/symbolic orbit",
-        {"system": {"type": "object", "default": _DEFAULT_SYSTEM}, "n": _int(100)},
+        {"system": {**_SYSTEM, "default": _DEFAULT_SYSTEM}, "n": _int(100)},
         _run_orbit,
     ),
     Experiment(
@@ -621,7 +673,7 @@ _EXPERIMENTS = [
         "probe-equicont",
         "orbit-distance probe: seminorm of |f(orbit of x) - f(orbit of x+delta)| over a delta grid",
         {
-            "system": {"type": "object", "default": _DEFAULT_SYSTEM},
+            "system": {**_SYSTEM, "default": _DEFAULT_SYSTEM},
             "deltas": {"type": ["array", "null"], "items": {"type": "number"}, "default": None},
             "pairs": _int(32),
             "n": _int(1 << 14),
@@ -632,14 +684,14 @@ _EXPERIMENTS = [
     Experiment(
         "gc-deviation",
         "empirical sup-deviation of a function family over repeated samples",
-        {"family": {"type": "object", "default": _DEFAULT_FAMILY}, "n": _int(256), "reps": _int(32)},
+        {"family": {**_FAMILY, "default": {"type": "rotation"}}, "n": _int(256), "reps": _int(32)},
         _run_gc_deviation,
     ),
     Experiment(
         "covering",
         "greedy covering-number bounds and entropy rates of a function family",
         {
-            "family": {"type": "object", "default": _DEFAULT_FAMILY},
+            "family": {**_FAMILY, "default": {"type": "rotation"}},
             "ns": _int_array([64, 256, 1024]),
             "sample_n": _int(256),
             "eps": _num(0.1),
@@ -652,7 +704,7 @@ _EXPERIMENTS = [
         "shatter",
         "two-threshold dichotomy check on one sampled point set, plus a greedy dimension",
         {
-            "family": {"type": "object", "default": {"type": "bernoulli", "size": 4096}},
+            "family": {**_FAMILY, "default": {"type": "bernoulli", "size": 4096}},
             "n": _int(8),
             "alpha": _num(-0.5),
             "beta": _num(0.5),
@@ -664,7 +716,7 @@ _EXPERIMENTS = [
         "shatter-prob",
         "fraction of sampled point sets shattered at the two thresholds",
         {
-            "family": {"type": "object", "default": {"type": "bernoulli", "size": 4096}},
+            "family": {**_FAMILY, "default": {"type": "bernoulli", "size": 4096}},
             "n": _int(8),
             "alpha": _num(-0.5),
             "beta": _num(0.5),
@@ -687,7 +739,7 @@ _EXPERIMENTS = [
     Experiment(
         "disjointness",
         "sign-weighted orbit averages (1/N) sum nu(n) f(T^n x) with the partial-sum path",
-        {"kind": _KIND_ENUM, "system": {"type": "object", "default": _DEFAULT_SYSTEM}, "n": _int(10000)},
+        {"kind": _KIND_ENUM, "system": {**_SYSTEM, "default": _DEFAULT_SYSTEM}, "n": _int(10000)},
         _run_disjointness,
     ),
     Experiment(
@@ -768,11 +820,34 @@ def _non_finite(value) -> bool:
     return isinstance(value, list) and any(_non_finite(v) for v in value)
 
 
+def _is_integer(checker, instance) -> bool:
+    # 2.0 is not an integer: every count and limit in a config is used as an int
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+_Validator = validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine("integer", _is_integer),
+)
+
+
+def _relevance(error):
+    """best_match's order, except that inside a oneOf the errors of a branch
+    whose "type" or "variant" tag the document does not carry come last:
+    they say nothing about the document."""
+    parent = error.parent
+    off = parent is not None and any(
+        e.validator == "const" and e.relative_schema_path[0] == error.relative_schema_path[0]
+        for e in parent.context
+    )
+    return (off, *relevance(error))
+
+
 def validate_config(experiment: Experiment, doc: dict) -> None:
-    validator = Draft202012Validator(experiment.schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: str(e.path))
-    if errors:
-        raise ParameterError(f"invalid config: {errors[0].message}")
+    error = best_match(_Validator(experiment.schema()).iter_errors(doc), key=_relevance)
+    if error is not None:
+        where = ".".join(str(part) for part in error.absolute_path)
+        raise ParameterError(f"invalid config: {where + ': ' if where else ''}{error.message}")
     if _non_finite(doc):
         raise ParameterError("invalid config: NaN and Infinity are not allowed")
 
@@ -788,6 +863,10 @@ def prepare_run(experiment: Experiment, config: dict | None, seed: int | None):
     eff_seed = int(seed) if seed is not None else int(doc.get("seed", 0))
     params = experiment.defaults()
     params.update({k: v for k, v in doc.items() if k not in ("experiment", "seed")})
+    for key, prop in experiment.properties.items():
+        if "oneOf" in prop:
+            branch = next(b for b in prop["oneOf"] if _Validator(b).is_valid(params[key]))
+            params[key] = {**_defaults(branch["properties"]), **params[key]}
     return params, eff_seed
 
 

@@ -12,6 +12,16 @@ import math
 
 import numpy as np
 
+from ergolab.dynsys import (
+    SkewStream,
+    bernoulli_stream,
+    rotation_orbit,
+    skew_orbit,
+    sturmian_word,
+    to_state,
+)
+from ergolab.errors import ParameterError
+
 
 def ref_factorization(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 by trial division."""
@@ -178,3 +188,50 @@ def gcd_all_pairs_coprime(members) -> bool:
             if math.gcd(ms[i], ms[j]) != 1:
                 return False
     return True
+
+
+def ref_pair_streams(spec, delta: float, rng: np.random.Generator, n: int):
+    """Two orbits started at points delta apart, sampled from the natural measure.
+
+    The per-variant pair sampler the probe used before the streams had
+    `shifted_pair`, kept as its reference; `spec` is anything with a
+    `variant` name and a `params` dict of that variant's config keys.
+    """
+    variant = spec.variant
+    p = spec.params
+    check = bool(p.get("check", True))
+    mask = (1 << 64) - 1
+    if variant in ("rotation", "sturmian"):
+        make = rotation_orbit if variant == "rotation" else sturmian_word
+        base = make(p["alpha"], 0.0, check=check)
+        x = int(rng.integers(0, 2**64, dtype=np.uint64))
+        f = type(base)(base.alpha_state, x)
+        g = type(base)(base.alpha_state, (x + to_state(delta)) & mask)
+        return f.take(n), g.take(n)
+    if variant in ("skew-additive", "skew-affine"):
+        skew_variant = "additive" if variant == "skew-additive" else "affine"
+        base = skew_orbit(
+            skew_variant,
+            x0=p.get("x0", 0.0),
+            y0=0.0,
+            alpha=p.get("alpha"),
+            check=check,
+        )
+        x = base.x_state
+        if skew_variant == "affine":
+            # the base coordinate is distributed by the rotation; draw it
+            x = int(rng.integers(0, 2**64, dtype=np.uint64))
+        y = int(rng.integers(0, 2**64, dtype=np.uint64))
+        f = SkewStream(skew_variant, base.alpha_state, x, y)
+        g = SkewStream(skew_variant, base.alpha_state, x, (y + to_state(delta)) & mask)
+        return f.take(n), g.take(n)
+    if variant == "bernoulli":
+        bias = p.get("p", 0.5)
+        prefix_len = min(n, max(0, math.ceil(math.log2(1.0 / delta)))) if delta < 1 else 0
+        s1, s2 = int(rng.integers(0, 2**63)), int(rng.integers(0, 2**63))
+        f = bernoulli_stream(bias, s1).take(n)
+        g = f.copy()
+        if prefix_len < n:
+            g[prefix_len:] = bernoulli_stream(bias, s2).take(n)[prefix_len:]
+        return f, g
+    raise ParameterError(f"no pair sampler for variant {variant!r}")

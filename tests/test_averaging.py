@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import helpers
 
 from ergolab.arith import BFreeSpec, sieve_mobius
 from ergolab.averaging import (
@@ -13,8 +16,9 @@ from ergolab.averaging import (
     mean_equicontinuity_probe,
     upper_banach_density,
 )
-from ergolab.dynsys import SystemSpec, rotation_orbit
+from ergolab.dynsys import bernoulli_stream, rotation_orbit
 from ergolab.errors import ParameterError
+from ergolab.harness import REGISTRY, build_system, prepare_run
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -154,7 +158,7 @@ def test_bfree_gap_exact_on_periodic_window():
 
 def test_probe_rotation_distance_is_exact():
     rows = mean_equicontinuity_probe(
-        SystemSpec("rotation", {"alpha": SQRT2M1}),
+        rotation_orbit(SQRT2M1),
         deltas=(0.25, 0.125),
         pairs=8,
         n=2048,
@@ -167,7 +171,7 @@ def test_probe_rotation_distance_is_exact():
 
 def test_probe_envelope_monotone_for_rotation():
     rows = mean_equicontinuity_probe(
-        SystemSpec("rotation", {"alpha": SQRT2M1}), pairs=4, n=2048, seed=3
+        rotation_orbit(SQRT2M1), pairs=4, n=2048, seed=3
     )
     deltas = [row.delta for row in rows]
     assert deltas == sorted(deltas)
@@ -177,15 +181,42 @@ def test_probe_envelope_monotone_for_rotation():
 
 def test_probe_bernoulli_not_equicontinuous():
     rows = mean_equicontinuity_probe(
-        SystemSpec("bernoulli", {}), deltas=(0.25, 2**-6, 2**-10), pairs=8, n=4096, seed=5
+        bernoulli_stream(), deltas=(0.25, 2**-6, 2**-10), pairs=8, n=4096, seed=5
     )
     for row in rows:
         assert row.mean_estimate > 0.5  # distance stays macroscopic
 
 
+PAIR_SYSTEMS = [
+    {"variant": "rotation", "alpha": SQRT2M1, "x0": 0.125},
+    {"variant": "rotation", "alpha": 0.5, "check": False},
+    {"variant": "sturmian", "alpha": SQRT2M1, "x0": 0.3},
+    {"variant": "skew-additive", "x0": SQRT2M1, "y0": 0.25},
+    {"variant": "skew-affine", "alpha": SQRT2M1, "x0": 0.1},
+    {"variant": "bernoulli", "p": 0.3, "seed": 5},
+    {"variant": "bernoulli"},
+]
+
+
+@pytest.mark.parametrize("system", PAIR_SYSTEMS, ids=lambda d: "-".join(map(str, d.values())))
+@pytest.mark.parametrize("delta", [1.0, 0.5, 2**-10])
+def test_shifted_pair_matches_reference_sampler(system, delta):
+    params, _ = prepare_run(REGISTRY["probe-equicont"], {"system": system}, None)
+    stream = build_system(params["system"])
+    spec = SimpleNamespace(variant=system["variant"], params={k: v for k, v in system.items() if k != "variant"})
+    for seed in (0, 1, 7, 2**40 + 3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # consecutive pairs, as the probe draws them
+            f, g = stream.shifted_pair(delta, rng, 300)
+            ref_f, ref_g = helpers.ref_pair_streams(spec, delta, ref_rng, 300)
+            assert f.dtype == ref_f.dtype and g.dtype == ref_g.dtype
+            assert np.array_equal(f, ref_f) and np.array_equal(g, ref_g)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_probe_needs_at_least_one_pair():
     with pytest.raises(ParameterError):
-        mean_equicontinuity_probe(SystemSpec("bernoulli", {}), pairs=0, n=1024)
+        mean_equicontinuity_probe(bernoulli_stream(), pairs=0, n=1024)
 
 
 # ---------------------------------------------------------------------------

@@ -267,23 +267,111 @@ def test_prepare_run_merges_defaults_and_seed():
     assert seed == 9
 
 
+def family_doc(family):
+    """A family document as prepare_run leaves it: validated, defaults filled."""
+    params, _ = prepare_run(REGISTRY["gc-deviation"], {"family": family}, None)
+    return params["family"]
+
+
 def test_build_family_variants(tmp_path):
     ctx = RunContext(cache=tmp_path)
-    assert isinstance(build_family({"type": "rotation", "alpha": ALPHA, "size": 4}, ctx), RotationFamily)
-    assert isinstance(build_family({"type": "bernoulli", "size": 8}, ctx), BernoulliCoordinateFamily)
-    fam = build_family({"type": "subshift", "kind": "mobius", "length": 64, "size": 4}, ctx)
+    assert isinstance(build_family(family_doc({"type": "rotation", "alpha": ALPHA, "size": 4}), ctx), RotationFamily)
+    assert isinstance(build_family(family_doc({"type": "bernoulli", "size": 8}), ctx), BernoulliCoordinateFamily)
+    fam = build_family(family_doc({"type": "subshift", "kind": "mobius", "length": 64, "size": 4}), ctx)
     assert isinstance(fam, SubshiftWindowFamily)
-    assert isinstance(build_family({"type": "finite", "matrix": [[0, 1], [1, 0]]}, ctx), FiniteFamily)
+    assert isinstance(build_family(family_doc({"type": "finite", "matrix": [[0, 1], [1, 0]]}), ctx), FiniteFamily)
 
 
-def test_build_family_rejects_unknown(tmp_path):
-    ctx = RunContext(cache=tmp_path)
-    with pytest.raises(ParameterError):
-        build_family({"type": "nope"}, ctx)
+def test_prepare_run_rejects_unknown_family_documents():
+    with pytest.raises(ParameterError, match="family"):
+        family_doc({"type": "nope"})
     with pytest.raises(ParameterError, match="alpha"):
-        build_family({"type": "bernoulli", "alpha": 1}, ctx)
-    with pytest.raises(ParameterError):
-        build_family({"size": 4}, ctx)
+        family_doc({"type": "bernoulli", "alpha": 1})
+    with pytest.raises(ParameterError, match="family"):
+        family_doc({"size": 4})
+
+
+def test_prepare_run_fills_sub_document_defaults():
+    assert family_doc({"type": "bernoulli"}) == {"type": "bernoulli", "size": 1024, "p": 0.5}
+    assert family_doc({"type": "subshift"}) == {
+        "type": "subshift", "kind": "mobius", "length": 1 << 16, "size": 64
+    }
+    params, _ = prepare_run(REGISTRY["orbit"], {"system": {"variant": "skew-affine", "alpha": ALPHA}}, None)
+    assert params["system"] == {
+        "variant": "skew-affine", "alpha": ALPHA, "x0": 0.0, "y0": 0.0, "check": True
+    }
+    params, _ = prepare_run(REGISTRY["veech"], {}, None)
+    assert params["spec"] == {"generator": "triangular", "sign_rule": "alternating", "mertens_limit": None}
+    params, _ = prepare_run(REGISTRY["veech"], {"spec": {"starts": [1, 3, 6], "signs": [1, -1]}}, None)
+    assert params["spec"] == {"starts": [1, 3, 6], "signs": [1, -1]}
+
+
+MALFORMED = [
+    # integer-valued floats, at the top level and inside sub-documents
+    ("gc-deviation", {"reps": 2.0}, "reps"),
+    ("sieve", {"head": 10.0}, "head"),
+    ("sieve", {"limit": 100.0}, "limit"),
+    ("zhan", {"thetas": 8.0}, "thetas"),
+    ("covering", {"ns": [4.0]}, "ns.0"),
+    ("gc-deviation", {"family": {"type": "bernoulli", "size": 2.0}}, "family.size"),
+    ("veech", {"spec": {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": 100.0}},
+     "spec.mertens_limit"),
+    ("orbit", {"system": {"variant": "bernoulli", "seed": 1.0}}, "system.seed"),
+    # unknown family types, keys of another type, a missing type
+    ("gc-deviation", {"family": {"type": "nope"}}, "family"),
+    ("gc-deviation", {"family": {"type": "bernoulli", "alpha": 1}}, "alpha"),
+    ("covering", {"family": {"size": 4}}, "family"),
+    ("shatter", {"family": {"type": "finite"}}, "matrix"),
+    # a ragged matrix passes the schema and is refused by the family itself
+    ("gc-deviation", {"family": {"type": "finite", "matrix": [[1, 2], [3]]}}, "rectangular"),
+    # systems: keys of another variant, a missing required key, wrong types
+    ("orbit", {"system": {"variant": "rotation", "alpha": ALPHA, "y0": 0.5}}, "y0"),
+    ("disjointness", {"system": {"variant": "skew-additive"}}, "x0"),
+    ("probe-equicont", {"system": {"variant": "sturmian", "alpha": ALPHA, "check": 0}}, "system.check"),
+    ("orbit", {"system": {"variant": "circle", "alpha": ALPHA}}, "system"),
+    # mixed veech forms
+    ("veech", {"spec": {"starts": [1, 3, 6], "signs": [1, -1], "generator": "triangular"}}, "spec"),
+    ("veech", {"spec": {"starts": [1, 3, 6], "signs": [1, -1], "sign_rule": "plus"}}, "spec"),
+    ("veech", {"spec": {"generator": "triangular", "signs": [1, -1]}}, "spec"),
+    ("veech", {"spec": {"starts": [1, 3, 6]}}, "spec"),
+]
+
+
+@pytest.mark.parametrize("name, config, where", MALFORMED, ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_malformed_document_rejected_before_running(sandbox, name, config, where):
+    result = invoke(sandbox, name, config)
+    assert result.exit_code == 2, result.output
+    record = json.loads(result.stderr)
+    assert record["error"] == "config"
+    assert where in record["message"]
+    assert not (sandbox / "results").exists()
+
+
+def test_manifest_records_sub_document_defaults(sandbox):
+    result = invoke(sandbox, "gc-deviation", {"family": {"type": "bernoulli"}, "n": 16, "reps": 2})
+    assert result.exit_code == 0, result.output
+    manifest = json.load(open(os.path.join(run_dir_of(result), "manifest.json")))
+    assert manifest["parameters"]["family"] == {"type": "bernoulli", "size": 1024, "p": 0.5}
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [("gc-deviation", {"family": {"type": "bernoulli", "size": 64}, "n": 16, "reps": 4}),
+     ("covering", {"family": {"type": "subshift", "length": 512}, "ns": [8], "sample_n": 16, "reps": 2}),
+     ("probe-equicont", {"system": {"variant": "skew-affine", "alpha": ALPHA}, "n": 256, "pairs": 2}),
+     ("orbit", {"system": {"variant": "sturmian", "alpha": ALPHA}, "n": 32}),
+     ("veech", {"budget": 32, "w": 2})],
+)
+def test_manifest_parameters_reproduce_the_run(sandbox, name, config):
+    first = run_dir_of(invoke(sandbox, name, config, seed=4))
+    params = json.load(open(os.path.join(first, "manifest.json")))["parameters"]
+    again = run_dir_of(invoke(sandbox, name, params, seed=4, tag="params"))
+    assert again != first
+    outputs = sorted(os.listdir(first))
+    assert outputs == sorted(os.listdir(again))
+    for output in outputs:
+        if output != "manifest.json":
+            assert open(os.path.join(first, output), "rb").read() == open(os.path.join(again, output), "rb").read()
 
 
 # ---------------------------------------------------------------------------

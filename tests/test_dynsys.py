@@ -292,15 +292,16 @@ def test_veech_mertens_sign_rule():
     assert pref.m(3) - pref.m(1) == -2
 
 
-def test_veech_from_json_dict():
-    f = veech_function(VeechSpec.from_json_dict({"starts": [1, 3, 6], "signs": [1, -1]}))
+def test_veech_spec_from_config_document():
+    # the veech runner passes its (schema-checked, default-filled) spec document as keywords
+    f = veech_function(VeechSpec(**{"starts": [1, 3, 6], "signs": [1, -1]}))
     assert f(2) == 1 and f(4) == -1
     g = veech_function(
-        VeechSpec.from_json_dict({"generator": "triangular", "sign_rule": "plus"})
+        VeechSpec(**{"generator": "triangular", "sign_rule": "plus", "mertens_limit": None})
     )
     assert g(100) == 1
     with pytest.raises(ParameterError):
-        VeechSpec.from_json_dict({"starts": [1, 3, 6]})
+        VeechSpec(**{"starts": [1, 3, 6]})
 
 
 def test_veech_window_distance_shift_invariant():

@@ -48,6 +48,12 @@ def test_finite_family_uses_exact_means():
     assert np.all(np.isin(res.deviations, [0.0, 0.25, 0.5]))
 
 
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1], [2, 3]], [[]], [], [1, 2]])
+def test_finite_family_needs_a_rectangular_matrix(matrix):
+    with pytest.raises(ParameterError):
+        FiniteFamily(matrix)
+
+
 def test_rotation_family_deviation_decays():
     fam = RotationFamily(SQRT2M1, size=64)
     med = {
