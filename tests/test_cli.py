@@ -282,7 +282,9 @@ def test_build_family_variants(tmp_path):
     assert isinstance(build_family(family_doc({"type": "finite", "matrix": [[0, 1], [1, 0]]}), ctx), FiniteFamily)
 
 
-def test_prepare_run_rejects_unknown_family_documents():
+def test_build_family_rejects_unknown():
+    # build_family only sees documents prepare_run has checked and filled, so the
+    # unknown type, the stray key and the missing type are refused there
     with pytest.raises(ParameterError, match="family"):
         family_doc({"type": "nope"})
     with pytest.raises(ParameterError, match="alpha"):

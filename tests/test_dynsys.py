@@ -292,7 +292,7 @@ def test_veech_mertens_sign_rule():
     assert pref.m(3) - pref.m(1) == -2
 
 
-def test_veech_spec_from_config_document():
+def test_veech_from_json_dict():
     # the veech runner passes its (schema-checked, default-filled) spec document as keywords
     f = veech_function(VeechSpec(**{"starts": [1, 3, 6], "signs": [1, -1]}))
     assert f(2) == 1 and f(4) == -1
