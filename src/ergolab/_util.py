@@ -8,6 +8,20 @@ import numpy as np
 
 DRAW_CHUNK = 1 << 17  # uniforms held at once by fill_signs (1 MiB)
 
+# leading keys of the seeded streams, one per drawing site, so no two
+# streams of one run share a key
+WALK, DEVIATION, ENTROPY, SHATTER_PROB, SHATTER_DIM, COVERING_SAMPLE, SHATTER_SAMPLE, PROBE = range(1, 9)
+
+
+def generator(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``key`` under ``seed``; the only place one is built.
+
+    The key is the SeedSequence spawn key, so each (seed, key) pair names its
+    own stream: no stream of one seed repeats under another, and (), (0,)
+    and (0, 0) differ.  generator(seed) equals default_rng(seed).
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
 
 def map_indexed(fn, count: int, threads: int = 1) -> list:
     """[fn(0), ..., fn(count-1)], optionally computed on a thread pool.

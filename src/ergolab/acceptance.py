@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._util import generator
 from .arith import (
     BFreeSpec,
     bfree_indicator,
@@ -99,8 +100,7 @@ def criterion_1(threads: int = 1, corrupt=None) -> CriterionResult:
     lio = sieve_liouville(limit)
     if corrupt is not None:
         corrupt(mob.values)
-    rng = np.random.default_rng(0)
-    points = [int(n) for n in rng.integers(1, limit + 1, size=10**4)]
+    points = [int(n) for n in generator(0).integers(1, limit + 1, size=10**4)]
     points += list(range(1, small + 1))
     bad = 0
     for n in points:

@@ -313,10 +313,6 @@ class BFreeSpec:
             raise ParameterError(f"truncation index {k} outside [0, {len(self.members)}]")
         return float(sum(1.0 / b for b in self.members[k:]))
 
-    def period(self) -> int:
-        """lcm of the members; the multiple-set indicator has this period."""
-        return math.lcm(*self.members) if self.members else 1
-
 
 def bfree_indicator(
     spec: BFreeSpec, limit: int

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import PROBE, generator
 from .arith import BFreeSpec, bfree_indicator
 from .dynsys import OrbitStream
 from .errors import ParameterError
@@ -39,42 +40,20 @@ class FolnerSchedule:
             raise ParameterError("window lengths must strictly increase")
 
     @classmethod
-    def geometric(
-        cls,
-        start: int = 1024,
-        ratio: int = 2,
-        cap: int | None = None,
-        count: int | None = None,
-    ) -> "FolnerSchedule":
-        """Windows start, start*ratio, ... up to cap (or `count` of them)."""
+    def geometric(cls, start: int = 1024, ratio: int = 2, *, cap: int) -> "FolnerSchedule":
+        """Windows start, start*ratio, ... up to cap."""
         if start < 1:
             raise ParameterError("start must be >= 1")
         if ratio < 2:
             raise ParameterError("ratio must be >= 2")
-        if (cap is None) == (count is None):
-            raise ParameterError("give exactly one of cap or count")
         lengths = []
         n = start
-        if count is not None:
-            for _ in range(count):
-                lengths.append(n)
-                n *= ratio
-        else:
-            while n <= cap:
-                lengths.append(n)
-                n *= ratio
-            if not lengths:
-                raise ParameterError(f"cap {cap} is below the first window {start}")
+        while n <= cap:
+            lengths.append(n)
+            n *= ratio
+        if not lengths:
+            raise ParameterError(f"cap {cap} is below the first window {start}")
         return cls(tuple(lengths))
-
-    def clipped(self, n: int) -> "FolnerSchedule":
-        """Drop windows longer than n."""
-        kept = tuple(m for m in self.lengths if m <= n)
-        if not kept:
-            raise ParameterError(
-                f"only {n} values available but the smallest window is {self.lengths[0]}"
-            )
-        return FolnerSchedule(kept)
 
     @property
     def max_length(self) -> int:
@@ -200,21 +179,25 @@ def mean_equicontinuity_probe(
     """Estimate the Besicovitch distance between orbits of nearby points.
 
     Pairs come from `stream.shifted_pair`: the system's parameters stay and
-    the start point is drawn.  For each delta (sorted increasingly) the mean
-    and max of the distance estimates over `pairs` sampled point pairs are
-    reported; envelope is the running maximum of the means, i.e. a monotone
-    summary of the empirical modulus of continuity.
+    the start point is drawn.  For each delta (sorted increasingly; the i-th
+    draws from _util.generator(seed, PROBE, i)) the mean and max of the
+    distance estimates over `pairs` sampled point pairs are reported;
+    envelope is the running maximum of the means, i.e. a monotone summary of
+    the empirical modulus of continuity.
     """
     if pairs < 1:
         raise ParameterError("need at least one pair per delta")
+    deltas = sorted(deltas)
+    if not deltas:
+        raise ParameterError("need at least one delta")
     if schedule is None:
         schedule = FolnerSchedule.geometric(start=min(1024, n), cap=n)
     rows: list[ProbeRow] = []
     envelope = 0.0
-    for i, delta in enumerate(sorted(deltas)):
+    for i, delta in enumerate(deltas):
         if not 0 < delta <= 1:
             raise ParameterError(f"delta {delta} outside (0, 1]")
-        rng = np.random.default_rng(seed ^ (i + 1))
+        rng = generator(seed, PROBE, i)
         ests = []
         for _ in range(pairs):
             f, g = stream.shifted_pair(delta, rng, schedule.max_length)

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._util import generator
 from .arith import MertensPrefix, mertens_prefix
 from .errors import ParameterError, ResourceLimitError
 
@@ -53,11 +54,6 @@ def to_state(value: float | int | Fraction) -> int:
         raise ParameterError(f"cannot convert {type(value).__name__} to a torus point")
     frac -= math.floor(frac)
     return round(frac * _SCALE) % _SCALE
-
-
-def state_fraction(state: int) -> float:
-    """The real number in [0, 1) represented by a fixed-point state."""
-    return (state & _MASK) / _SCALE
 
 
 def _guard_irrational(state: int, name: str) -> None:
@@ -191,8 +187,7 @@ class BernoulliStream(OrbitStream):
 
     def take(self, n: int) -> np.ndarray:
         _check_take(self.offset + n)
-        rng = np.random.default_rng(self.seed)
-        raw = rng.random(self.offset + n)
+        raw = generator(self.seed).random(self.offset + n)
         return np.where(raw < self.p, 1, -1).astype(np.int8)[self.offset :]
 
     def advance(self, m: int) -> "BernoulliStream":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import DRAW_CHUNK, fill_signs, map_indexed
+from ._util import DRAW_CHUNK, WALK, fill_signs, generator, map_indexed
 from .arith import ArithmeticTable, MertensPrefix
 from .dynsys import OrbitStream, VeechSpec
 from .errors import ParameterError
@@ -380,13 +380,13 @@ class SecondMoment:
 
     @property
     def normalized(self) -> float:
-        return self.value / self.h**2 if self.h else 0.0
+        return self.value / self.h**2
 
 
 def interval_second_moment(prefix: MertensPrefix, big_x: int, h: int) -> SecondMoment:
     big_x, h = int(big_x), int(h)
-    if big_x < 1 or h < 0:
-        raise ParameterError("need X >= 1 and h >= 0")
+    if big_x < 1 or h < 1:
+        raise ParameterError(f"need X >= 1 and h >= 1, got X = {big_x}, h = {h}")
     if prefix.limit < 2 * big_x + h:
         raise ParameterError(
             f"prefix limit {prefix.limit} below the required 2X + h = {2 * big_x + h}"
@@ -475,8 +475,8 @@ def random_mertens_sim(
     walk's block extrema are taken once and serve every grid x
     (`_interval_sup`).
 
-    Path i draws from a generator seeded with seed XOR i, so results do not
-    depend on the thread count.
+    Path i draws from _util.generator(seed, WALK, i): different seeds give
+    independent paths, and results do not depend on the thread count.
     """
     xs = tuple(int(x) for x in grid)
     if not xs or xs[0] < 1 or any(b <= a for a, b in zip(xs, xs[1:])):
@@ -489,7 +489,7 @@ def random_mertens_sim(
     n_max = 2 * xs[-1]
 
     def one(path: int) -> np.ndarray:
-        walk = _random_walk(np.random.default_rng(seed ^ path), n_max, p)
+        walk = _random_walk(generator(seed, WALK, path), n_max, p)
         extrema = _block_extrema(walk, 0, n_max)
         return np.array([_interval_sup(walk, x, h, extrema)[0] for x, h in zip(xs, h_mins)])
 

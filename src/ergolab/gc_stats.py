@@ -18,8 +18,9 @@ the family is from being Glivenko-Cantelli at finite n:
 Norms on sample columns: "mean-l1" is (1/n) sum_i |x_i| (with absolute
 values), "linf" is max_i |x_i|.
 
-Per-rep randomness is seeded as seed XOR rep-index, so results are
-independent of thread scheduling.
+Rep r of an estimator samples from _util.generator(seed, KEY, r), with a
+key constant per estimator: different seeds give independent reps, and
+results do not depend on thread scheduling.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fill_signs, map_indexed
+from ._util import DEVIATION, ENTROPY, SHATTER_DIM, SHATTER_PROB, fill_signs, generator, map_indexed
 from .dynsys import _guard_irrational, to_state
 from .errors import ParameterError, ResourceLimitError
 
@@ -170,6 +171,16 @@ def empirical_sample(family: FunctionFamily, n: int, rng: np.random.Generator) -
     return EmpiricalSample(points, family.evaluate(points))
 
 
+def _replicates(statistic, family: FunctionFamily, n: int, reps: int, seed: int, key, threads: int) -> list:
+    """[statistic(sample_r) for r < reps], sample_r being n points drawn from
+    generator(seed, *key, r)."""
+
+    def one(rep: int):
+        return statistic(empirical_sample(family, n, generator(seed, *key, rep)))
+
+    return map_indexed(one, reps, threads)
+
+
 # ---------------------------------------------------------------------------
 # sup deviation
 
@@ -201,12 +212,10 @@ def empirical_sup_deviation(
         raise ParameterError("n and reps must be >= 1")
     means = family.true_means()
 
-    def one(rep: int) -> float:
-        rng = np.random.default_rng(seed ^ rep)
-        sample = empirical_sample(family, n, rng)
+    def deviation(sample: EmpiricalSample) -> float:
         return float(np.abs(sample.matrix.mean(axis=1) - means).max())
 
-    devs = np.array(map_indexed(one, reps, threads))
+    devs = np.array(_replicates(deviation, family, n, reps, seed, (DEVIATION,), threads))
     return DeviationResult(n, reps, devs)
 
 
@@ -280,12 +289,10 @@ def entropy_rate(
         if n < 1:
             raise ParameterError("sample sizes must be >= 1")
 
-        def one(rep: int, n=n, j=j) -> float:
-            rng = np.random.default_rng(seed ^ (j * 1_000_003 + rep))
-            sample = empirical_sample(family, n, rng)
+        def rate(sample: EmpiricalSample, n=n) -> float:
             return math.log(covering_number(sample, eps, norm).upper) / n
 
-        es = np.array(map_indexed(one, reps, threads))
+        es = np.array(_replicates(rate, family, n, reps, seed, (ENTROPY, j), threads))
         out.append(EntropyPoint(int(n), reps, float(es.mean()), float(es.std())))
     return out
 
@@ -352,12 +359,10 @@ def shattering_probability(
     if n < 1 or reps < 1:
         raise ParameterError("n and reps must be >= 1")
 
-    def one(rep: int) -> bool:
-        rng = np.random.default_rng(seed ^ rep)
-        sample = empirical_sample(family, n, rng)
+    def shattered(sample: EmpiricalSample) -> bool:
         return bool(is_shattered(sample.matrix, alpha, beta))
 
-    hits = sum(map_indexed(one, reps, threads))
+    hits = sum(_replicates(shattered, family, n, reps, seed, (SHATTER_PROB,), threads))
     return ShatterProbability(n, reps, int(hits))
 
 
@@ -371,7 +376,7 @@ def shattering_dimension(
     """
     if budget < 1:
         raise ParameterError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = generator(seed, SHATTER_DIM)
     current = None
     best = 0
     for _ in range(budget):

@@ -33,6 +33,7 @@ from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match, relevance
 
 from . import __version__
+from ._util import COVERING_SAMPLE, SHATTER_SAMPLE, generator
 from .arith import (
     BFreeSpec,
     ArithmeticTable,
@@ -44,6 +45,7 @@ from .arith import (
     sieve_mobius,
 )
 from .averaging import (
+    _DEFAULT_DELTAS,
     FolnerSchedule,
     besicovitch_distance,
     besicovitch_seminorm,
@@ -325,12 +327,8 @@ def _run_besicovitch(p, ctx):
 
 
 def _run_probe_equicont(p, ctx):
-    stream = build_system(p["system"])
-    kwargs = {}
-    if p["deltas"] is not None:
-        kwargs["deltas"] = tuple(p["deltas"])
     rows = mean_equicontinuity_probe(
-        stream, pairs=p["pairs"], n=p["n"], seed=ctx.seed, r=p["r"], **kwargs
+        build_system(p["system"]), p["deltas"], pairs=p["pairs"], n=p["n"], seed=ctx.seed, r=p["r"]
     )
     out = [(r.delta, r.mean_estimate, r.max_estimate, r.envelope, r.pairs) for r in rows]
     return [CsvTable("probe.csv", ("delta", "mean", "max", "envelope", "pairs"), out)]
@@ -349,8 +347,7 @@ def _run_gc_deviation(p, ctx):
 
 def _run_covering(p, ctx):
     family = build_family(p["family"], ctx)
-    rng = np.random.default_rng(ctx.seed)
-    sample = empirical_sample(family, p["sample_n"], rng)
+    sample = empirical_sample(family, p["sample_n"], generator(ctx.seed, COVERING_SAMPLE))
     bounds = covering_number(sample, p["eps"], p["norm"])
     points = entropy_rate(
         family, p["ns"], eps=p["eps"], reps=p["reps"], seed=ctx.seed,
@@ -369,8 +366,7 @@ def _run_covering(p, ctx):
 
 def _run_shatter(p, ctx):
     family = build_family(p["family"], ctx)
-    rng = np.random.default_rng(ctx.seed)
-    sample = empirical_sample(family, p["n"], rng)
+    sample = empirical_sample(family, p["n"], generator(ctx.seed, SHATTER_SAMPLE))
     shattered, witnesses = is_shattered(
         sample.matrix, p["alpha"], p["beta"], return_witnesses=True
     )
@@ -674,7 +670,7 @@ _EXPERIMENTS = [
         "orbit-distance probe: seminorm of |f(orbit of x) - f(orbit of x+delta)| over a delta grid",
         {
             "system": {**_SYSTEM, "default": _DEFAULT_SYSTEM},
-            "deltas": {"type": ["array", "null"], "items": {"type": "number"}, "default": None},
+            "deltas": {"type": "array", "minItems": 1, "items": _NUMBER, "default": list(_DEFAULT_DELTAS)},
             "pairs": _int(32),
             "n": _int(1 << 14),
             "r": _int(3),
@@ -753,7 +749,7 @@ _EXPERIMENTS = [
         "mean squared short-interval increment of M over a dyadic window",
         {
             "xs": _int_array([10000]),
-            "h": {"type": ["integer", "null"], "minimum": 0, "default": None},
+            "h": {"type": ["integer", "null"], "minimum": 1, "default": None},
             "exponent": _num(0.2),
         },
         _run_second_moment,

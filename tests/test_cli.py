@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ergolab.averaging import _DEFAULT_DELTAS
 from ergolab.cli import main
 from ergolab.errors import ParameterError
 from ergolab.experiments import MAX_FFT
@@ -181,6 +182,24 @@ def test_non_finite_threshold_rejected(sandbox, name, config):
     assert not (sandbox / "results").exists()
 
 
+@pytest.mark.parametrize(
+    "name, config",
+    [("second-moment", {"h": 0}), ("second-moment", {"exponent": -1}),
+     ("probe-equicont", {"deltas": []})],
+)
+def test_empty_statistic_rejected(sandbox, name, config):
+    # h = 0, given or as int(10000 ** -1), is an empty interval; no delta is no probe
+    result = invoke(sandbox, name, config)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "config"
+    assert not (sandbox / "results").exists()
+
+
+def test_probe_defaults_pin_the_deltas():
+    params, _ = prepare_run(REGISTRY["probe-equicont"], None, None)
+    assert params["deltas"] == list(_DEFAULT_DELTAS)
+
+
 def test_resource_bound_exit_code(sandbox):
     result = invoke(sandbox, "sieve", {"limit": 2**31})
     assert result.exit_code == 3
@@ -217,6 +236,36 @@ def test_seed_changes_random_outputs(sandbox):
     a = open(os.path.join(run_dir_of(one), "sups.csv"), "rb").read()
     b = open(os.path.join(run_dir_of(two), "sups.csv"), "rb").read()
     assert a != b
+
+
+def _recorded_samples(monkeypatch, family_cls):
+    """Every point sample family_cls draws from here on, in draw order."""
+    drawn = []
+    sample_points = family_cls.sample_points
+
+    def record(self, n, rng):
+        drawn.append(sample_points(self, n, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(family_cls, "sample_points", record)
+    return drawn
+
+
+def test_covering_bounds_and_entropy_draw_different_samples(sandbox, monkeypatch):
+    drawn = _recorded_samples(monkeypatch, RotationFamily)
+    family = {"type": "rotation", "size": 8, "alpha": ALPHA}
+    config = {"family": family, "ns": [32], "sample_n": 32, "reps": 2}
+    assert invoke(sandbox, "covering", config, seed=0).exit_code == 0
+    bounds_sample, entropy_rep0 = drawn[0], drawn[1]
+    assert not np.array_equal(bounds_sample, entropy_rep0)
+
+
+def test_shatter_sample_and_greedy_dimension_draw_different_points(sandbox, monkeypatch):
+    drawn = _recorded_samples(monkeypatch, BernoulliCoordinateFamily)
+    config = {"family": {"type": "bernoulli", "size": 64}, "n": 4, "budget": 4}
+    assert invoke(sandbox, "shatter", config, seed=0).exit_code == 0
+    sample, first_candidate = drawn[0], drawn[1]
+    assert not np.array_equal(sample[:1], first_candidate)
 
 
 def test_cache_created_once_and_reused(sandbox):

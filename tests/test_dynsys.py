@@ -11,7 +11,6 @@ from ergolab.dynsys import (
     bernoulli_stream,
     rotation_orbit,
     skew_orbit,
-    state_fraction,
     sturmian_word,
     to_state,
     veech_function,
@@ -43,11 +42,6 @@ def test_to_state_exact_dyadics():
     assert to_state(Fraction(1, 4)) == 1 << 62
     assert to_state(1.25) == 1 << 62  # reduced mod 1
     assert to_state(-0.25) == 3 * (1 << 62)
-
-
-def test_state_fraction_roundtrip():
-    s = to_state(SQRT2M1)
-    assert abs(state_fraction(s) - SQRT2M1) < 2**-52
 
 
 def test_rational_guard():

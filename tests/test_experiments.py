@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ergolab._util import WALK, generator
 from ergolab.arith import ArithmeticTable, MertensPrefix, mertens_prefix, sieve_liouville, sieve_mobius
 from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
@@ -373,11 +375,11 @@ class TestSecondMoment:
         assert res.value == 49.0
         assert res.normalized == 1.0
 
-    def test_h_zero_is_zero(self):
-        prefix = mertens_prefix(100)
-        res = interval_second_moment(prefix, 30, 0)
-        assert res.value == 0.0
-        assert res.normalized == 0.0
+    def test_h_below_one_is_rejected(self):
+        # an empty interval has no second moment to normalize
+        for h in (0, -3):
+            with pytest.raises(ParameterError, match="h >= 1"):
+                interval_second_moment(mertens_prefix(100), 30, h)
 
     def test_matches_brute_force(self):
         prefix = mertens_prefix(300)
@@ -452,10 +454,16 @@ class TestRandomMertens:
         four = random_mertens_sim((32, 64, 128), 0.5, paths=8, seed=42, threads=4)
         assert np.array_equal(one.sups, four.sups)
 
+    def test_seeds_draw_independent_paths(self):
+        # seeds 0-3 XOR-ed into the path index would share one multiset of 8 walks
+        sups = [np.sort(random_mertens_sim((256, 1024), 0.5, paths=8, seed=s).sups, axis=None) for s in range(4)]
+        for a, b in itertools.combinations(sups, 2):
+            assert not np.array_equal(a, b)
+
     def test_single_path_matches_manual_walk(self):
         seed, x, tau = 9, 64, 0.5
         res = random_mertens_sim((x,), tau, paths=1, seed=seed)
-        rng = np.random.default_rng(seed ^ 0)
+        rng = generator(seed, WALK, 0)
         steps = np.where(rng.random(2 * x) < 0.5, 1, -1)
         walk = np.concatenate([[0], np.cumsum(steps)])
         h_lo = math.ceil(x**tau)
@@ -467,7 +475,7 @@ class TestRandomMertens:
         grid, seed, paths = tuple(_BLOCK_XS), 33, 3
         res = random_mertens_sim(grid, tau, paths=paths, p=p, seed=seed)
         for path in range(paths):
-            rng = np.random.default_rng(seed ^ path)
+            rng = generator(seed, WALK, path)
             walk = np.concatenate([[0], np.cumsum(np.where(rng.random(2 * grid[-1]) < p, 1, -1))])
             expect = [helpers.ref_interval_sup(walk, x, _h_floor(x, tau))[0] for x in grid]
             assert res.sups[path].tolist() == expect
@@ -476,7 +484,7 @@ class TestRandomMertens:
         grid, tau, seed = (1000, 150_000), 0.95, 4
         res = random_mertens_sim(grid, tau, paths=2, p=0.45, seed=seed)
         for path in range(2):
-            rng = np.random.default_rng(seed ^ path)
+            rng = generator(seed, WALK, path)
             walk = np.concatenate([[0], np.cumsum(np.where(rng.random(2 * grid[-1]) < 0.45, 1, -1))])
             expect = [helpers.ref_interval_sup(walk, x, _h_floor(x, tau))[0] for x in grid]
             assert res.sups[path].tolist() == expect

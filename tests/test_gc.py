@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab._util import generator
 from ergolab.errors import ParameterError, ResourceLimitError
 from ergolab.gc_stats import (
     BernoulliCoordinateFamily,
@@ -76,6 +77,23 @@ def test_deviation_reproducible_and_thread_independent():
     a = empirical_sup_deviation(fam, n=8, reps=6, seed=9, threads=1)
     b = empirical_sup_deviation(fam, n=8, reps=6, seed=9, threads=3)
     assert np.array_equal(a.deviations, b.deviations)
+
+
+def test_seeds_draw_independent_reps():
+    # seeds 0-3 XOR-ed into the rep index would share one multiset of 8 reps
+    fam = RotationFamily(SQRT2M1, size=16)
+    devs = [np.sort(empirical_sup_deviation(fam, n=32, reps=8, seed=s).deviations) for s in range(4)]
+    for a, b in itertools.combinations(devs, 2):
+        assert not np.array_equal(a, b)
+
+
+def test_generator_tells_trailing_zero_keys_apart():
+    # SeedSequence([s, 0]) would draw what default_rng(s) draws; spawn keys do not
+    for seed in range(4):
+        draws = [generator(seed, *key).random(4) for key in [(), (0,), (0, 0)]]
+        for a, b in itertools.combinations(draws, 2):
+            assert not np.array_equal(a, b)
+        assert np.array_equal(draws[0], np.random.default_rng(seed).random(4))
 
 
 # ---------------------------------------------------------------------------
