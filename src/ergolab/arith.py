@@ -168,11 +168,10 @@ def _sieve_range(kind: str, lo: int, hi: int) -> ArithmeticTable:
     _check_window(lo, hi)
     primes = primes_up_to(math.isqrt(hi))
     block = _mobius_block if kind == "mobius" else _liouville_block
-    parts = []
+    values = np.empty(hi - lo + 1, dtype=np.int8)
     for seg_lo in range(lo, hi + 1, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
-        parts.append(block(seg_lo, seg_hi, primes))
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        values[seg_lo - lo : seg_hi - lo + 1] = block(seg_lo, seg_hi, primes)
     return ArithmeticTable(kind, lo, hi, values)
 
 
@@ -231,6 +230,26 @@ def brute_arith(n: int) -> tuple[int, int]:
 # Mertens prefix sums
 
 
+def int64_prefix(values) -> np.ndarray:
+    """Exact prefix sums [0, v0, v0 + v1, ...] of a 1-D integer or bool array.
+
+    The int64 result is filled one segment at a time, so besides it only
+    O(segment) scratch is allocated, never a full-length int64 copy of the
+    input.
+    """
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ParameterError("need a one-dimensional value sequence")
+    prefix = np.empty(len(values) + 1, dtype=np.int64)
+    prefix[0] = 0
+    for lo in range(0, len(values), _SEGMENT):
+        hi = min(lo + _SEGMENT, len(values))
+        out = prefix[lo + 1 : hi + 1]
+        np.cumsum(values[lo:hi], dtype=np.int64, out=out)
+        out += prefix[lo]
+    return prefix
+
+
 @dataclass(frozen=True)
 class MertensPrefix:
     """Prefix sums M(x) for 0 <= x <= limit, prefix[0] == 0, 64-bit exact."""
@@ -260,9 +279,7 @@ def mertens_prefix(source: int | ArithmeticTable) -> MertensPrefix:
             raise ParameterError(f"need a mobius table, got kind {table.kind!r}")
         if table.lo != 1:
             raise ParameterError("prefix sums need a table starting at n=1")
-    prefix = np.zeros(table.hi + 1, dtype=np.int64)
-    np.cumsum(table.values, dtype=np.int64, out=prefix[1:])
-    return MertensPrefix(table.hi, prefix)
+    return MertensPrefix(table.hi, int64_prefix(table.values))
 
 
 # ---------------------------------------------------------------------------

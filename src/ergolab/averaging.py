@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import PROBE, generator
-from .arith import BFreeSpec, bfree_indicator
+from .arith import _SEGMENT, BFreeSpec, bfree_indicator, int64_prefix
 from .dynsys import OrbitStream
 from .errors import ParameterError
 
@@ -142,8 +142,7 @@ def bfree_approximation_gap(
     n = schedule.max_length
     _, mult_full = bfree_indicator(spec, n)
     _, mult_trunc = bfree_indicator(spec.truncate(k), n)
-    diff = np.abs(mult_full.values.astype(np.int64) - mult_trunc.values.astype(np.int64))
-    prefix = np.concatenate([[0], np.cumsum(diff)])
+    prefix = int64_prefix(mult_full.values != mult_trunc.values)
     lengths = np.asarray(schedule.lengths)
     gaps = prefix[lengths] / lengths
     tail = spec.tail_sum(k)
@@ -233,7 +232,16 @@ def upper_banach_density(indicator, window: int) -> BanachDensity:
         raise ParameterError("indicator values must be 0 or 1")
     if not 1 <= window <= len(values):
         raise ParameterError(f"window {window} outside [1, {len(values)}]")
-    prefix = np.concatenate([[0], np.cumsum(values.astype(np.int64))])
-    sums = prefix[window:] - prefix[:-window]
-    offset = int(np.argmax(sums))
-    return BanachDensity(window, int(sums[offset]), offset)
+    if values.dtype.kind not in "biu":
+        values = values.astype(np.int8)  # 0/1 floats, checked above
+    prefix = int64_prefix(values)
+    # window sums one segment of offsets at a time; the first maximum wins
+    starts = len(values) - window + 1
+    count, offset = -1, 0
+    for lo in range(0, starts, _SEGMENT):
+        hi = min(lo + _SEGMENT, starts)
+        sums = prefix[lo + window : hi + window] - prefix[lo:hi]
+        k = int(np.argmax(sums))
+        if sums[k] > count:
+            count, offset = int(sums[k]), lo + k
+    return BanachDensity(window, count, offset)

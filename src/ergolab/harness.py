@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -109,19 +110,46 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
+def _column_cells(column) -> list:
+    # csv.writer writes a Python int with str and a float with repr, the same
+    # text format_cell gives, so numeric arrays skip the per-cell call
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        return column.tolist()
+    return [format_cell(cell) for cell in column]
+
+
+def write_csv(path, header, *columns) -> None:
+    """Write one CSV table from one sequence per header name.
+
+    A numeric ndarray column is written through ``tolist()``; every other
+    column (bools, None, strings, NumPy scalars) cell by cell through
+    ``format_cell``.  Columns must have equal lengths.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names but {len(columns)} columns")
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(cell) for cell in row])
+        writer.writerows(zip(*(_column_cells(c) for c in columns), strict=True))
 
 
 @dataclass(frozen=True)
 class CsvTable:
+    """A CSV output: its file name, header, and one column per header name."""
+
     name: str
     header: tuple
-    rows: list
+    columns: list
+
+
+def _one_row(*cells) -> list:
+    """The columns of a one-row table."""
+    return [[cell] for cell in cells]
+
+
+def _fields(records, names) -> list:
+    """Columns of attribute values, one per name, over a list of records."""
+    return [[getattr(r, name) for r in records] for name in names]
 
 
 @dataclass(frozen=True)
@@ -141,26 +169,67 @@ def cache_dir_path(override=None) -> Path:
     return Path(env) if env else Path("cache")
 
 
+def _read_entry(path: Path, length: int, count: int):
+    """The first `count` values of a cache entry, or None when the entry is
+    missing or damaged: it must open with mmap_mode="r" as a 1-D int8 array of
+    the `length` values its name says.  The values are then read with
+    np.fromfile, not copied out of the map, so only the slice is read and no
+    mapped page counts toward the process's resident memory."""
+    try:
+        entry = np.load(path, mmap_mode="r")
+    except (OSError, ValueError, EOFError):
+        return None
+    if not isinstance(entry, np.memmap) or entry.dtype != np.int8 or entry.shape != (length,):
+        return None
+    offset = entry.offset
+    del entry
+    return np.fromfile(path, dtype=np.int8, count=count, offset=offset)
+
+
+def _cached_limits(kind: str, cache: Path) -> list:
+    pattern = re.compile(rf"{kind}-([1-9][0-9]*)\.npy")
+    return [int(m[1]) for path in cache.glob(f"{kind}-*.npy") if (m := pattern.fullmatch(path.name))]
+
+
 def cached_sieve(kind: str, limit: int, cache: Path) -> ArithmeticTable:
-    """Sieve table, memoized on disk keyed by (kind, limit)."""
+    """Sieve table for [1, limit], memoized on disk as ``<kind>-<limit>.npy``.
+
+    The exact entry is served when there is one.  Otherwise the smallest
+    cached entry of the same kind with a larger limit is served as a prefix
+    slice, and no file is written.  Only when no entry covers the request is
+    it sieved and written.  The chosen entry is re-sieved and atomically
+    replaced when it is damaged: when _read_entry refuses it, or when the
+    values read fall outside the kind's range.
+    """
     if kind not in ("mobius", "liouville"):
         raise ParameterError(f"unknown sieve kind {kind!r}")
     limit = int(limit)
-    path = cache / f"{kind}-{limit}.npy"
-    if path.exists():
-        return ArithmeticTable(kind, 1, limit, np.load(path).astype(np.int8, copy=False))
-    table = sieve_mobius(limit) if kind == "mobius" else sieve_liouville(limit)
-    cache.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".npy.tmp")
+    if limit < 1:
+        raise ParameterError(f"sieve limit must be >= 1, got {limit}")
+    source = min((n for n in _cached_limits(kind, cache) if n >= limit), default=limit)
+    path = cache / f"{kind}-{source}.npy"
+    values = _read_entry(path, source, limit)
+    if values is not None:
+        try:
+            return ArithmeticTable(kind, 1, limit, values)
+        except ParameterError:  # values out of range, or the file shrank since the check
+            pass
+    values = (sieve_mobius if kind == "mobius" else sieve_liouville)(source).values
+    _write_entry(path, values)
+    return ArithmeticTable(kind, 1, limit, values[:limit].copy() if source > limit else values)
+
+
+def _write_entry(path: Path, values: np.ndarray) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npy.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, table.values)
+            np.save(fh, values)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return table
 
 
 @dataclass
@@ -235,18 +304,18 @@ def _run_sieve(p, ctx):
     table = ctx.table(p["kind"], p["limit"])
     head = min(p["head"], p["limit"])
     head_table = ArithmeticTable(p["kind"], 1, head, table.values[:head])
-    rows = [(n, table.value_at(n)) for n in range(1, head + 1)]
     return [
-        CsvTable("table.csv", ("n", "value"), rows),
+        CsvTable("table.csv", ("n", "value"), [np.arange(1, head + 1), head_table.values]),
         BinaryBlob("table.bin", head_table.to_bytes()),
     ]
 
 
 def _run_mertens(p, ctx):
-    prefix = ctx.prefix(p["limit"])
+    table = ctx.table("mobius", p["limit"])
     head = min(p["head"], p["limit"])
-    rows = [(x, prefix.m(x)) for x in range(1, head + 1)]
-    return [CsvTable("mertens.csv", ("x", "m"), rows)]
+    # M(x) for x <= head needs mu only up to head
+    prefix = mertens_prefix(ArithmeticTable("mobius", 1, head, table.values[:head]))
+    return [CsvTable("mertens.csv", ("x", "m"), [np.arange(1, head + 1), prefix.prefix[1:]])]
 
 
 def _run_bfree(p, ctx):
@@ -254,22 +323,19 @@ def _run_bfree(p, ctx):
     limit = p["limit"]
     free, mult = bfree_indicator(spec, limit)
     head = min(p["head"], limit)
-    indicator = [(n, free.value_at(n), mult.value_at(n)) for n in range(1, head + 1)]
+    indicator = [np.arange(1, head + 1), free.values[:head], mult.values[:head]]
     density = float(free.values.mean())
     banach = upper_banach_density(free.values, min(p["window"], limit))
     gap = bfree_approximation_gap(spec, p["k"], FolnerSchedule.geometric(cap=limit))
-    gap_rows = [
-        (length, gap.gaps[i], bool(gap.within[i])) for i, length in enumerate(gap.lengths)
-    ]
     return [
         CsvTable("indicator.csv", ("n", "free", "multiple"), indicator),
         CsvTable(
             "density.csv",
             ("limit", "free_count", "density", "banach_window", "banach_count", "banach_density"),
-            [(limit, int(free.values.sum()), density, banach.window, banach.count, banach.density)],
+            _one_row(limit, int(free.values.sum()), density, banach.window, banach.count, banach.density),
         ),
-        CsvTable("gap.csv", ("length", "gap", "within_bound"), gap_rows),
-        CsvTable("gap-summary.csv", ("k", "tail_bound"), [(gap.k, gap.tail_bound)]),
+        CsvTable("gap.csv", ("length", "gap", "within_bound"), [gap.lengths, gap.gaps, gap.within]),
+        CsvTable("gap-summary.csv", ("k", "tail_bound"), _one_row(gap.k, gap.tail_bound)),
     ]
 
 
@@ -277,37 +343,38 @@ def _run_admissible(p, ctx):
     spec = BFreeSpec(tuple(p["members"]))
     checks = admissibility_report(tuple(p["block"]), spec)
     verdict = is_admissible(tuple(p["block"]), spec)
-    rows = [(c.modulus, c.checked, c.omitted_residue) for c in checks]
+    header = ("modulus", "checked", "omitted_residue")
     return [
-        CsvTable("result.csv", ("admissible", "block_length"), [(verdict, len(p["block"]))]),
-        CsvTable("checks.csv", ("modulus", "checked", "omitted_residue"), rows),
+        CsvTable("result.csv", ("admissible", "block_length"), _one_row(verdict, len(p["block"]))),
+        CsvTable("checks.csv", header, _fields(checks, header)),
     ]
 
 
 def _run_veech(p, ctx):
     spec = VeechSpec(**p["spec"])
     scan = veech_window_closure(spec, p["w"], p["budget"])
-    samples = [(s.center, s.radius, _window_string(s.window)) for s in scan.samples]
-    above = [
-        (_window_string(win), radius) for win, radius in sorted(scan.above_threshold.items())
-    ]
-    constants = [(value, radius) for value, radius in sorted(scan.persistent_constants.items())]
-    summary = [(scan.w, p["budget"], scan.max_gap, scan.threshold, len(scan.above_threshold))]
+    samples = scan.samples
+    above = sorted(scan.above_threshold.items())
+    constants = sorted(scan.persistent_constants.items())
+    summary = _one_row(scan.w, p["budget"], scan.max_gap, scan.threshold, len(scan.above_threshold))
     return [
-        CsvTable("samples.csv", ("center", "radius", "window"), samples),
-        CsvTable("above-threshold.csv", ("window", "radius"), above),
-        CsvTable("constants.csv", ("value", "radius"), constants),
+        CsvTable("samples.csv", ("center", "radius", "window"), [
+            [s.center for s in samples], [s.radius for s in samples],
+            [_window_string(s.window) for s in samples],
+        ]),
+        CsvTable("above-threshold.csv", ("window", "radius"),
+                 [[_window_string(w) for w, _ in above], [r for _, r in above]]),
+        CsvTable("constants.csv", ("value", "radius"), [[v for v, _ in constants], [r for _, r in constants]]),
         CsvTable("summary.csv", ("w", "budget", "max_gap", "threshold", "n_above"), summary),
     ]
 
 
 def _run_orbit(p, ctx):
     values = build_system(p["system"]).take(p["n"])
+    n = np.arange(len(values))
     if np.iscomplexobj(values):
-        rows = [(i, v.real, v.imag) for i, v in enumerate(values)]
-        return [CsvTable("orbit.csv", ("n", "re", "im"), rows)]
-    rows = list(enumerate(values))
-    return [CsvTable("orbit.csv", ("n", "value"), rows)]
+        return [CsvTable("orbit.csv", ("n", "re", "im"), [n, values.real, values.imag])]
+    return [CsvTable("orbit.csv", ("n", "value"), [n, values])]
 
 
 def _run_besicovitch(p, ctx):
@@ -318,11 +385,10 @@ def _run_besicovitch(p, ctx):
         est = besicovitch_distance(values, other, schedule, p["r"])
     else:
         est = besicovitch_seminorm(values, schedule, p["r"])
-    rows = list(zip(est.lengths, est.averages))
-    summary = [(p["kind"], p["other"], est.r, est.estimate)]
     return [
-        CsvTable("averages.csv", ("length", "average"), rows),
-        CsvTable("summary.csv", ("kind", "other", "r", "estimate"), summary),
+        CsvTable("averages.csv", ("length", "average"), [est.lengths, est.averages]),
+        CsvTable("summary.csv", ("kind", "other", "r", "estimate"),
+                 _one_row(p["kind"], p["other"], est.r, est.estimate)),
     ]
 
 
@@ -330,18 +396,18 @@ def _run_probe_equicont(p, ctx):
     rows = mean_equicontinuity_probe(
         build_system(p["system"]), p["deltas"], pairs=p["pairs"], n=p["n"], seed=ctx.seed, r=p["r"]
     )
-    out = [(r.delta, r.mean_estimate, r.max_estimate, r.envelope, r.pairs) for r in rows]
-    return [CsvTable("probe.csv", ("delta", "mean", "max", "envelope", "pairs"), out)]
+    columns = _fields(rows, ("delta", "mean_estimate", "max_estimate", "envelope", "pairs"))
+    return [CsvTable("probe.csv", ("delta", "mean", "max", "envelope", "pairs"), columns)]
 
 
 def _run_gc_deviation(p, ctx):
     family = build_family(p["family"], ctx)
     res = empirical_sup_deviation(family, p["n"], p["reps"], seed=ctx.seed, threads=ctx.threads)
-    rows = list(enumerate(res.deviations))
-    summary = [(res.n, res.reps, res.mean, res.median, res.max)]
+    header = ("n", "reps", "mean", "median", "max")
     return [
-        CsvTable("deviations.csv", ("rep", "deviation"), rows),
-        CsvTable("summary.csv", ("n", "reps", "mean", "median", "max"), summary),
+        CsvTable("deviations.csv", ("rep", "deviation"),
+                 [np.arange(len(res.deviations)), res.deviations]),
+        CsvTable("summary.csv", header, _fields([res], header)),
     ]
 
 
@@ -353,14 +419,14 @@ def _run_covering(p, ctx):
         family, p["ns"], eps=p["eps"], reps=p["reps"], seed=ctx.seed,
         norm=p["norm"], threads=ctx.threads,
     )
-    entropy_rows = [(pt.n, pt.reps, pt.e_mean, pt.e_std) for pt in points]
+    entropy = ("n", "reps", "e_mean", "e_std")
     return [
         CsvTable(
             "bounds.csv",
             ("eps", "norm", "n", "lower", "upper"),
-            [(bounds.eps, bounds.norm, p["sample_n"], bounds.lower, bounds.upper)],
+            _one_row(bounds.eps, bounds.norm, p["sample_n"], bounds.lower, bounds.upper),
         ),
-        CsvTable("entropy.csv", ("n", "reps", "e_mean", "e_std"), entropy_rows),
+        CsvTable("entropy.csv", entropy, _fields(points, entropy)),
     ]
 
 
@@ -375,12 +441,12 @@ def _run_shatter(p, ctx):
         CsvTable(
             "result.csv",
             ("n", "alpha", "beta", "shattered", "greedy_dimension"),
-            [(p["n"], p["alpha"], p["beta"], shattered, dim)],
+            _one_row(p["n"], p["alpha"], p["beta"], shattered, dim),
         )
     ]
     if shattered:
-        rows = [(format(g, f"0{p['n']}b"), int(w)) for g, w in enumerate(witnesses)]
-        tables.append(CsvTable("witnesses.csv", ("pattern", "row"), rows))
+        patterns = [format(g, f"0{p['n']}b") for g in range(len(witnesses))]
+        tables.append(CsvTable("witnesses.csv", ("pattern", "row"), [patterns, witnesses]))
     return tables
 
 
@@ -390,18 +456,15 @@ def _run_shatter_prob(p, ctx):
         family, p["n"], p["alpha"], p["beta"], reps=p["reps"],
         seed=ctx.seed, threads=ctx.threads,
     )
-    row = [(res.n, res.reps, res.shattered, res.fraction, res.root)]
-    return [CsvTable("result.csv", ("n", "reps", "shattered", "fraction", "root"), row)]
+    header = ("n", "reps", "shattered", "fraction", "root")
+    return [CsvTable("result.csv", header, _fields([res], header))]
 
 
 def _run_davenport(p, ctx):
     table = ctx.table("mobius", max(p["xs"]))
-    rows = []
-    for x in p["xs"]:
-        r = davenport_sum(table, x, a=p["a"], refine=p["refine"])
-        rows.append((r.x, r.theta0, r.grid_size, r.grid_max, r.max_value, r.argmax_theta, r.ratio))
+    results = [davenport_sum(table, x, a=p["a"], refine=p["refine"]) for x in p["xs"]]
     header = ("x", "theta0", "grid_size", "grid_max", "max_value", "argmax_theta", "ratio")
-    return [CsvTable("davenport.csv", header, rows)]
+    return [CsvTable("davenport.csv", header, _fields(results, header))]
 
 
 def _run_chowla(p, ctx):
@@ -411,11 +474,10 @@ def _run_chowla(p, ctx):
     else:
         values = ctx.table(p["kind"], top).values
     series = chowla_decay(values, p["schedule"])
-    decay = list(zip(series.abscissae, series.values))
-    fit = [(series.c, series.kappa, series.residual, series.strictly_decreasing)]
+    fit = ("c", "kappa", "residual", "strictly_decreasing")
     return [
-        CsvTable("decay.csv", ("n", "value"), decay),
-        CsvTable("fit.csv", ("c", "kappa", "residual", "strictly_decreasing"), fit),
+        CsvTable("decay.csv", ("n", "value"), [series.abscissae, series.values]),
+        CsvTable("fit.csv", fit, _fields([series], fit)),
     ]
 
 
@@ -423,34 +485,33 @@ def _run_disjointness(p, ctx):
     table = ctx.table(p["kind"], p["n"])
     res = disjointness_sum(table, build_system(p["system"]), p["n"])
     path = np.asarray(res.path, dtype=np.complex128)
-    rows = [(k, path[k - 1].real, path[k - 1].imag, abs(path[k - 1]))
-            for k in _geometric_checkpoints(p["n"])]
+    ks = _geometric_checkpoints(p["n"])
+    points = path[np.asarray(ks) - 1]
     bound = folner_average(np.abs(table.values[: p["n"]]), p["n"])
     value = complex(res.value)
-    summary = [(p["n"], value.real, value.imag, abs(value), bound)]
+    summary = _one_row(p["n"], value.real, value.imag, abs(value), bound)
     return [
-        CsvTable("path.csv", ("n", "re", "im", "abs"), rows),
+        # abs of each complex scalar: np.abs of the array rounds some moduli differently
+        CsvTable("path.csv", ("n", "re", "im", "abs"), [ks, points.real, points.imag, [abs(z) for z in points]]),
         CsvTable("summary.csv", ("n", "re", "im", "abs", "weight_average"), summary),
     ]
 
 
 def _run_short_interval(p, ctx):
     prefix = ctx.prefix(2 * max(p["xs"]))
-    rows = []
-    for x in p["xs"]:
-        r = short_interval_sup(prefix, x, p["tau"])
-        rows.append((r.x, r.tau, r.h_min, r.h_max, r.sup, r.argmax_h))
-    return [CsvTable("intervals.csv", ("x", "tau", "h_min", "h_max", "sup", "argmax_h"), rows)]
+    results = [short_interval_sup(prefix, x, p["tau"]) for x in p["xs"]]
+    header = ("x", "tau", "h_min", "h_max", "sup", "argmax_h")
+    return [CsvTable("intervals.csv", header, _fields(results, header))]
 
 
 def _run_second_moment(p, ctx):
-    rows = []
-    for x in p["xs"]:
-        h = p["h"] if p["h"] is not None else int(x ** p["exponent"])
-        prefix = ctx.prefix(2 * x + h)
-        r = interval_second_moment(prefix, x, h)
-        rows.append((r.x, r.h, r.value, r.normalized))
-    return [CsvTable("moments.csv", ("x", "h", "value", "normalized"), rows)]
+    hs = [p["h"] if p["h"] is not None else int(x ** p["exponent"]) for x in p["xs"]]
+    for x, h in zip(p["xs"], hs):
+        if h < 1:  # checked before any sieve work
+            raise ParameterError(f"h = x^exponent must be >= 1, got h = {h} at x = {x}")
+    results = [interval_second_moment(ctx.prefix(2 * x + h), x, h) for x, h in zip(p["xs"], hs)]
+    header = ("x", "h", "value", "normalized")
+    return [CsvTable("moments.csv", header, _fields(results, header))]
 
 
 def _partition_points(p) -> list:
@@ -468,11 +529,8 @@ def _run_partition(p, ctx):
     points = _partition_points(p)
     prefix = ctx.prefix(points[-1])
     res = partition_mertens_sum(prefix, points)
-    steps = [
-        (k + 1, points[k], points[k + 1], res.deltas[k], res.signs[k])
-        for k in range(len(points) - 1)
-    ]
-    summary = [(len(points) - 1, res.abs_sum, res.ratio, res.veech is not None)]
+    steps = [range(1, len(points)), points[:-1], points[1:], res.deltas, res.signs]
+    summary = _one_row(len(points) - 1, res.abs_sum, res.ratio, res.veech is not None)
     return [
         CsvTable("steps.csv", ("k", "x_k", "x_k1", "delta", "sign"), steps),
         CsvTable("summary.csv", ("intervals", "abs_sum", "ratio", "veech"), summary),
@@ -483,14 +541,10 @@ def _run_random_mertens(p, ctx):
     res = random_mertens_sim(
         p["grid"], p["tau"], paths=p["paths"], p=p["p"], seed=ctx.seed, threads=ctx.threads
     )
-    rms = list(zip(res.grid, res.rms, res.bound))
-    sups = [
-        (path, x, res.sups[path, i])
-        for path in range(res.paths)
-        for i, x in enumerate(res.grid)
-    ]
+    grid = len(res.grid)
+    sups = [np.repeat(np.arange(res.paths), grid), np.tile(res.grid, res.paths), res.sups.ravel()]
     return [
-        CsvTable("rms.csv", ("x", "rms", "bound"), rms),
+        CsvTable("rms.csv", ("x", "rms", "bound"), [res.grid, res.rms, res.bound]),
         CsvTable("sups.csv", ("path", "x", "sup"), sups),
     ]
 
@@ -498,11 +552,11 @@ def _run_random_mertens(p, ctx):
 def _run_zhan(p, ctx):
     table = ctx.table("mobius", 2 * p["x"])
     res = zhan_sup(table, p["x"], p["tau"], thetas=p["thetas"])
-    rows = list(zip(res.h_values, res.per_h, res.theta0_values))
-    summary = [(res.x, res.tau, res.thetas, res.sup, res.argmax_h, res.argmax_theta)]
+    summary = ("x", "tau", "thetas", "sup", "argmax_h", "argmax_theta")
     return [
-        CsvTable("zhan.csv", ("h", "max_value", "theta0_value"), rows),
-        CsvTable("summary.csv", ("x", "tau", "thetas", "sup", "argmax_h", "argmax_theta"), summary),
+        CsvTable("zhan.csv", ("h", "max_value", "theta0_value"),
+                 [res.h_values, res.per_h, res.theta0_values]),
+        CsvTable("summary.csv", summary, _fields([res], summary)),
     ]
 
 
@@ -750,7 +804,8 @@ _EXPERIMENTS = [
         {
             "xs": _int_array([10000]),
             "h": {"type": ["integer", "null"], "minimum": 1, "default": None},
-            "exponent": _num(0.2),
+            # short intervals h = x^exponent with 0 < exponent <= 1
+            "exponent": {**_num(0.2), "exclusiveMinimum": 0, "maximum": 1},
         },
         _run_second_moment,
     ),
@@ -958,7 +1013,7 @@ def run_experiment(
         if isinstance(table, BinaryBlob):
             (run_dir / table.name).write_bytes(table.data)
         else:
-            write_csv(run_dir / table.name, table.header, table.rows)
+            write_csv(run_dir / table.name, table.header, *table.columns)
         outputs.append(table.name)
     manifest = RunManifest(
         experiment=name,

@@ -8,6 +8,7 @@ code can be checked against it.
 from __future__ import annotations
 
 import cmath
+import csv
 import math
 
 import numpy as np
@@ -235,3 +236,25 @@ def ref_pair_streams(spec, delta: float, rng: np.random.Generator, n: int):
             g[prefix_len:] = bernoulli_stream(bias, s2).take(n)[prefix_len:]
         return f, g
     raise ParameterError(f"no pair sampler for variant {variant!r}")
+
+
+def ref_format_cell(value) -> str:
+    """One CSV cell as text: None empty, bools true/false, floats by repr."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def ref_write_csv(path, header, rows) -> None:
+    """The row-at-a-time CSV writer, one ref_format_cell call per cell."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([ref_format_cell(cell) for cell in row])

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.arith import (
+    _SEGMENT,
     ArithmeticTable,
     BFreeSpec,
     MertensPrefix,
     admissibility_report,
     bfree_indicator,
     brute_arith,
+    int64_prefix,
     is_admissible,
     mertens_prefix,
     sieve_liouville,
@@ -161,6 +163,29 @@ def test_mertens_range_sum(mu_100k):
     for _ in range(50):
         x, y = sorted(int(v) for v in rng.integers(0, 100_001, size=2))
         assert pref.range_sum(x, y) == int(values[x:y].sum())
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64])
+@pytest.mark.parametrize(
+    "length", [1, _SEGMENT - 1, _SEGMENT, _SEGMENT + 1, 2 * _SEGMENT + 3],
+    ids=["1", "seg-1", "seg", "seg+1", "2seg+3"],
+)
+def test_int64_prefix_matches_concatenated_cumsum(dtype, length):
+    rng = np.random.default_rng(length)
+    if dtype is np.int64:
+        v = rng.integers(-(2**40), 2**40, size=length, dtype=np.int64)
+    else:
+        v = rng.integers(-1 if dtype is np.int8 else 0, 2, size=length).astype(dtype)
+    expected = np.concatenate([[0], np.cumsum(v.astype(np.int64))])
+    got = int64_prefix(v)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+def test_int64_prefix_of_nothing_and_of_a_matrix():
+    assert int64_prefix(np.empty(0, dtype=np.int8)).tolist() == [0]
+    with pytest.raises(ParameterError):
+        int64_prefix(np.zeros((2, 2), dtype=np.int8))
 
 
 def test_mertens_rejects_non_mobius_table(lam_100k):

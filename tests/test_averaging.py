@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 
-from ergolab.arith import BFreeSpec, sieve_mobius
+from ergolab.arith import _SEGMENT, BFreeSpec, sieve_mobius
 from ergolab.averaging import (
     FolnerSchedule,
     besicovitch_distance,
@@ -236,6 +236,25 @@ def test_banach_density_matches_bruteforce():
         )
         assert d.count == brute
         assert d.density == brute / window
+
+
+def test_banach_density_accepts_float_and_bool_indicators():
+    vals = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+    d = upper_banach_density(vals, 2)
+    assert (d.count, d.offset) == (2, 1)
+    assert upper_banach_density(vals.astype(bool), 3).count == 2
+
+
+def test_banach_density_first_maximum_across_segments():
+    n = 2 * _SEGMENT + 5
+    vals = np.zeros(n, dtype=np.int8)
+    vals[_SEGMENT + 10 : _SEGMENT + 14] = 1
+    vals[n - 4 :] = 1
+    d = upper_banach_density(vals, 4)
+    assert (d.count, d.offset) == (4, _SEGMENT + 10)
+    vals[_SEGMENT - 2 : _SEGMENT + 2] = 1  # straddles the first segment boundary
+    d = upper_banach_density(vals, 4)
+    assert (d.count, d.offset) == (4, _SEGMENT - 2)
 
 
 def test_banach_density_validation():

@@ -2,11 +2,13 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ergolab.arith import sieve_mobius
 from ergolab.averaging import _DEFAULT_DELTAS
 from ergolab.cli import main
 from ergolab.errors import ParameterError
@@ -22,6 +24,8 @@ from ergolab.harness import (
     prepare_run,
     write_csv,
 )
+
+from helpers import ref_write_csv
 
 ALPHA = 0.4142135623730951
 
@@ -287,6 +291,88 @@ def test_cached_sieve_roundtrip(tmp_path):
     assert np.array_equal(first.values, again.values)
 
 
+def _cache_files(cache):
+    return sorted(p.name for p in cache.iterdir())
+
+
+def test_cached_sieve_serves_smaller_requests_as_prefix_slices(tmp_path):
+    cached_sieve("mobius", 1000, tmp_path)
+    stamp = (tmp_path / "mobius-1000.npy").stat().st_mtime_ns
+    half = cached_sieve("mobius", 500, tmp_path)
+    assert (half.lo, half.hi) == (1, 500)
+    assert np.array_equal(half.values, sieve_mobius(500).values)
+    assert _cache_files(tmp_path) == ["mobius-1000.npy"]
+    assert (tmp_path / "mobius-1000.npy").stat().st_mtime_ns == stamp
+    double = cached_sieve("mobius", 2000, tmp_path)
+    assert np.array_equal(double.values, sieve_mobius(2000).values)
+    assert _cache_files(tmp_path) == ["mobius-1000.npy", "mobius-2000.npy"]
+    # the smallest covering entry serves; another kind is never a source
+    assert np.array_equal(cached_sieve("mobius", 1500, tmp_path).values, sieve_mobius(1500).values)
+    cached_sieve("liouville", 700, tmp_path)
+    assert "liouville-700.npy" in _cache_files(tmp_path)
+    with pytest.raises(ParameterError):
+        cached_sieve("mobius", 0, tmp_path)
+
+
+def _truncated(path, limit):
+    np.save(path, np.ones(limit, dtype=np.int8))
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def _short(path, limit):
+    np.save(path, sieve_mobius(limit - 100).values)
+
+
+def _int64_zeros(path, limit):
+    np.save(path, np.zeros(limit, dtype=np.int64))
+
+
+def _out_of_range(path, limit):
+    np.save(path, np.full(limit, 5, dtype=np.int8))
+
+
+def _not_npy(path, limit):
+    path.write_bytes(b"not an array")
+
+
+DAMAGE = {"truncated": _truncated, "short": _short, "int64-zeros": _int64_zeros,
+          "out-of-range": _out_of_range, "not-npy": _not_npy}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("request_limit", [500, 300], ids=["direct", "slice"])
+def test_damaged_cache_entry_is_rebuilt(tmp_path, damage, request_limit):
+    path = tmp_path / "mobius-500.npy"
+    DAMAGE[damage](path, 500)
+    table = cached_sieve("mobius", request_limit, tmp_path)
+    assert np.array_equal(table.values, sieve_mobius(request_limit).values)
+    assert _cache_files(tmp_path) == ["mobius-500.npy"]
+    rebuilt = np.load(path)
+    assert rebuilt.dtype == np.int8
+    assert np.array_equal(rebuilt, sieve_mobius(500).values)
+
+
+def test_damaged_cache_entry_through_the_cli(sandbox):
+    cache = sandbox / "cache"
+    cache.mkdir()
+    _int64_zeros(cache / "mobius-300.npy", 300)
+    result = invoke(sandbox, "mertens", {"limit": 300, "head": 3})
+    assert result.exit_code == 0
+    assert (Path(run_dir_of(result)) / "mertens.csv").read_text() == "x,m\n1,1\n2,0\n3,-1\n"
+
+
+@pytest.mark.parametrize(
+    "config", [{"exponent": -1}, {"xs": [10**6], "exponent": 1.5}], ids=["negative", "above-one"]
+)
+def test_second_moment_rejects_exponent_before_sieving(sandbox, config):
+    result = invoke(sandbox, "second-moment", config)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "config"
+    assert not (sandbox / "results").exists()
+    assert not (sandbox / "cache").exists() or not any((sandbox / "cache").iterdir())
+
+
 # ---------------------------------------------------------------------------
 # harness units
 
@@ -303,8 +389,42 @@ def test_format_cell_rules():
 
 def test_write_csv_bytes(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b"), [(1, 0.5), (2, None), (3, True)])
+    write_csv(path, ("a", "b"), [1, 2, 3], [0.5, None, True])
     assert path.read_bytes() == b"a,b\n1,0.5\n2,\n3,true\n"
+
+
+_FLOATS = np.array([-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, -2.5e-300, 1.7976931348623157e308,
+                    math.inf, -math.inf, math.nan, 123456789.125])
+WRITE_CSV_COLUMNS = {
+    "int8": [np.array([-128, -1, 0, 1, 127], dtype=np.int8)],
+    "int64": [np.array([-(2**63), -1, 0, 2**53 + 1, 2**63 - 1], dtype=np.int64)],
+    "uint": [np.array([0, 1, 255], dtype=np.uint8), np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)],
+    "float64": [_FLOATS, _FLOATS[::-1].copy()],
+    "float32": [np.array([0.1, -0.0, 3.4028235e38], dtype=np.float32)],
+    "bool": [np.array([True, False, True]), np.array([False, False, True], dtype=np.bool_)],
+    "mixed-lists": [
+        [None, np.int64(-3), np.float64(0.25), np.bool_(False), True, 7],
+        ["plain", "a,b", 'say "hi"', "line\nbreak", "", None],
+        (0.1, 2**70, -0.0, np.uint8(200), np.float32(0.1), np.int8(-1)),
+    ],
+    "zero-rows": [np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=bool), []],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_CSV_COLUMNS))
+def test_write_csv_columns_match_row_writer(tmp_path, case):
+    columns = WRITE_CSV_COLUMNS[case]
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    write_csv(tmp_path / "columns.csv", header, *columns)
+    ref_write_csv(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ("a", "b"), [1, 2], [1])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ("a", "b"), [1, 2])
 
 
 def test_prepare_run_merges_defaults_and_seed():
