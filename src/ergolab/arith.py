@@ -4,11 +4,13 @@ This module produces exact integer tables of the Mobius function mu(n),
 the Liouville function lambda(n) = (-1)^Omega(n), B-free indicators, and
 Mertens prefix sums M(x) = sum_{n<=x} mu(n).
 
-Tables are computed by a segmented, vectorized sieve: each segment keeps a
-one-byte value array plus a transient 8-byte accumulator used to detect the
-single prime factor above sqrt(hi).  Memory is therefore one byte per table
-entry plus O(segment) scratch; the hard limit is 2^31 - 1 entries (about
-2 GiB of output), with desk-scale use expected at 1e8 and below.
+Tables are computed by a segmented, vectorized sieve: each segment fills
+its slice of a one-byte value array from a signed 4-byte accumulator whose
+sign is the value over the primes up to sqrt(hi) and whose magnitude detects
+the single prime factor above sqrt(hi).  Memory is therefore one byte per
+table entry plus about 9 bytes of scratch per segment entry, allocated once
+per sieve; the hard limit is 2^31 - 1 entries (about 2 GiB of output), with
+desk-scale use expected at 1e8 and below.
 
 All values are exact; nothing here is floating point.
 """
@@ -117,61 +119,48 @@ def _check_window(lo: int, hi: int) -> None:
         )
 
 
-def _first_multiple(q: int, lo: int) -> int:
-    return ((lo + q - 1) // q) * q
-
-
-def _mobius_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    size = hi - lo + 1
-    mu = np.ones(size, dtype=np.int8)
-    acc = np.ones(size, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = _first_multiple(p, lo)
-        if start <= hi:
-            sl = slice(start - lo, size, p)
-            np.negative(mu[sl], out=mu[sl])
-            acc[sl] *= p
-        p2 = p * p
-        start2 = _first_multiple(p2, lo)
-        if start2 <= hi:
-            mu[start2 - lo :: p2] = 0
-    leftover = acc != np.arange(lo, hi + 1, dtype=np.int64)
-    np.negative(mu, where=leftover, out=mu)
-    return mu
-
-
-def _liouville_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    size = hi - lo + 1
-    lam = np.ones(size, dtype=np.int8)
-    acc = np.ones(size, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        q = p
-        while q <= hi:
-            start = _first_multiple(q, lo)
-            if start <= hi:
-                sl = slice(start - lo, size, q)
-                np.negative(lam[sl], out=lam[sl])
-                acc[sl] *= p
-            q *= p
-    leftover = acc != np.arange(lo, hi + 1, dtype=np.int64)
-    np.negative(lam, where=leftover, out=lam)
-    return lam
-
-
 def _sieve_range(kind: str, lo: int, hi: int) -> ArithmeticTable:
+    """One segmented sieve for mu or lambda on [lo, hi].
+
+    Per segment, a signed int32 accumulator starts at 1 and is multiplied by
+    -p for each multiple of p (mu; multiples of p^2 are then zeroed) or for
+    each multiple of every prime power p^k <= hi (lambda), over the primes
+    p <= sqrt(hi).  Afterwards sign(acc) is the value over those primes and
+    |acc| is the part of n they make up; it divides n, so int32 holds it for
+    every n <= MAX_SIEVE_LIMIT.  Where |acc| != n, n has one prime factor
+    above sqrt(hi) and the sign flips once more.  The scratch (acc, n and a
+    mask) is allocated once and reused for every segment.
+    """
     _check_window(lo, hi)
-    primes = primes_up_to(math.isqrt(hi))
-    block = _mobius_block if kind == "mobius" else _liouville_block
+    primes = [int(p) for p in primes_up_to(math.isqrt(hi))]
     values = np.empty(hi - lo + 1, dtype=np.int8)
+    width = min(_SEGMENT, hi - lo + 1)
+    acc_buf = np.empty(width, dtype=np.int32)
+    n_buf = np.arange(lo, lo + width, dtype=np.int32)
+    mask_buf = np.empty(width, dtype=bool)
     for seg_lo in range(lo, hi + 1, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
-        values[seg_lo - lo : seg_hi - lo + 1] = block(seg_lo, seg_hi, primes)
+        size = seg_hi - seg_lo + 1
+        acc, n, mask = acc_buf[:size], n_buf[:size], mask_buf[:size]
+        if seg_lo > lo:
+            n += _SEGMENT
+        acc.fill(1)
+        for p in primes:
+            if p * p > seg_hi:
+                break
+            if kind == "mobius":
+                acc[-seg_lo % p :: p] *= -p
+                acc[-seg_lo % (p * p) :: p * p] = 0
+                continue
+            q = p
+            while q <= seg_hi:
+                acc[-seg_lo % q :: q] *= -p
+                q *= p
+        out = values[seg_lo - lo : seg_hi - lo + 1]
+        np.sign(acc, out=out)
+        np.abs(acc, out=acc)
+        np.not_equal(acc, n, out=mask)
+        np.negative(out, where=mask, out=out)
     return ArithmeticTable(kind, lo, hi, values)
 
 

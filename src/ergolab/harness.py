@@ -25,7 +25,7 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -118,19 +118,65 @@ def _column_cells(column) -> list:
     return [format_cell(cell) for cell in column]
 
 
+_ROW_BLOCK = 1 << 16
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _int_text(column: np.ndarray) -> tuple:
+    """Decimal text of a 1-D integer array, right-aligned in a (rows, width)
+    uint8 matrix, and the mask of the bytes each row uses."""
+    magnitude = column.astype(np.int64 if column.dtype.kind == "i" else np.uint64)
+    negative = magnitude < 0
+    magnitude = magnitude.view(np.uint64)
+    np.negative(magnitude, where=negative, out=magnitude)  # |-2**63| is 2**63 as uint64
+    length = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1 + negative
+    width = int(length.max())
+    text = np.empty((len(column), width), dtype=np.uint8)
+    for j in range(width - 1, -1, -1):
+        magnitude, digit = np.divmod(magnitude, 10)
+        text[:, j] = digit
+    text += ord("0")
+    rows = np.flatnonzero(negative)
+    text[rows, width - length[rows]] = ord("-")
+    return text, np.arange(width) >= (width - length)[:, None]
+
+
+def _write_int_rows(fh, columns) -> None:
+    """CSV rows of equal-length 1-D integer arrays, one _ROW_BLOCK at a time."""
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns have different lengths")
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        pieces, masks = [], []
+        for i, column in enumerate(columns):
+            text, used = _int_text(column[start : start + _ROW_BLOCK])
+            separator = ord("\n") if i == len(columns) - 1 else ord(",")
+            pieces += [text, np.full((len(text), 1), separator, dtype=np.uint8)]
+            masks += [used, np.ones((len(text), 1), dtype=bool)]
+        fh.write(np.hstack(pieces)[np.hstack(masks)].tobytes())
+
+
 def write_csv(path, header, *columns) -> None:
     """Write one CSV table from one sequence per header name.
 
-    A numeric ndarray column is written through ``tolist()``; every other
-    column (bools, None, strings, NumPy scalars) cell by cell through
-    ``format_cell``.  Columns must have equal lengths.
+    The header goes through ``csv.writer``.  When every column is a 1-D
+    integer ndarray, the body is formatted by NumPy, one block of rows at a
+    time (_write_int_rows).  Otherwise a numeric ndarray column is written
+    through ``tolist()`` and every other column (bools, None, strings, NumPy
+    scalars) cell by cell through ``format_cell``, all by one
+    ``csv.writer.writerows``.  Both paths give the same bytes.  Columns must
+    have equal lengths.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*(_column_cells(c) for c in columns), strict=True))
+        integer = (isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "iu" for c in columns)
+        if columns and all(integer):
+            fh.flush()
+            _write_int_rows(fh.buffer, columns)
+        else:
+            writer.writerows(zip(*(_column_cells(c) for c in columns), strict=True))
 
 
 @dataclass(frozen=True)
@@ -215,16 +261,18 @@ def cached_sieve(kind: str, limit: int, cache: Path) -> ArithmeticTable:
         except ParameterError:  # values out of range, or the file shrank since the check
             pass
     values = (sieve_mobius if kind == "mobius" else sieve_liouville)(source).values
-    _write_entry(path, values)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _atomic_write(path, lambda fh: np.save(fh, values))
     return ArithmeticTable(kind, 1, limit, values[:limit].copy() if source > limit else values)
 
 
-def _write_entry(path: Path, values: np.ndarray) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npy.tmp")
+def _atomic_write(path: Path, write: Callable) -> None:
+    """Create or replace `path` by calling write(binary file) on a temporary
+    file beside it and renaming that over `path`; on failure it is removed."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=f"{path.suffix}.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, values)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -939,19 +987,6 @@ class RunManifest:
     outputs: tuple
     version: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "limits": self.limits,
-            "started": self.started,
-            "finished": self.finished,
-            "elapsed": self.elapsed,
-            "outputs": list(self.outputs),
-            "version": self.version,
-        }
-
 
 def _utc_stamp() -> str:
     return time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
@@ -971,19 +1006,6 @@ def _new_run_dir(out: Path, experiment: str, seed: int) -> Path:
         candidate = base / f"{stem}-{k}"
     candidate.mkdir(parents=True)
     return candidate
-
-
-def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def run_experiment(
@@ -1026,5 +1048,6 @@ def run_experiment(
         outputs=tuple(outputs),
         version=__version__,
     )
-    _write_manifest(run_dir / "manifest.json", manifest)
+    text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+    _atomic_write(run_dir / "manifest.json", lambda fh: fh.write(text.encode("ascii")))
     return run_dir

@@ -117,6 +117,27 @@ def test_segment_window_matches_full_run():
     assert np.array_equal(window_lam.values, full_lam.values[lo - 1 :])
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(1, 1), (1, 2), (2**31 - 2**12, 2**31 - 1)], ids=["one", "one-two", "top-of-range"]
+)
+def test_sieve_window_matches_trial_division(lo, hi):
+    # at the top of the range an accumulator too narrow for n would overflow
+    mu = sieve_mobius_range(lo, hi).values
+    lam = sieve_liouville_range(lo, hi).values
+    expected = np.array([brute_arith(n) for n in range(lo, hi + 1)], dtype=np.int8)
+    assert np.array_equal(mu, expected[:, 0])
+    assert np.array_equal(lam, expected[:, 1])
+
+
+def test_window_across_a_segment_boundary_matches_full_run():
+    lo, hi = _SEGMENT - 1000, 2 * _SEGMENT + 1000
+    full_mu, full_lam = sieve_mobius(hi), sieve_liouville(hi)
+    assert np.array_equal(sieve_mobius_range(lo, hi).values, full_mu.values[lo - 1 :])
+    assert np.array_equal(sieve_liouville_range(lo, hi).values, full_lam.values[lo - 1 :])
+    for n in (lo, lo + _SEGMENT - 1, lo + _SEGMENT, hi):
+        assert brute_arith(n) == (full_mu.value_at(n), full_lam.value_at(n))
+
+
 def test_sieve_rejects_bad_limits():
     with pytest.raises(ParameterError):
         sieve_mobius(0)

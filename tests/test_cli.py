@@ -14,7 +14,9 @@ from ergolab.cli import main
 from ergolab.errors import ParameterError
 from ergolab.experiments import MAX_FFT
 from ergolab.gc_stats import BernoulliCoordinateFamily, FiniteFamily, RotationFamily, SubshiftWindowFamily
+from ergolab import harness
 from ergolab.harness import (
+    _ROW_BLOCK,
     REGISTRY,
     RunContext,
     build_family,
@@ -408,6 +410,25 @@ WRITE_CSV_COLUMNS = {
         (0.1, 2**70, -0.0, np.uint8(200), np.float32(0.1), np.int8(-1)),
     ],
     "zero-rows": [np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=bool), []],
+    "int16-int32": [np.array([-(2**15), -7, 0, 9, 2**15 - 1], dtype=np.int16),
+                    np.array([-(2**31), -10, 10, 99, 2**31 - 1], dtype=np.int32)],
+    "int-extremes": [np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64),
+                     np.array([2**64 - 1, 0, 1], dtype=np.uint64), np.array([0, 255, 10], dtype=np.uint8)],
+    "int-all-negative": [np.array([-1, -9, -10, -99, -100, -12345], dtype=np.int64),
+                         np.array([-128, -1, -1, -2, -100, -10], dtype=np.int8)],
+    "int-single-digit": [np.arange(10, dtype=np.int8), np.arange(9, -1, -1, dtype=np.uint64)],
+    "int-zero-rows": [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)],
+    "int-one-row": [np.array([-42], dtype=np.int32), np.array([7], dtype=np.uint8)],
+    **{
+        f"int-block{delta:+d}": [
+            np.arange(1, _ROW_BLOCK + delta + 1),
+            np.resize(np.array([-1, 0, 1], dtype=np.int8), _ROW_BLOCK + delta),
+            np.linspace(-(10**12), 10**15, _ROW_BLOCK + delta).astype(np.int64),
+        ]
+        for delta in (-1, 0, 1)
+    },
+    "int-and-float": [np.array([1, -2, 30]), np.array([0.5, -0.0, 1e16])],
+    "int-and-bool": [np.array([1, -2, 30], dtype=np.int8), np.array([True, False, True])],
 }
 
 
@@ -425,6 +446,18 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
         write_csv(tmp_path / "t.csv", ("a", "b"), [1, 2], [1])
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", ("a", "b"), [1, 2])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ("a", "b"), np.arange(3), np.arange(2, dtype=np.int8))
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_CSV_COLUMNS))
+def test_write_csv_formats_only_integer_arrays_with_numpy(tmp_path, monkeypatch, case):
+    columns = WRITE_CSV_COLUMNS[case]
+    calls = []
+    monkeypatch.setattr(harness, "_write_int_rows", lambda fh, cols: calls.append(len(cols)))
+    write_csv(tmp_path / "t.csv", tuple(f"c{i}" for i in range(len(columns))), *columns)
+    integer = all(isinstance(c, np.ndarray) and c.dtype.kind in "iu" for c in columns)
+    assert calls == ([len(columns)] if integer else [])
 
 
 def test_prepare_run_merges_defaults_and_seed():
