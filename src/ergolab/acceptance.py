@@ -4,6 +4,9 @@ Each criterion is an exact-oracle equality check or a monotone-trend
 property sized to run on a desk machine, reported as a single pass/fail
 row.  The quick suite covers the exact checks; the full suite adds the
 trend and Monte-Carlo criteria plus a thread-determinism comparison.
+
+A criterion whose numbers a registry run writes reads them from its outputs
+(RUNS); runs and criteria share one sieve cache in the suite's own directory.
 """
 
 from __future__ import annotations
@@ -15,30 +18,16 @@ import tempfile
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
+from . import harness
 from ._util import generator
-from .arith import (
-    BFreeSpec,
-    bfree_indicator,
-    brute_arith,
-    mertens_prefix,
-    sieve_liouville,
-    sieve_mobius,
-)
+from .arith import ArithmeticTable, BFreeSpec, bfree_indicator, brute_arith, mertens_prefix
 from .averaging import FolnerSchedule, bfree_approximation_gap
-from .dynsys import VeechSpec, veech_window_closure
 from .errors import ParameterError
-from .experiments import (
-    chowla_decay,
-    correlations,
-    davenport_sum,
-    interval_second_moment,
-    partition_mertens_sum,
-    short_interval_sup,
-)
-from .harness import run_experiment
+from .experiments import correlations
 
 __all__ = ["CriterionResult", "run_suite", "QUICK", "FULL"]
 
@@ -47,11 +36,21 @@ _ROTATION = {"type": "rotation", "alpha": math.sqrt(2) - 1, "size": 256}
 _BERNOULLI = {"type": "bernoulli", "size": 1 << 14}
 _GAP = {"alpha": 0.25, "beta": 0.75, "reps": 64}
 
-# The registry runs criteria 8 and 10 read their numbers from and criterion 12
+# The registry runs criteria 4 to 10 read their numbers from and criterion 12
 # repeats at threads 1 and 2, by label: (experiment, config), all at seed 0.
 RUNS = {
+    "chowla liouville": ("chowla", {"kind": "liouville", "schedule": [1 << j for j in (12, 14, 16, 18, 20)]}),
+    "davenport": ("davenport", {"xs": [10**3, 10**4, 10**5, 10**6]}),
+    "mertens head=100000": ("mertens", {"limit": 10**5, "head": 10**5}),
+    "short-interval tau=0.6": ("short-interval", {"xs": [10**4, 10**5, 10**6, 10**7], "tau": 0.6}),
+    "second-moment": ("second-moment", {"xs": [10**4, 10**5, 10**6]}),
+    "partition squares top=10000": ("partition", {"rule": "squares", "top": 10**4}),
+    "partition squares top=1000000": ("partition", {"rule": "squares", "top": 10**6}),
+    "partition linear top=10000": ("partition", {"rule": "linear", "top": 10**4}),
+    "sieve mobius head=10000": ("sieve", {"kind": "mobius", "limit": 10**4, "head": 10**4}),
     "random-mertens tau=0.5": ("random-mertens", {"grid": _GRID, "tau": 0.5, "paths": 256}),
     "random-mertens tau=0.6": ("random-mertens", {"grid": _GRID, "tau": 0.6, "paths": 256}),
+    "veech": ("veech", {}),
     "covering rotation": (
         "covering",
         {"family": _ROTATION, "ns": [64, 1024], "eps": 0.1, "reps": 32, "sample_n": 1},
@@ -69,18 +68,31 @@ RUNS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _scratch() -> tempfile.TemporaryDirectory:
+    """The suite's own directory: its run directories and its sieve cache.
+    The suite never reads ./cache, $ERGOLAB_CACHE_DIR or ./results, so no
+    stale table feeds it.  cache_clear() drops and removes the directory."""
+    return tempfile.TemporaryDirectory(prefix="ergolab-verify-")
+
+
+def _table(kind: str, limit: int) -> ArithmeticTable:
+    # looked up on the harness module, like the registry runners' tables
+    return harness.cached_sieve(kind, limit, Path(_scratch().name) / "cache")
+
+
 @lru_cache(maxsize=None)
 def _outputs(label: str, threads: int) -> dict:
     """{file name: bytes} of every output but the manifest of run RUNS[label]."""
     name, config = RUNS[label]
-    with tempfile.TemporaryDirectory() as tmp:
-        run_dir = run_experiment(name, config, seed=0, out=tmp, threads=threads, cache=tmp)
-        return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir()) if p.name != "manifest.json"}
+    root = Path(_scratch().name)
+    run_dir = harness.run_experiment(name, config, seed=0, out=root / "runs", threads=threads, cache=root / "cache")
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir()) if p.name != "manifest.json"}
 
 
-def _rows(label: str, name: str, threads: int) -> list[dict]:
-    """The rows of one CSV output of RUNS[label], as {column: text}."""
-    return list(csv.DictReader(io.StringIO(_outputs(label, threads)[name].decode("ascii"))))
+def _rows(label: str, name: str) -> list[dict]:
+    """The rows of one CSV output of RUNS[label] at threads 1, as {column: text}."""
+    return list(csv.DictReader(io.StringIO(_outputs(label, 1)[name].decode("ascii"))))
 
 
 @dataclass(frozen=True)
@@ -92,14 +104,12 @@ class CriterionResult:
     elapsed: float
 
 
-def criterion_1(threads: int = 1, corrupt=None) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Sieved mu/lambda equal trial division; divisor sums of mu vanish off 1."""
     t0 = time.perf_counter()
     limit, small = 10**6, 10**4
-    mob = sieve_mobius(limit)
-    lio = sieve_liouville(limit)
-    if corrupt is not None:
-        corrupt(mob.values)
+    mob = _table("mobius", limit)
+    lio = _table("liouville", limit)
     points = [int(n) for n in generator(0).integers(1, limit + 1, size=10**4)]
     points += list(range(1, small + 1))
     bad = 0
@@ -120,11 +130,11 @@ def criterion_1(threads: int = 1, corrupt=None) -> CriterionResult:
     return CriterionResult(1, "sieve-exactness", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_2(threads: int = 1) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Mertens prefix increments reproduce mu pointwise; M(10) = -1."""
     t0 = time.perf_counter()
     limit = 10**6
-    table = sieve_mobius(limit)
+    table = _table("mobius", limit)
     prefix = mertens_prefix(table)
     step_bad = int(np.count_nonzero(np.diff(prefix.prefix) != table.values.astype(np.int64)))
     m10 = prefix.m(10)
@@ -133,13 +143,13 @@ def criterion_2(threads: int = 1) -> CriterionResult:
     return CriterionResult(2, "mertens-consistency", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_3(threads: int = 1) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """FFT autocorrelations match the O(N^2) direct sums exactly at N=4096."""
     t0 = time.perf_counter()
     n = 1 << 12
     bad = {}
-    for kind, sieve in (("mobius", sieve_mobius), ("liouville", sieve_liouville)):
-        table = sieve(2 * n)
+    for kind in ("mobius", "liouville"):
+        table = _table(kind, 2 * n)
         fft = correlations(table, n, method="fft")
         bad[kind] = int(np.count_nonzero(fft != correlations(table, n, method="direct")))
     passed = all(v == 0 for v in bad.values())
@@ -147,47 +157,41 @@ def criterion_3(threads: int = 1) -> CriterionResult:
     return CriterionResult(3, "correlation-fft-vs-direct", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_4(threads: int = 1) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Order-two average correlation of lambda decays and at least halves."""
     t0 = time.perf_counter()
-    series = chowla_decay(sieve_liouville(2**21).values, tuple(1 << j for j in (12, 14, 16, 18, 20)))
-    vals = series.values
-    halved = bool(vals[-1] < vals[0] / 2)
-    passed = series.strictly_decreasing and halved
+    vals = [float(r["value"]) for r in _rows("chowla liouville", "decay.csv")]
+    strict = _rows("chowla liouville", "fit.csv")[0]["strictly_decreasing"] == "true"
+    passed = strict and vals[-1] < vals[0] / 2
     detail = (
         "D=" + "/".join(f"{v:.4f}" for v in vals)
-        + f", strict decrease={series.strictly_decreasing}, end/start={vals[-1] / vals[0]:.3f}"
+        + f", strict decrease={strict}, end/start={vals[-1] / vals[0]:.3f}"
     )
     return CriterionResult(4, "chowla-average-decay", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_5(threads: int = 1) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Exponential-sum peak: theta=0 value is |M(x)|; normalized peak shrinks."""
     t0 = time.perf_counter()
-    table = sieve_mobius(10**6)
-    prefix = mertens_prefix(table)
-    results = {x: davenport_sum(table, x) for x in (10**3, 10**4, 10**5, 10**6)}
-    exact = {x: results[x].theta0 == abs(prefix.m(x)) for x in (10**3, 10**4, 10**5)}
-    ratios = [results[x].ratio for x in (10**4, 10**5, 10**6)]
+    peaks = {int(r["x"]): r for r in _rows("davenport", "davenport.csv")}
+    mertens = _outputs("mertens head=100000", 1)["mertens.csv"].split(b"\n")  # line x is "x,M(x)"
+    exact = [float(peaks[x]["theta0"]) == abs(int(mertens[x].split(b",")[1])) for x in (10**3, 10**4, 10**5)]
+    ratios = [float(peaks[x]["ratio"]) for x in (10**4, 10**5, 10**6)]
     trend = all(b <= 1.2 * a for a, b in zip(ratios, ratios[1:]))
-    passed = all(exact.values()) and trend
+    passed = all(exact) and trend
     detail = (
-        f"theta0 exact at {sum(exact.values())}/3 points; "
+        f"theta0 exact at {sum(exact)}/3 points; "
         "ratios " + "/".join(f"{r:.4f}" for r in ratios) + f" non-increasing(1.2x)={trend}"
     )
     return CriterionResult(5, "davenport-peak", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_6(threads: int = 1) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Short-interval sups shrink with x; normalized second moment decreases."""
     t0 = time.perf_counter()
-    prefix = mertens_prefix(2 * 10**7)
-    sups = [short_interval_sup(prefix, x, 0.6).sup for x in (10**4, 10**5, 10**6, 10**7)]
+    sups = [float(r["sup"]) for r in _rows("short-interval tau=0.6", "intervals.csv")]
     sup_trend = all(b <= 1.2 * a for a, b in zip(sups, sups[1:]))
-    moments = [
-        interval_second_moment(prefix, big_x, int(big_x**0.2)).normalized
-        for big_x in (10**4, 10**5, 10**6)
-    ]
+    moments = [float(r["normalized"]) for r in _rows("second-moment", "moments.csv")]
     moment_trend = all(b < a for a, b in zip(moments, moments[1:]))
     passed = sup_trend and moment_trend
     detail = (
@@ -197,34 +201,33 @@ def criterion_6(threads: int = 1) -> CriterionResult:
     return CriterionResult(6, "short-interval-trend", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_7(threads: int = 1) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Partition variation of M: square partition shrinks >= 25%; unit partition
     counts squarefree integers exactly."""
     t0 = time.perf_counter()
-    table = sieve_mobius(10**6)
-    prefix = mertens_prefix(table)
-    ratios = {
-        top: partition_mertens_sum(prefix, [k * k for k in range(1, math.isqrt(top) + 1)]).ratio
-        for top in (10**4, 10**6)
-    }
-    drop = 1.0 - ratios[10**6] / ratios[10**4]
     top = 10**4
-    unit = partition_mertens_sum(prefix, range(1, top + 1))
+    ratios = {
+        t: float(_rows(f"partition squares top={t}", "summary.csv")[0]["ratio"]) for t in (top, 10**6)
+    }
+    drop = 1.0 - ratios[10**6] / ratios[top]
+    unit = _rows(f"partition linear top={top}", "summary.csv")[0]
+    abs_sum = int(unit["abs_sum"])
+    table = ArithmeticTable.from_bytes(_outputs(f"sieve mobius head={top}", 1)["table.bin"])
     squarefree = int(np.count_nonzero(table.values[1:top]))
-    exact = unit.abs_sum == squarefree and unit.ratio == squarefree / top
+    exact = abs_sum == squarefree and float(unit["ratio"]) == squarefree / top
     passed = drop >= 0.25 and exact
     detail = (
-        f"square-partition ratio {ratios[10**4]:.4f}->{ratios[10**6]:.4f} (drop {drop:.1%}); "
-        f"unit-partition sum {unit.abs_sum} vs squarefree count {squarefree}"
+        f"square-partition ratio {ratios[top]:.4f}->{ratios[10**6]:.4f} (drop {drop:.1%}); "
+        f"unit-partition sum {abs_sum} vs squarefree count {squarefree}"
     )
     return CriterionResult(7, "partition-variation", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_8(threads: int = 1) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Random-walk analogue: RMS sup bounded at tau=1/2; small tails at tau=0.6."""
     t0 = time.perf_counter()
-    rms = np.array([float(r["rms"]) for r in _rows("random-mertens tau=0.5", "rms.csv", threads)])
-    sups = _rows("random-mertens tau=0.6", "sups.csv", threads)
+    rms = np.array([float(r["rms"]) for r in _rows("random-mertens tau=0.5", "rms.csv")])
+    sups = _rows("random-mertens tau=0.6", "sups.csv")
     last = np.array([float(r["sup"]) for r in sups if int(r["x"]) == _GRID[-1]])
     rms_ok = bool(np.all(rms <= 2.414))
     tail = float(np.mean(last < 0.05))
@@ -236,35 +239,26 @@ def criterion_8(threads: int = 1) -> CriterionResult:
     return CriterionResult(8, "random-walk-mertens", passed, detail, time.perf_counter() - t0)
 
 
-def _window_text(window) -> str:
-    return "".join("+0-"[1 - int(v)] for v in window)
-
-
-def criterion_9(threads: int = 1) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Window-closure scan of the alternating triangular step function finds
     exactly the three constant windows."""
     t0 = time.perf_counter()
-    spec = VeechSpec.generated("triangular", "alternating")
-    scan = veech_window_closure(spec, 8, budget=256)
-    found = set(scan.above_threshold)
-    length = 2 * scan.w + 1
-    want = {(1,) * length, (-1,) * length, (0,) * length}
-    passed = found == want
-    shown = ", ".join(sorted(_window_text(w) for w in found)) or "none"
+    found = [r["window"] for r in _rows("veech", "above-threshold.csv")]
+    length = 2 * int(_rows("veech", "summary.csv")[0]["w"]) + 1
+    passed = set(found) == {"+" * length, "-" * length, "0" * length}
+    shown = ", ".join(sorted(found)) or "none"
     detail = f"{len(found)} persistent windows: {shown}"
     return CriterionResult(9, "step-function-window-closure", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_10(threads: int = 1) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Covering entropy collapses for rotations but not for coordinate maps;
     shattering probability separates the two the same way."""
     t0 = time.perf_counter()
-    rot_entropy = [float(r["e_mean"]) for r in _rows("covering rotation", "entropy.csv", threads)]
-    ber_entropy = [float(r["e_mean"]) for r in _rows("covering bernoulli", "entropy.csv", threads)]
-    ber_root = float(_rows("shatter-prob bernoulli n=8", "result.csv", threads)[0]["root"])
-    rot_shatter = [
-        _rows(f"shatter-prob rotation n={n}", "result.csv", threads)[0] for n in (2, 4, 6)
-    ]
+    rot_entropy = [float(r["e_mean"]) for r in _rows("covering rotation", "entropy.csv")]
+    ber_entropy = [float(r["e_mean"]) for r in _rows("covering bernoulli", "entropy.csv")]
+    ber_root = float(_rows("shatter-prob bernoulli n=8", "result.csv")[0]["root"])
+    rot_shatter = [_rows(f"shatter-prob rotation n={n}", "result.csv")[0] for n in (2, 4, 6)]
     rot_roots = [float(s["root"]) for s in rot_shatter]
     rot_ratio = rot_entropy[0] / rot_entropy[1]
     rot_ok = rot_ratio >= 4.0
@@ -292,7 +286,7 @@ def criterion_10(threads: int = 1) -> CriterionResult:
     return CriterionResult(10, "entropy-shattering-contrast", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_11(threads: int = 1) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     """Truncation gap density for {2,3} sits at 1/6 under the tail bound;
     the prime-square indicator reproduces mu^2 exactly."""
     t0 = time.perf_counter()
@@ -302,7 +296,7 @@ def criterion_11(threads: int = 1) -> CriterionResult:
     g = float(gap.gaps[-1])
     near = abs(g - 1.0 / 6.0) <= 1e-2
     bounded = g <= spec.tail_sum(1) + 2.0 / math.sqrt(n)
-    mob = sieve_mobius(n)
+    mob = _table("mobius", n)
     free, _ = bfree_indicator(BFreeSpec.prime_squares(n), n)
     chi_bad = int(np.count_nonzero(free.values.astype(np.int64) != mob.values.astype(np.int64) ** 2))
     passed = near and bounded and chi_bad == 0
@@ -313,7 +307,7 @@ def criterion_11(threads: int = 1) -> CriterionResult:
     return CriterionResult(11, "bfree-approximation", passed, detail, time.perf_counter() - t0)
 
 
-def criterion_12(threads: int = 1) -> CriterionResult:
+def criterion_12() -> CriterionResult:
     """Every run in RUNS writes byte-identical files at threads 1 and 2."""
     t0 = time.perf_counter()
     same = {label: _outputs(label, 1) == _outputs(label, 2) for label in RUNS}
@@ -341,7 +335,7 @@ QUICK = (1, 2, 3, 5, 7, 9, 11)
 FULL = tuple(sorted(_CRITERIA))
 
 
-def run_suite(which: str = "quick", threads: int = 1) -> list[CriterionResult]:
+def run_suite(which: str = "quick") -> list[CriterionResult]:
     """Run the named suite and return one result row per criterion."""
     if which == "quick":
         cids = QUICK
@@ -349,4 +343,4 @@ def run_suite(which: str = "quick", threads: int = 1) -> list[CriterionResult]:
         cids = FULL
     else:
         raise ParameterError(f"unknown suite {which!r}; expected 'quick' or 'full'")
-    return [_CRITERIA[cid](threads=threads) for cid in cids]
+    return [_CRITERIA[cid]() for cid in cids]

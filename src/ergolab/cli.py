@@ -71,12 +71,11 @@ def list_command():
 
 @main.command()
 @click.argument("suite", type=click.Choice(["quick", "full"]))
-@click.option("--threads", type=click.IntRange(1, 256), default=1, show_default=True)
-def verify(suite, threads):
+def verify(suite):
     """Run the acceptance suite and print one pass/fail row per criterion."""
     from .acceptance import run_suite
 
-    results = run_suite(suite, threads=threads)
+    results = run_suite(suite)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         click.echo(f"{status}  {r.cid:>2}  {r.name}: {r.detail}")

@@ -946,7 +946,13 @@ def validate_config(experiment: Experiment, doc: dict) -> None:
     error = best_match(_Validator(experiment.schema()).iter_errors(doc), key=_relevance)
     if error is not None:
         where = ".".join(str(part) for part in error.absolute_path)
-        raise ParameterError(f"invalid config: {where + ': ' if where else ''}{error.message}")
+        message = error.message
+        if error.validator == "oneOf":  # name the tag values, or else the keys, that pick a branch
+            branches = error.validator_value
+            tags = [f"{k}={s['const']}" for b in branches for k, s in b["properties"].items() if "const" in s]
+            forms = tags or ["+".join(b["required"]) for b in branches]
+            message += f" (expected one of: {', '.join(forms)})"
+        raise ParameterError(f"invalid config: {where + ': ' if where else ''}{message}")
     if _non_finite(doc):
         raise ParameterError("invalid config: NaN and Infinity are not allowed")
 

@@ -14,7 +14,7 @@ from ergolab.cli import main
 from ergolab.errors import ParameterError
 from ergolab.experiments import MAX_FFT
 from ergolab.gc_stats import BernoulliCoordinateFamily, FiniteFamily, RotationFamily, SubshiftWindowFamily
-from ergolab import harness
+from ergolab import acceptance, harness
 from ergolab.harness import (
     _ROW_BLOCK,
     REGISTRY,
@@ -172,6 +172,23 @@ def test_oversized_theta_grid_rejected_before_running(sandbox):
     assert json.loads(result.stderr)["error"] == "config"
     assert not (sandbox / "results").exists()
     assert not (sandbox / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "name, config, forms",
+    [("covering", {"family": {"type": "torus"}}, "type=rotation, type=bernoulli, type=subshift, type=finite"),
+     ("covering", {"family": {"size": 8}}, "type=rotation, type=bernoulli, type=subshift, type=finite"),
+     ("orbit", {"system": {"variant": "nope"}},
+      "variant=rotation, variant=skew-additive, variant=skew-affine, variant=sturmian, variant=bernoulli"),
+     ("veech", {"spec": {"generator": "triangular", "starts": [1]}}, "starts+signs, generator")],
+)
+def test_sub_document_error_names_the_allowed_forms(sandbox, name, config, forms):
+    result = invoke(sandbox, name, config)
+    assert result.exit_code == 2
+    record = json.loads(result.stderr)
+    assert record["error"] == "config"
+    assert f"(expected one of: {forms})" in record["message"]
+    assert not (sandbox / "results").exists()
 
 
 @pytest.mark.parametrize(
@@ -627,10 +644,17 @@ def test_experiment_smoke(sandbox, name):
 
 def test_verify_quick_passes(sandbox, monkeypatch):
     monkeypatch.chdir(sandbox)
+    for value in vars(acceptance).values():  # no run or table may come from an earlier suite
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
     result = CliRunner().invoke(main, ["verify", "quick"])
     assert result.exit_code == 0, result.output
     assert "PASS" in result.output
     assert "FAIL" not in result.output
+    # the suite keeps its runs and tables in its own directory: nothing in the
+    # working directory (./cache, ./results) or under $ERGOLAB_CACHE_DIR
+    assert list(sandbox.rglob("*")) == []
+    assert not Path(os.environ["ERGOLAB_CACHE_DIR"]).exists()
 
 
 def test_verify_rejects_unknown_suite():
