@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import PROBE, generator
+from ._util import PROBE, generator, map_indexed
 from .arith import _SEGMENT, BFreeSpec, bfree_indicator, int64_prefix
 from .dynsys import OrbitStream
 from .errors import ParameterError
@@ -174,6 +174,7 @@ def mean_equicontinuity_probe(
     seed: int = 0,
     schedule: FolnerSchedule | None = None,
     r: int = 3,
+    threads: int = 1,
 ) -> list[ProbeRow]:
     """Estimate the Besicovitch distance between orbits of nearby points.
 
@@ -182,25 +183,31 @@ def mean_equicontinuity_probe(
     draws from _util.generator(seed, PROBE, i)) the mean and max of the
     distance estimates over `pairs` sampled point pairs are reported;
     envelope is the running maximum of the means, i.e. a monotone summary of
-    the empirical modulus of continuity.
+    the empirical modulus of continuity.  The deltas may run on `threads`
+    threads; the rows do not depend on it.
     """
     if pairs < 1:
         raise ParameterError("need at least one pair per delta")
     deltas = sorted(deltas)
     if not deltas:
         raise ParameterError("need at least one delta")
-    if schedule is None:
-        schedule = FolnerSchedule.geometric(start=min(1024, n), cap=n)
-    rows: list[ProbeRow] = []
-    envelope = 0.0
-    for i, delta in enumerate(deltas):
+    for delta in deltas:
         if not 0 < delta <= 1:
             raise ParameterError(f"delta {delta} outside (0, 1]")
+    if schedule is None:
+        schedule = FolnerSchedule.geometric(start=min(1024, n), cap=n)
+
+    def estimates(i: int) -> list[float]:
         rng = generator(seed, PROBE, i)
         ests = []
         for _ in range(pairs):
-            f, g = stream.shifted_pair(delta, rng, schedule.max_length)
+            f, g = stream.shifted_pair(deltas[i], rng, schedule.max_length)
             ests.append(besicovitch_distance(f, g, schedule, r).estimate)
+        return ests
+
+    rows: list[ProbeRow] = []
+    envelope = 0.0
+    for delta, ests in zip(deltas, map_indexed(estimates, len(deltas), threads)):
         mean_est = float(np.mean(ests))
         envelope = max(envelope, mean_est)
         rows.append(ProbeRow(float(delta), mean_est, float(np.max(ests)), envelope, pairs))

@@ -231,8 +231,37 @@ class CoveringBounds:
     lower: int
 
 
+# set bits of every byte, then of every 16-bit word (high byte first)
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+_WORD_BITS = (_BYTE_BITS[:, None] + _BYTE_BITS).ravel()
+
+
+def _distinct_rows(matrix: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order: np.unique(matrix, axis=0)
+    for finite values, without its per-row structured records."""
+    order = np.argsort(matrix[:, 0], kind="stable")
+    first = matrix[order, 0]
+    if not (first[1:] == first[:-1]).any():
+        return matrix[order]  # distinct first entries: no row repeats
+    rows = matrix[np.lexsort(matrix.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def _pack_signs(matrix: np.ndarray) -> np.ndarray:
+    """The rows of a +-1 matrix as uint16 words of 16 entries, +1 as bit 1
+    and the first column most significant, so word rows sort as the value
+    rows do."""
+    octets = np.packbits(matrix > 0, axis=1)
+    if octets.shape[1] % 2:
+        octets = np.pad(octets, ((0, 0), (0, 1)))
+    return (octets[:, 0::2].astype(np.uint16) << 8) | octets[:, 1::2]
+
+
 def _column_dist(matrix: np.ndarray, row: np.ndarray, norm: str) -> np.ndarray:
-    diff = np.abs(matrix - row)
+    diff = matrix - row
+    np.abs(diff, out=diff)  # in place: one temporary the size of matrix, not two
     return diff.mean(axis=1) if norm == "mean-l1" else diff.max(axis=1)
 
 
@@ -251,8 +280,25 @@ def _greedy_separated(matrix: np.ndarray, radius: float, norm: str) -> int:
     return count
 
 
+def _greedy_separated_packed(words: np.ndarray, min_differ: int) -> int:
+    """_greedy_separated on packed +-1 rows, one column of words per row,
+    where a row lies beyond the radius iff >= min_differ entries differ."""
+    remaining = words
+    count = 0
+    while remaining.shape[1]:
+        count += 1
+        differ = _WORD_BITS[remaining ^ remaining[:, :1]].sum(axis=0)
+        remaining = remaining.compress(differ >= min_differ, axis=1)
+    return count
+
+
 def covering_number(sample, eps: float, norm: str = "mean-l1") -> CoveringBounds:
-    """Greedy bracket [lower, upper] for the eps-covering number of the rows."""
+    """Greedy bracket [lower, upper] for the eps-covering number of the rows.
+
+    The greedy visits the distinct rows in lexicographic order.  When every
+    entry is -1 or +1 it runs on the rows packed one bit per entry, which
+    keeps that order and every distance.
+    """
     if norm not in ("mean-l1", "linf"):
         raise ParameterError(f"unknown norm {norm!r}; use 'mean-l1' or 'linf'")
     if not (eps > 0 and math.isfinite(eps)):
@@ -260,9 +306,20 @@ def covering_number(sample, eps: float, norm: str = "mean-l1") -> CoveringBounds
     matrix = sample.matrix if isinstance(sample, EmpiricalSample) else np.asarray(sample)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ParameterError("need a nonempty 2-d evaluation matrix")
-    rows = np.unique(matrix, axis=0)
-    upper = _greedy_separated(rows, eps, norm)
-    lower = _greedy_separated(rows, 2 * eps, norm)
+    if not np.isfinite(matrix).all():
+        raise ParameterError("evaluation matrix has NaN or infinite entries")
+    if (np.abs(matrix) == 1).all():
+        words = np.ascontiguousarray(_distinct_rows(_pack_signs(matrix)).T)
+        # _column_dist between two +-1 rows that differ in k entries, k = 0..n;
+        # it grows with k, so d > radius iff k >= #{k : d_k <= radius}
+        k = np.arange(matrix.shape[1] + 1)
+        d = 2 * k / matrix.shape[1] if norm == "mean-l1" else 2 * (k > 0)
+        upper = _greedy_separated_packed(words, np.count_nonzero(d <= eps))
+        lower = _greedy_separated_packed(words, np.count_nonzero(d <= 2 * eps))
+    else:
+        rows = _distinct_rows(matrix)
+        upper = _greedy_separated(rows, eps, norm)
+        lower = _greedy_separated(rows, 2 * eps, norm)
     return CoveringBounds(float(eps), norm, upper, lower)
 
 

@@ -442,7 +442,8 @@ def _run_besicovitch(p, ctx):
 
 def _run_probe_equicont(p, ctx):
     rows = mean_equicontinuity_probe(
-        build_system(p["system"]), p["deltas"], pairs=p["pairs"], n=p["n"], seed=ctx.seed, r=p["r"]
+        build_system(p["system"]), p["deltas"], pairs=p["pairs"], n=p["n"], seed=ctx.seed, r=p["r"],
+        threads=ctx.threads,
     )
     columns = _fields(rows, ("delta", "mean_estimate", "max_estimate", "envelope", "pairs"))
     return [CsvTable("probe.csv", ("delta", "mean", "max", "envelope", "pairs"), columns)]

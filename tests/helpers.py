@@ -161,6 +161,33 @@ def ref_is_shattered(values, alpha: float, beta: float):
     return True, witnesses
 
 
+def ref_unique_rows(matrix) -> np.ndarray:
+    """The distinct rows in lexicographic order, as NumPy's own unique."""
+    return np.unique(np.asarray(matrix), axis=0)
+
+
+def ref_covering_number(matrix, eps: float, norm: str) -> tuple[int, int]:
+    """(upper, lower) of the first-index greedy over ref_unique_rows at
+    radii eps and 2*eps, each distance taken on the values themselves
+    (no packing, no ordering other than NumPy's)."""
+
+    def column_dist(matrix, row):
+        diff = np.abs(matrix - row)
+        return diff.mean(axis=1) if norm == "mean-l1" else diff.max(axis=1)
+
+    def greedy_separated(matrix, radius):
+        remaining = matrix
+        count = 0
+        while len(remaining):
+            count += 1
+            d = column_dist(remaining, remaining[0])
+            remaining = remaining[d > radius]
+        return count
+
+    rows = ref_unique_rows(matrix)
+    return greedy_separated(rows, eps), greedy_separated(rows, 2 * eps)
+
+
 def ref_interval_sup(walk, x: int, h_min: int) -> tuple[float, int]:
     """max over h in [h_min, x] of |walk[x+h] - walk[x]| / h, one h at a time,
     and the smallest h attaining it.  Python's int / int is correctly

@@ -6,6 +6,8 @@ import pytest
 
 import helpers
 
+from ergolab import averaging
+from ergolab._util import map_indexed
 from ergolab.arith import _SEGMENT, BFreeSpec, sieve_mobius
 from ergolab.averaging import (
     FolnerSchedule,
@@ -18,7 +20,7 @@ from ergolab.averaging import (
 )
 from ergolab.dynsys import bernoulli_stream, rotation_orbit
 from ergolab.errors import ParameterError
-from ergolab.harness import REGISTRY, build_system, prepare_run
+from ergolab.harness import REGISTRY, build_system, prepare_run, run_experiment
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -206,6 +208,38 @@ def test_shifted_pair_matches_reference_sampler(system, delta):
 def test_probe_needs_at_least_one_pair():
     with pytest.raises(ParameterError):
         mean_equicontinuity_probe(bernoulli_stream(), pairs=0, n=1024)
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, -0.25, math.nan])
+def test_probe_checks_every_delta_before_any_pair(bad):
+    stream = rotation_orbit(SQRT2M1)
+    drawn = []
+
+    class Counting:
+        def shifted_pair(self, *args):
+            drawn.append(args[0])
+            return stream.shifted_pair(*args)
+
+    with pytest.raises(ParameterError, match="outside"):
+        mean_equicontinuity_probe(Counting(), deltas=(0.5, 0.25, 0.125, 2**-4, bad), pairs=2, n=1024)
+    assert drawn == []
+
+
+def test_probe_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
+    pools = []
+
+    def recording_map_indexed(fn, count, threads=1):
+        pools.append(threads)
+        return map_indexed(fn, count, threads)
+
+    monkeypatch.setattr(averaging, "map_indexed", recording_map_indexed)
+    outputs = [
+        run_experiment("probe-equicont", {"n": 4096}, seed=3, out=tmp_path / f"t{threads}",
+                       threads=threads, cache=tmp_path / "cache") / "probe.csv"
+        for threads in (1, 2)
+    ]
+    assert pools == [1, 2]  # the run's thread count reaches the deltas' pool
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from ergolab.gc_stats import (
     FiniteFamily,
     RotationFamily,
     SubshiftWindowFamily,
+    _distinct_rows,
+    _pack_signs,
     covering_number,
     empirical_sup_deviation,
     entropy_rate,
@@ -152,6 +154,95 @@ def test_covering_norm_validation():
     for eps in (-0.1, 0.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             covering_number(np.ones((2, 2)), eps, "linf")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_covering_rejects_non_finite_entries(bad):
+    m = np.array([[0.5, 1.0], [0.25, 0.0]])
+    m[1, 0] = bad
+    with pytest.raises(ParameterError, match="NaN or infinite"):
+        covering_number(m, 0.1, "mean-l1")
+
+
+COVER_EPS = (0.05, 0.1, 0.2, 0.3, 0.5, 1.0)
+# few distinct values, so rows tie in column 0 and repeat; -0.0 == +0.0
+_CELL = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def covering_matrices(draw):
+    """1-30 rows on 1-6 columns, some repeated, with entries from _CELL
+    or from all floats in [-2, 2] (first entries then mostly distinct)."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        cell = _CELL
+    else:
+        cell = st.floats(-2.0, 2.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=25))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=5))]
+    return np.array(draw(st.permutations(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_matrices())
+def test_distinct_rows_and_covering_match_numpy_unique(m):
+    assert np.array_equal(_distinct_rows(m), helpers.ref_unique_rows(m))
+    for norm in ("mean-l1", "linf"):
+        for eps in COVER_EPS:
+            c = covering_number(m, eps, norm)
+            assert (c.upper, c.lower) == helpers.ref_covering_number(m, eps, norm)
+
+
+def _sign_matrix(rng, rows, n, dtype):
+    m = rng.choice(np.array([-1, 1], dtype=dtype), size=(rows, n))
+    return np.concatenate([m, m[: rows // 4]])  # repeated rows
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 100])
+def test_packed_sign_rows_match_numpy_unique(n, dtype):
+    rng = np.random.default_rng(n)
+    for rows in (1, 2, 50, 300):
+        m = _sign_matrix(rng, rows, n, dtype)
+        ref = helpers.ref_unique_rows(m)
+        # the words sort as the rows they pack: unpacking gives np.unique's order
+        words = _distinct_rows(_pack_signs(m))
+        unpacked = np.unpackbits(words.astype(">u2").view(np.uint8), axis=1)[:, :n]
+        assert np.array_equal(np.where(unpacked == 1, 1, -1), ref)
+        for norm in ("mean-l1", "linf"):
+            for eps in COVER_EPS:
+                c = covering_number(m, eps, norm)
+                assert (c.upper, c.lower) == helpers.ref_covering_number(m, eps, norm)
+
+
+def test_covering_keeps_ties_at_the_radius_inside():
+    # n = 10 and eps = 0.2: rows one entry apart are exactly 2/10 = eps apart,
+    # which does not separate them
+    m = np.ones((2, 10), dtype=np.int8)
+    m[1, 3] = -1
+    assert 2 * 1 / 10 == 0.2
+    c = covering_number(m, 0.2, "mean-l1")
+    assert (c.upper, c.lower) == (1, 1) == helpers.ref_covering_number(m, 0.2, "mean-l1")
+    m[1, 4] = -1  # two entries apart: 0.4 > eps, but not > 2 * eps
+    c = covering_number(m, 0.2, "mean-l1")
+    assert (c.upper, c.lower) == (2, 1) == helpers.ref_covering_number(m, 0.2, "mean-l1")
+
+
+@pytest.mark.parametrize("family", [
+    RotationFamily(SQRT2M1, size=64),
+    BernoulliCoordinateFamily(size=2048),
+    BernoulliCoordinateFamily(size=512, p=0.8),
+    SubshiftWindowFamily(np.where(np.random.default_rng(2).random(4000) < 0.5, 1.0, -1.0), size=300),
+    SubshiftWindowFamily(np.random.default_rng(3).integers(-1, 2, 4000), size=300),
+    FiniteFamily(np.random.default_rng(4).integers(-1, 2, (40, 9))),
+], ids=["rotation", "bernoulli", "bernoulli-p0.8", "subshift-signs", "subshift-3", "finite"])
+def test_covering_matches_reference_on_family_samples(family):
+    for n in (1, 4, 9, 12, 40):
+        m = family.evaluate(family.sample_points(n, generator(n, 5)))
+        for norm in ("mean-l1", "linf"):
+            for eps in COVER_EPS:
+                c = covering_number(m, eps, norm)
+                assert (c.upper, c.lower) == helpers.ref_covering_number(m, eps, norm)
 
 
 # ---------------------------------------------------------------------------
