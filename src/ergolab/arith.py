@@ -169,19 +169,9 @@ def sieve_mobius(limit: int) -> ArithmeticTable:
     return _sieve_range("mobius", 1, limit) if limit >= 1 else _bad_limit(limit)
 
 
-def sieve_mobius_range(lo: int, hi: int) -> ArithmeticTable:
-    """Exact mu(n) on the window [lo, hi]; identical to slicing a full run."""
-    return _sieve_range("mobius", lo, hi)
-
-
 def sieve_liouville(limit: int) -> ArithmeticTable:
     """Exact lambda(n) for 1 <= n <= limit."""
     return _sieve_range("liouville", 1, limit) if limit >= 1 else _bad_limit(limit)
-
-
-def sieve_liouville_range(lo: int, hi: int) -> ArithmeticTable:
-    """Exact lambda(n) on the window [lo, hi]."""
-    return _sieve_range("liouville", lo, hi)
 
 
 def _bad_limit(limit: int):
@@ -258,16 +248,12 @@ class MertensPrefix:
         return int(self.prefix[y] - self.prefix[x])
 
 
-def mertens_prefix(source: int | ArithmeticTable) -> MertensPrefix:
-    """Mertens prefix sums from a Mobius table (or a fresh sieve to `source`)."""
-    if isinstance(source, int):
-        table = sieve_mobius(source)
-    else:
-        table = source
-        if table.kind != "mobius":
-            raise ParameterError(f"need a mobius table, got kind {table.kind!r}")
-        if table.lo != 1:
-            raise ParameterError("prefix sums need a table starting at n=1")
+def mertens_prefix(table: ArithmeticTable) -> MertensPrefix:
+    """Mertens prefix sums from a Mobius table on [1, hi]."""
+    if table.kind != "mobius":
+        raise ParameterError(f"need a mobius table, got kind {table.kind!r}")
+    if table.lo != 1:
+        raise ParameterError("prefix sums need a table starting at n=1")
     return MertensPrefix(table.hi, int64_prefix(table.values))
 
 

@@ -40,17 +40,15 @@ class FolnerSchedule:
             raise ParameterError("window lengths must strictly increase")
 
     @classmethod
-    def geometric(cls, start: int = 1024, ratio: int = 2, *, cap: int) -> "FolnerSchedule":
-        """Windows start, start*ratio, ... up to cap."""
+    def geometric(cls, start: int = 1024, *, cap: int) -> "FolnerSchedule":
+        """Windows start, 2*start, 4*start, ... up to cap."""
         if start < 1:
             raise ParameterError("start must be >= 1")
-        if ratio < 2:
-            raise ParameterError("ratio must be >= 2")
         lengths = []
         n = start
         while n <= cap:
             lengths.append(n)
-            n *= ratio
+            n *= 2
         if not lengths:
             raise ParameterError(f"cap {cap} is below the first window {start}")
         return cls(tuple(lengths))
@@ -92,14 +90,10 @@ class SeminormEstimate:
         return float(self.averages[-self.r :].max())
 
 
-def besicovitch_seminorm(source, schedule: FolnerSchedule | None = None, r: int = 3) -> SeminormEstimate:
+def besicovitch_seminorm(source, schedule: FolnerSchedule, r: int = 3) -> SeminormEstimate:
     """Finite-scale estimate of limsup (1/N) sum_{t<=N} |g(t)|."""
     if r < 1:
         raise ParameterError("r must be >= 1")
-    if schedule is None:
-        if isinstance(source, OrbitStream):
-            raise ParameterError("streams need an explicit schedule")
-        schedule = FolnerSchedule.geometric(cap=len(np.asarray(source)))
     values = np.abs(_materialize(source, schedule.max_length).astype(np.complex128))
     prefix = np.concatenate([[0.0], np.cumsum(values.real)])
     lengths = np.asarray(schedule.lengths)
@@ -107,11 +101,8 @@ def besicovitch_seminorm(source, schedule: FolnerSchedule | None = None, r: int 
     return SeminormEstimate(schedule.lengths, averages, min(r, len(lengths)))
 
 
-def besicovitch_distance(f, g, schedule: FolnerSchedule | None = None, r: int = 3) -> SeminormEstimate:
+def besicovitch_distance(f, g, schedule: FolnerSchedule, r: int = 3) -> SeminormEstimate:
     """Seminorm estimate of the difference sequence |f - g|."""
-    if schedule is None:
-        fa, ga = np.asarray(f), np.asarray(g)
-        schedule = FolnerSchedule.geometric(cap=min(len(fa), len(ga)))
     n = schedule.max_length
     diff = _materialize(f, n).astype(np.complex128) - _materialize(g, n).astype(np.complex128)
     return besicovitch_seminorm(diff, schedule, r)
@@ -134,11 +125,7 @@ class BFreeGap:
     within: np.ndarray
 
 
-def bfree_approximation_gap(
-    spec: BFreeSpec, k: int, schedule: FolnerSchedule | None = None
-) -> BFreeGap:
-    if schedule is None:
-        schedule = FolnerSchedule.geometric(cap=1 << 18)
+def bfree_approximation_gap(spec: BFreeSpec, k: int, schedule: FolnerSchedule) -> BFreeGap:
     n = schedule.max_length
     _, mult_full = bfree_indicator(spec, n)
     _, mult_trunc = bfree_indicator(spec.truncate(k), n)
@@ -172,7 +159,6 @@ def mean_equicontinuity_probe(
     pairs: int = 32,
     n: int = 1 << 14,
     seed: int = 0,
-    schedule: FolnerSchedule | None = None,
     r: int = 3,
     threads: int = 1,
 ) -> list[ProbeRow]:
@@ -194,8 +180,7 @@ def mean_equicontinuity_probe(
     for delta in deltas:
         if not 0 < delta <= 1:
             raise ParameterError(f"delta {delta} outside (0, 1]")
-    if schedule is None:
-        schedule = FolnerSchedule.geometric(start=min(1024, n), cap=n)
+    schedule = FolnerSchedule.geometric(start=min(1024, n), cap=n)
 
     def estimates(i: int) -> list[float]:
         rng = generator(seed, PROBE, i)

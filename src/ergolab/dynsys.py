@@ -2,8 +2,7 @@
 
 Torus coordinates are stored as 64-bit fixed point: a state s in [0, 2^64)
 represents the real number s / 2^64, and addition mod 1 is plain uint64
-wrap-around.  Orbits are therefore bit-exact and advancing a stream commutes
-with reading it.
+wrap-around.  Orbits are therefore bit-exact.
 
 Systems:
   * rotation          x -> x + alpha,      observable e^(2 pi i x)
@@ -13,7 +12,7 @@ Systems:
   * bernoulli         i.i.d. +-1 stream (the positive-entropy contrast)
   * table shift       reads a value array (a sieve table's values) through the left shift
 
-Step functions with growing plateaus (VeechSpec / veech_function) live here
+Step functions with growing plateaus (VeechSpec / VeechFunction) live here
 too, together with the window-closure scan that looks for the constant limit
 windows.
 
@@ -31,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import generator
-from .arith import MertensPrefix, mertens_prefix
+from .arith import MertensPrefix
 from .errors import ParameterError, ResourceLimitError
 
 _MASK = (1 << 64) - 1
@@ -87,10 +86,6 @@ class OrbitStream:
     def take(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def advance(self, m: int) -> "OrbitStream":
-        """The stream started at T^m x; advance then take equals skipping."""
-        raise NotImplementedError
-
     def shifted_pair(self, delta: float, rng: np.random.Generator, n: int):
         """The first n values of the orbits of a start point drawn from rng
         (under the natural measure) and of a point delta away from it."""
@@ -111,9 +106,6 @@ class _CircleStream(OrbitStream):
     def states(self, n: int) -> np.ndarray:
         _check_take(n)
         return _linear_states(self.x_state, self.alpha_state, n)
-
-    def advance(self, m: int):
-        return replace(self, x_state=(self.x_state + m * self.alpha_state) & _MASK)
 
     def shifted_pair(self, delta, rng, n):
         x = _draw_state(rng)
@@ -161,11 +153,6 @@ class SkewStream(OrbitStream):
     def take(self, n: int) -> np.ndarray:
         return _phase(self.fiber_states(n))
 
-    def advance(self, m: int) -> "SkewStream":
-        x = (self.x_state + (m * self.alpha_state if self.variant == "affine" else 0)) & _MASK
-        y = (self.y_state + m * self.x_state + (m * (m - 1) // 2) * self.alpha_state) & _MASK
-        return SkewStream(self.variant, self.alpha_state, x, y)
-
     def shifted_pair(self, delta, rng, n):
         # the fiber coordinate is drawn; so is the base coordinate of the
         # affine product, which the rotation distributes, while the additive
@@ -183,15 +170,11 @@ class BernoulliStream(OrbitStream):
 
     p: float
     seed: int
-    offset: int = 0
 
     def take(self, n: int) -> np.ndarray:
-        _check_take(self.offset + n)
-        raw = generator(self.seed).random(self.offset + n)
-        return np.where(raw < self.p, 1, -1).astype(np.int8)[self.offset :]
-
-    def advance(self, m: int) -> "BernoulliStream":
-        return BernoulliStream(self.p, self.seed, self.offset + m)
+        _check_take(n)
+        raw = generator(self.seed).random(n)
+        return np.where(raw < self.p, 1, -1).astype(np.int8)
 
     def shifted_pair(self, delta, rng, n):
         # points delta apart in the shift metric share their first
@@ -208,18 +191,12 @@ class BernoulliStream(OrbitStream):
 @dataclass(frozen=True)
 class TableStream(OrbitStream):
     values: np.ndarray
-    offset: int = 0
 
     def take(self, n: int) -> np.ndarray:
         _check_take(n)
-        if self.offset + n > len(self.values):
-            raise ParameterError(
-                f"table stream exhausted: need {self.offset + n} values, have {len(self.values)}"
-            )
-        return self.values[self.offset : self.offset + n]
-
-    def advance(self, m: int) -> "TableStream":
-        return TableStream(self.values, self.offset + m)
+        if n > len(self.values):
+            raise ParameterError(f"table stream exhausted: need {n} values, have {len(self.values)}")
+        return self.values[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -312,32 +289,26 @@ class VeechSpec:
             if self.sign_rule == "mertens" and not self.mertens_limit:
                 raise ParameterError("the mertens sign rule needs mertens_limit")
 
-    @classmethod
-    def explicit(cls, starts, signs) -> "VeechSpec":
-        return cls(starts=tuple(starts), signs=tuple(signs))
-
-    @classmethod
-    def generated(cls, generator: str, sign_rule: str, mertens_limit: int | None = None) -> "VeechSpec":
-        return cls(generator=generator, sign_rule=sign_rule, mertens_limit=mertens_limit)
-
 
 class VeechFunction:
     """f(n) = sign of the block containing n, 0 for n below the first start.
 
     Generated specs materialize blocks on demand; explicit specs raise a
-    ParameterError when evaluated at or beyond their last start.
+    ParameterError when evaluated at or beyond their last start.  The
+    "mertens" sign rule reads the block increments of M from `mertens`, a
+    prefix up to the spec's mertens_limit.
     """
 
-    def __init__(self, spec: VeechSpec):
+    def __init__(self, spec: VeechSpec, mertens: MertensPrefix | None = None):
         self.spec = spec
-        self._mertens: MertensPrefix | None = None
+        self._mertens = mertens
         if spec.generator is None:
             self._starts = list(spec.starts)
             self._signs = list(spec.signs)
             self._growable = False
         else:
-            if spec.sign_rule == "mertens":
-                self._mertens = mertens_prefix(spec.mertens_limit)
+            if spec.sign_rule == "mertens" and mertens is None:
+                raise ParameterError("the mertens sign rule needs a Mertens prefix")
             self._starts = [1]
             self._signs = []
             self._growable = True
@@ -431,10 +402,6 @@ class VeechFunction:
         return out
 
 
-def veech_function(spec: VeechSpec) -> VeechFunction:
-    return VeechFunction(spec)
-
-
 # ---------------------------------------------------------------------------
 # window closure scan
 
@@ -473,7 +440,9 @@ def _constancy_radius(center: int, runs) -> int:
     return 0
 
 
-def veech_window_closure(spec: VeechSpec, w: int, budget: int = 256) -> WindowScan:
+def veech_window_closure(
+    spec: VeechSpec, w: int, budget: int = 256, mertens: MertensPrefix | None = None
+) -> WindowScan:
     """Sample length-(2w+1) windows of f and flag the persistent constants.
 
     Centers combine the midpoint of every sampled block (these sit in the
@@ -486,7 +455,7 @@ def veech_window_closure(spec: VeechSpec, w: int, budget: int = 256) -> WindowSc
         raise ParameterError("window radius must be >= 0")
     if budget < 8:
         raise ParameterError("budget must be at least 8")
-    f = veech_function(spec)
+    f = VeechFunction(spec, mertens)
 
     n_neg = min(8, max(2, budget // 16))
     n_spread = budget // 4

@@ -64,7 +64,7 @@ def disjointness_sum(nu: ArithmeticTable, orbit: OrbitStream, n: int) -> Disjoin
     if n < 1:
         raise ParameterError("need n >= 1")
     weights = _table_head(nu, n).astype(np.float64)
-    observed = orbit.advance(1).take(n)
+    observed = orbit.take(n + 1)[1:]
     terms = weights * np.asarray(observed)
     path = np.cumsum(terms) / np.arange(1, n + 1)
     return DisjointnessResult(n, path)
@@ -237,8 +237,8 @@ class ChowlaPoint:
         return self.numerator / self.n**2
 
 
-def average_chowla(values, n: int, method: str = "fft") -> ChowlaPoint:
-    c = correlations(values, n, method)
+def average_chowla(values, n: int) -> ChowlaPoint:
+    c = correlations(values, n)
     return ChowlaPoint(int(n), int(np.abs(c).sum()))
 
 
@@ -428,7 +428,7 @@ def partition_mertens_sum(prefix: MertensPrefix, partition) -> PartitionResult:
     gaps = np.diff(np.asarray(points))
     veech = None
     if np.all(gaps[1:] > gaps[:-1]):
-        veech = VeechSpec.explicit(points, signs)
+        veech = VeechSpec(starts=points, signs=signs)
     return PartitionResult(points, tuple(int(d) for d in deltas), signs, abs_sum, abs_sum / points[-1], veech)
 
 
@@ -468,7 +468,7 @@ def _random_walk(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
 
 
 def random_mertens_sim(
-    grid, tau: float, paths: int = 256, p: float = 0.5, seed: int = 0, threads: int = 1
+    grid, tau: float, paths: int, p: float = 0.5, seed: int = 0, threads: int = 1
 ) -> RandomMertensResult:
     """Walk M(n) = sum of i.i.d. +-1 with P(+1) = p; per path and per grid x,
     the exact sup over h in [ceil(x^tau), x] of |M(x+h) - M(x)| / h.  Each
@@ -542,10 +542,6 @@ def zhan_sup(table: ArithmeticTable, x: int, tau: float, thetas: int = 64) -> Zh
     if not 1 <= thetas <= MAX_FFT:
         raise ParameterError(f"thetas={thetas} outside [1, {MAX_FFT}]")
     h_min = _h_floor(x, tau)
-    if table.lo > 1 or table.hi < 2 * x:
-        raise ParameterError(
-            f"table covers [{table.lo}, {table.hi}] but values on [1, {2 * x}] are needed"
-        )
     h_values = [h_min]
     while h_values[-1] < x:
         h_values.append(min(2 * h_values[-1], x))

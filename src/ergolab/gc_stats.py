@@ -41,7 +41,6 @@ class FunctionFamily:
     """Protocol-style base: a sampler plus an evaluation matrix."""
 
     size: int
-    bound: float
 
     def sample_points(self, n: int, rng: np.random.Generator):
         raise NotImplementedError
@@ -67,7 +66,6 @@ class RotationFamily(FunctionFamily):
         if check:
             _guard_irrational(self.alpha_state, "alpha")
         self.size = int(size)
-        self.bound = 1.0
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, 2**64, size=n, dtype=np.uint64)
@@ -92,7 +90,6 @@ class BernoulliCoordinateFamily(FunctionFamily):
             raise ParameterError(f"bias p={p} outside [0, 1]")
         self.size = int(size)
         self.p = float(p)
-        self.bound = 1.0
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         points = np.empty((n, self.size), dtype=np.int8)
@@ -121,7 +118,6 @@ class SubshiftWindowFamily(FunctionFamily):
             raise ParameterError("need a 1-d value sequence at least `size` long")
         self.values = vals
         self.size = int(size)
-        self.bound = float(np.abs(vals).max()) if len(vals) else 0.0
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, len(self.values) - self.size + 1, size=n)
@@ -148,7 +144,6 @@ class FiniteFamily(FunctionFamily):
         self.matrix = m
         self.size = m.shape[0]
         self.atoms = m.shape[1]
-        self.bound = float(np.abs(m).max())
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, self.atoms, size=n)
@@ -334,8 +329,8 @@ class EntropyPoint:
 def entropy_rate(
     family: FunctionFamily,
     ns,
+    reps: int,
     eps: float = 0.1,
-    reps: int = 32,
     seed: int = 0,
     norm: str = "mean-l1",
     threads: int = 1,
@@ -424,7 +419,7 @@ def shattering_probability(
 
 
 def shattering_dimension(
-    family: FunctionFamily, alpha: float, beta: float, budget: int = 1000, seed: int = 0
+    family: FunctionFamily, alpha: float, beta: float, budget: int, seed: int = 0
 ) -> int:
     """Greedy lower bound: grow a shattered tuple one random point at a time.
 

@@ -400,7 +400,8 @@ def _run_admissible(p, ctx):
 
 def _run_veech(p, ctx):
     spec = VeechSpec(**p["spec"])
-    scan = veech_window_closure(spec, p["w"], p["budget"])
+    mertens = ctx.prefix(spec.mertens_limit) if spec.sign_rule == "mertens" else None
+    scan = veech_window_closure(spec, p["w"], p["budget"], mertens)
     samples = scan.samples
     above = sorted(scan.above_threshold.items())
     constants = sorted(scan.persistent_constants.items())
@@ -676,7 +677,7 @@ _VEECH_SPEC = {"oneOf": [
         ["generator"],
         generator={"enum": ["triangular"]},
         sign_rule={"enum": ["alternating", "plus", "minus", "mertens"], "default": "alternating"},
-        mertens_limit={"type": ["integer", "null"], "default": None},
+        mertens_limit={"type": ["integer", "null"], "minimum": 1, "default": None},
     ),
 ]}
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ergolab.arith import (
     _SEGMENT,
+    _sieve_range,
     ArithmeticTable,
     BFreeSpec,
     MertensPrefix,
@@ -17,9 +18,7 @@ from ergolab.arith import (
     is_admissible,
     mertens_prefix,
     sieve_liouville,
-    sieve_liouville_range,
     sieve_mobius,
-    sieve_mobius_range,
 )
 from ergolab.errors import ParameterError, ResourceLimitError
 
@@ -109,11 +108,11 @@ def test_liouville_never_zero(lam_100k):
 def test_segment_window_matches_full_run():
     lo, hi = 1_000_000, 1_010_000
     full_mu = sieve_mobius(hi)
-    window_mu = sieve_mobius_range(lo, hi)
+    window_mu = _sieve_range("mobius", lo, hi)
     assert window_mu.lo == lo and window_mu.hi == hi
     assert np.array_equal(window_mu.values, full_mu.values[lo - 1 :])
     full_lam = sieve_liouville(hi)
-    window_lam = sieve_liouville_range(lo, hi)
+    window_lam = _sieve_range("liouville", lo, hi)
     assert np.array_equal(window_lam.values, full_lam.values[lo - 1 :])
 
 
@@ -122,8 +121,8 @@ def test_segment_window_matches_full_run():
 )
 def test_sieve_window_matches_trial_division(lo, hi):
     # at the top of the range an accumulator too narrow for n would overflow
-    mu = sieve_mobius_range(lo, hi).values
-    lam = sieve_liouville_range(lo, hi).values
+    mu = _sieve_range("mobius", lo, hi).values
+    lam = _sieve_range("liouville", lo, hi).values
     expected = np.array([brute_arith(n) for n in range(lo, hi + 1)], dtype=np.int8)
     assert np.array_equal(mu, expected[:, 0])
     assert np.array_equal(lam, expected[:, 1])
@@ -132,8 +131,8 @@ def test_sieve_window_matches_trial_division(lo, hi):
 def test_window_across_a_segment_boundary_matches_full_run():
     lo, hi = _SEGMENT - 1000, 2 * _SEGMENT + 1000
     full_mu, full_lam = sieve_mobius(hi), sieve_liouville(hi)
-    assert np.array_equal(sieve_mobius_range(lo, hi).values, full_mu.values[lo - 1 :])
-    assert np.array_equal(sieve_liouville_range(lo, hi).values, full_lam.values[lo - 1 :])
+    assert np.array_equal(_sieve_range("mobius", lo, hi).values, full_mu.values[lo - 1 :])
+    assert np.array_equal(_sieve_range("liouville", lo, hi).values, full_lam.values[lo - 1 :])
     for n in (lo, lo + _SEGMENT - 1, lo + _SEGMENT, hi):
         assert brute_arith(n) == (full_mu.value_at(n), full_lam.value_at(n))
 
@@ -142,9 +141,9 @@ def test_sieve_rejects_bad_limits():
     with pytest.raises(ParameterError):
         sieve_mobius(0)
     with pytest.raises(ParameterError):
-        sieve_mobius_range(5, 4)
+        _sieve_range("mobius", 5, 4)
     with pytest.raises(ParameterError):
-        sieve_mobius_range(0, 10)
+        _sieve_range("mobius", 0, 10)
     with pytest.raises(ResourceLimitError):
         sieve_mobius(2**31)
 
@@ -171,8 +170,8 @@ def test_mertens_prefix_matches_direct_summation(mu_100k):
     assert pref.prefix.dtype == np.int64
 
 
-def test_mertens_accepts_limit_argument():
-    pref = mertens_prefix(1000)
+def test_mertens_prefix_of_a_sieved_table():
+    pref = mertens_prefix(sieve_mobius(1000))
     assert pref.limit == 1000
     assert pref.m(10) == -1
 
@@ -216,7 +215,7 @@ def test_mertens_rejects_non_mobius_table(lam_100k):
 
 def test_mertens_rejects_window_table():
     with pytest.raises(ParameterError):
-        mertens_prefix(sieve_mobius_range(10, 20))
+        mertens_prefix(_sieve_range("mobius", 10, 20))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,7 @@ def test_table_roundtrip_bytes():
 
 
 def test_window_table_roundtrip_bytes():
-    table = sieve_liouville_range(500, 600)
+    table = _sieve_range("liouville", 500, 600)
     back = ArithmeticTable.from_bytes(table.to_bytes())
     assert back.kind == "liouville"
     assert back.lo == 500 and back.hi == 600
@@ -364,14 +363,14 @@ def test_from_bytes_rejects_garbage():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=80))
 def test_roundtrip_arbitrary_windows(lo, width):
-    table = sieve_mobius_range(lo, lo + width)
+    table = _sieve_range("mobius", lo, lo + width)
     back = ArithmeticTable.from_bytes(table.to_bytes())
     assert np.array_equal(back.values, table.values)
     assert (back.lo, back.hi) == (lo, lo + width)
 
 
 def test_value_at_bounds():
-    table = sieve_mobius_range(100, 110)
+    table = _sieve_range("mobius", 100, 110)
     assert table.value_at(100) == helpers.ref_mobius(100)
     with pytest.raises(ParameterError):
         table.value_at(99)

@@ -37,7 +37,7 @@ def squares_indicator(n: int) -> np.ndarray:
 
 
 def test_geometric_schedule():
-    s = FolnerSchedule.geometric(start=8, ratio=2, cap=100)
+    s = FolnerSchedule.geometric(start=8, cap=100)
     assert s.lengths == (8, 16, 32, 64)
 
 
@@ -46,8 +46,6 @@ def test_schedule_validation():
         FolnerSchedule((10, 10, 20))
     with pytest.raises(ParameterError):
         FolnerSchedule((0, 5))
-    with pytest.raises(ParameterError):
-        FolnerSchedule.geometric(start=8, ratio=1, cap=100)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +66,7 @@ def test_folner_average_squares_indicator_exact():
 
 def test_seminorm_constant_stream():
     est = besicovitch_seminorm(
-        np.full(4096, -0.5), FolnerSchedule.geometric(start=512, ratio=2, cap=4096)
+        np.full(4096, -0.5), FolnerSchedule.geometric(start=512, cap=4096)
     )
     assert est.lengths == (512, 1024, 2048, 4096)
     assert np.allclose(est.averages, 0.5, rtol=0, atol=1e-12)
@@ -77,7 +75,7 @@ def test_seminorm_constant_stream():
 
 def test_seminorm_squares_indicator_matches_formula():
     n = 1 << 14
-    schedule = FolnerSchedule.geometric(start=1024, ratio=2, cap=n)
+    schedule = FolnerSchedule.geometric(start=1024, cap=n)
     est = besicovitch_seminorm(squares_indicator(n), schedule)
     expected = [math.isqrt(nj) / nj for nj in est.lengths]
     assert np.allclose(est.averages, expected, rtol=0, atol=1e-15)
@@ -86,7 +84,7 @@ def test_seminorm_squares_indicator_matches_formula():
 
 def test_seminorm_accepts_orbit_streams():
     est = besicovitch_seminorm(
-        rotation_orbit(SQRT2M1), FolnerSchedule.geometric(start=256, ratio=2, cap=1024)
+        rotation_orbit(SQRT2M1), FolnerSchedule.geometric(start=256, cap=1024)
     )
     assert np.allclose(est.averages, 1.0, atol=1e-12)  # |e^(2 pi i x)| = 1
 
@@ -107,7 +105,7 @@ def test_distance_symmetry_and_identity():
     rng = np.random.default_rng(0)
     f = rng.normal(size=2048)
     g = rng.normal(size=2048)
-    schedule = FolnerSchedule.geometric(start=256, ratio=2, cap=2048)
+    schedule = FolnerSchedule.geometric(start=256, cap=2048)
     dfg = besicovitch_distance(f, g, schedule)
     dgf = besicovitch_distance(g, f, schedule)
     assert dfg.estimate == dgf.estimate
@@ -120,7 +118,7 @@ def test_distance_symmetry_and_identity():
 
 def test_bfree_gap_two_three():
     spec = BFreeSpec((2, 3))
-    schedule = FolnerSchedule.geometric(start=1024, ratio=2, cap=1 << 18)
+    schedule = FolnerSchedule.geometric(start=1024, cap=1 << 18)
     gap = bfree_approximation_gap(spec, 1, schedule)
     # multiples of 3 that are odd have density 1/6
     assert abs(gap.gaps[-1] - 1 / 6) < 1e-2
@@ -130,7 +128,7 @@ def test_bfree_gap_two_three():
 
 def test_bfree_gap_full_truncation_is_zero():
     spec = BFreeSpec((2, 3))
-    schedule = FolnerSchedule.geometric(start=1024, ratio=2, cap=1 << 14)
+    schedule = FolnerSchedule.geometric(start=1024, cap=1 << 14)
     gap = bfree_approximation_gap(spec, 2, schedule)
     assert np.all(gap.gaps == 0.0)
     assert gap.tail_bound == 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -252,6 +253,55 @@ def test_thread_count_does_not_change_bytes(sandbox):
     assert a == b
 
 
+# sha256 of every output but manifest.json of the default-config runs whose
+# values are exact integers or ratios (admissible with block [1, 2], its one
+# required key); a refactor must leave these bytes as they are
+PINNED_OUTPUTS = {
+    "admissible": {
+        "checks.csv": "b17fb176229e51adcca8407c56a952cc6c092074a91214040ef0c23c2d46a3f0",
+        "result.csv": "9e01322d61c0d24e921c377dd613d1879f584c62d7ecb661f2b8ceaf2f7b6730",
+    },
+    "bfree": {
+        "density.csv": "1b1c8d4352c644eae708eb96bcbe1bbf4674c29a71a01c270e72d0457f318196",
+        "gap-summary.csv": "860cb553f2a845db77ad9889e41937f30d989dacae54c7ee09f7321734fed816",
+        "gap.csv": "0d2dc113f53485280032b7ca66ca353e45855ca4949594818ceba2bd73a20f19",
+        "indicator.csv": "335ce3e85c4d28d639b4ee3dbc05ce97221a29433290e58a7522eb2cedac4efd",
+    },
+    "mertens": {
+        "mertens.csv": "57a70a7426f4bff11b52d167de38356a486888da0acba594d11e8058283b731d",
+    },
+    "partition": {
+        "steps.csv": "d1c1f0b30c0765850866b0b8cf499a78c645bc008581b24c723ccd5870fa82f7",
+        "summary.csv": "f9150350a146ced76fda7122d9c50d684e0c9aa5ff7b488e172e510f50f1dbba",
+    },
+    "second-moment": {
+        "moments.csv": "b073e6fd648b20e4333b67691db277b36332e30f2985c9ffa04b8318979b8c56",
+    },
+    "short-interval": {
+        "intervals.csv": "145409a4fdf4eec62fa7bfaf4eae44a68b148abde51b3ad74fc03ac30733fd68",
+    },
+    "sieve": {
+        "table.bin": "f878698950400abbb3b294ae9f141301898f5c033ed7bc1816341f0e20b57994",
+        "table.csv": "ab1ddfd6600b0b452cf9017395f35a4bd0bedb9f9c5a1ab07049769f407879af",
+    },
+    "veech": {
+        "above-threshold.csv": "09382229aa0b2888181d2d65243cb55962c522912759e63c0951b184c901d4ca",
+        "constants.csv": "90959594696e2db44669d5cd712ac6d8be7c78d77bad34d0d92d3979d5bf34b0",
+        "samples.csv": "0fa8d3a6140486a9d679a46b95ad9b63b2fa80f5aa8d4e2a7260513e5d9600bd",
+        "summary.csv": "01645d33b8a5b2eaf1634b6168d33c356c4a3eaab8c7c110d2c3fef27b848a87",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_exact_default_outputs_keep_their_bytes(sandbox, name):
+    result = invoke(sandbox, name, {"block": [1, 2]} if name == "admissible" else None)
+    assert result.exit_code == 0, result.output
+    outputs = Path(run_dir_of(result)).iterdir()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs if p.name != "manifest.json"}
+    assert digests == PINNED_OUTPUTS[name]
+
+
 def test_seed_changes_random_outputs(sandbox):
     config = {"grid": [64, 128], "tau": 0.5, "paths": 8}
     one = invoke(sandbox, "random-mertens", config, seed=1)
@@ -299,6 +349,15 @@ def test_cache_created_once_and_reused(sandbox):
     stamp = (cache / "mobius-50.npy").stat().st_mtime_ns
     invoke(sandbox, "mertens", {"limit": 50}, tag="config2")
     assert (cache / "mobius-50.npy").stat().st_mtime_ns == stamp
+
+
+def test_veech_mertens_rule_sieves_through_the_cache(sandbox):
+    spec = {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": 100_000}
+    result = invoke(sandbox, "veech", {"spec": spec})
+    assert result.exit_code == 0, result.output
+    manifest = json.load(open(os.path.join(run_dir_of(result), "manifest.json")))
+    assert manifest["limits"] == {"mobius": 100_000}
+    assert sorted(p.name for p in (sandbox / "cache").iterdir()) == ["mobius-100000.npy"]
 
 
 def test_cached_sieve_roundtrip(tmp_path):
@@ -536,6 +595,11 @@ MALFORMED = [
     ("covering", {"ns": [4.0]}, "ns.0"),
     ("gc-deviation", {"family": {"type": "bernoulli", "size": 2.0}}, "family.size"),
     ("veech", {"spec": {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": 100.0}},
+     "spec.mertens_limit"),
+    # a Mertens limit below 1
+    ("veech", {"spec": {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": 0}},
+     "spec.mertens_limit"),
+    ("veech", {"spec": {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": -5}},
      "spec.mertens_limit"),
     ("orbit", {"system": {"variant": "bernoulli", "seed": 1.0}}, "system.seed"),
     # unknown family types, keys of another type, a missing type

@@ -7,13 +7,13 @@ import pytest
 from ergolab.arith import mertens_prefix, sieve_mobius
 from ergolab.dynsys import (
     TableStream,
+    VeechFunction,
     VeechSpec,
     bernoulli_stream,
     rotation_orbit,
     skew_orbit,
     sturmian_word,
     to_state,
-    veech_function,
     veech_window_closure,
 )
 from ergolab.errors import ParameterError
@@ -22,6 +22,11 @@ import helpers
 
 SQRT2M1 = math.sqrt(2) - 1
 MASK = (1 << 64) - 1
+
+
+def exact(state: int) -> Fraction:
+    """The torus point whose fixed-point state is `state`."""
+    return Fraction(state, 1 << 64)
 
 
 def ks_uniform(fracs: np.ndarray) -> float:
@@ -92,7 +97,9 @@ def test_rotation_advance_group_law():
     orbit = rotation_orbit(SQRT2M1, x0=0.7)
     m, k = 137, 64
     direct = orbit.take(m + k)[m:]
-    shifted = orbit.advance(m).take(k)
+    # the orbit of T^m x, started from its exact state
+    a = orbit.alpha_state
+    shifted = rotation_orbit(exact(a), x0=exact((orbit.x_state + m * a) & MASK)).take(k)
     assert np.array_equal(direct, shifted)
 
 
@@ -146,7 +153,14 @@ def test_skew_advance_group_law():
     ]:
         orbit = skew_orbit(variant, **kwargs)
         direct = orbit.take(100)[37:]
-        assert np.array_equal(orbit.advance(37).take(63), direct)
+        # T^37 (x, y) by iterating the map on exact states
+        a = orbit.alpha_state
+        x, y = orbit.x_state, orbit.y_state
+        for _ in range(37):
+            x, y = (x + a) & MASK, (y + x) & MASK
+        alpha = exact(a) if variant == "affine" else None
+        moved = skew_orbit(variant, exact(x), exact(y), alpha)
+        assert np.array_equal(moved.take(63), direct)
 
 
 def test_skew_guard_checks_relevant_parameter():
@@ -195,7 +209,10 @@ def test_sturmian_one_frequency_close_to_alpha():
 
 def test_sturmian_advance():
     word = sturmian_word(SQRT2M1, x0=0.9)
-    assert np.array_equal(word.advance(11).take(50), word.take(61)[11:])
+    # the coding of T^11 x, started from its exact state
+    a = word.alpha_state
+    moved = sturmian_word(exact(a), x0=exact((word.x_state + 11 * a) & MASK))
+    assert np.array_equal(moved.take(50), word.take(61)[11:])
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +240,6 @@ def test_bernoulli_degenerate_bias():
         bernoulli_stream(1.5, seed=0)
 
 
-def test_bernoulli_advance():
-    s = bernoulli_stream(0.5, seed=7)
-    assert np.array_equal(s.advance(100).take(50), s.take(150)[100:])
-
-
 # ---------------------------------------------------------------------------
 # table streams
 
@@ -236,7 +248,6 @@ def test_table_stream_reads_table():
     table = sieve_mobius(100)
     stream = TableStream(table.values)
     assert np.array_equal(stream.take(10), table.values[:10])
-    assert np.array_equal(stream.advance(5).take(5), table.values[5:10])
     with pytest.raises(ParameterError):
         stream.take(101)
 
@@ -246,8 +257,8 @@ def test_table_stream_reads_table():
 
 
 def test_veech_explicit_values():
-    spec = VeechSpec.explicit(starts=(1, 3, 6, 10), signs=(1, -1, 1))
-    f = veech_function(spec)
+    spec = VeechSpec(starts=(1, 3, 6, 10), signs=(1, -1, 1))
+    f = VeechFunction(spec)
     assert f(0) == 0
     assert f(-17) == 0
     assert [f(n) for n in range(1, 10)] == [1, 1, -1, -1, -1, 1, 1, 1, 1]
@@ -258,39 +269,43 @@ def test_veech_explicit_values():
 
 def test_veech_spec_validation():
     with pytest.raises(ParameterError):
-        VeechSpec.explicit(starts=(1, 2, 3), signs=(1, -1))  # gaps not increasing
+        VeechSpec(starts=(1, 2, 3), signs=(1, -1))  # gaps not increasing
     with pytest.raises(ParameterError):
-        VeechSpec.explicit(starts=(3, 1), signs=(1,))
+        VeechSpec(starts=(3, 1), signs=(1,))
     with pytest.raises(ParameterError):
-        VeechSpec.explicit(starts=(1, 3, 6), signs=(1, 2))  # signs must be +-1
+        VeechSpec(starts=(1, 3, 6), signs=(1, 2))  # signs must be +-1
     with pytest.raises(ParameterError):
-        VeechSpec.explicit(starts=(1, 3, 6), signs=(1, -1, 1))  # length mismatch
+        VeechSpec(starts=(1, 3, 6), signs=(1, -1, 1))  # length mismatch
     with pytest.raises(ParameterError):
-        VeechSpec.explicit(starts=(0, 3, 7), signs=(1, -1))  # starts must be >= 1
+        VeechSpec(starts=(0, 3, 7), signs=(1, -1))  # starts must be >= 1
 
 
 def test_veech_triangular_generator_extends():
-    spec = VeechSpec.generated("triangular", "alternating")
-    f = veech_function(spec)
+    spec = VeechSpec(generator="triangular", sign_rule="alternating")
+    f = VeechFunction(spec)
     # triangular starts 1, 3, 6, 10, 15, ... with alternating signs from +1
     assert [f(n) for n in (1, 3, 6, 10, 15)] == [1, -1, 1, -1, 1]
     assert f(1_000_000) in (-1, 1)  # generator materializes on demand
 
 
 def test_veech_mertens_sign_rule():
-    pref = mertens_prefix(100)
-    spec = VeechSpec.generated("triangular", "mertens", mertens_limit=100)
-    f = veech_function(spec)
+    pref = mertens_prefix(sieve_mobius(100))
+    spec = VeechSpec(generator="triangular", sign_rule="mertens", mertens_limit=100)
+    f = VeechFunction(spec, pref)
     # M(1)=1, M(3)=-1, M(6)=-1, M(10)=-1: increments -2, 0, 0 -> signs -1, +1, +1
     assert (f(1), f(3), f(6)) == (-1, 1, 1)
     assert pref.m(3) - pref.m(1) == -2
+    with pytest.raises(ParameterError, match="too small for start"):
+        f(100)
+    with pytest.raises(ParameterError, match="needs a Mertens prefix"):
+        VeechFunction(spec)
 
 
 def test_veech_from_json_dict():
     # the veech runner passes its (schema-checked, default-filled) spec document as keywords
-    f = veech_function(VeechSpec(**{"starts": [1, 3, 6], "signs": [1, -1]}))
+    f = VeechFunction(VeechSpec(**{"starts": [1, 3, 6], "signs": [1, -1]}))
     assert f(2) == 1 and f(4) == -1
-    g = veech_function(
+    g = VeechFunction(
         VeechSpec(**{"generator": "triangular", "sign_rule": "plus", "mertens_limit": None})
     )
     assert g(100) == 1
@@ -299,7 +314,7 @@ def test_veech_from_json_dict():
 
 
 def test_veech_window_distance_shift_invariant():
-    f = veech_function(VeechSpec.generated("triangular", "alternating"))
+    f = VeechFunction(VeechSpec(generator="triangular", sign_rule="alternating"))
     w = 6
 
     def window(offset, center):
@@ -313,7 +328,7 @@ def test_veech_window_distance_shift_invariant():
 
 
 def test_window_closure_finds_three_constants():
-    spec = VeechSpec.generated("triangular", "alternating")
+    spec = VeechSpec(generator="triangular", sign_rule="alternating")
     scan = veech_window_closure(spec, w=8, budget=256)
     width = 2 * 8 + 1
     expected = {(1,) * width, (-1,) * width, (0,) * width}
@@ -323,14 +338,14 @@ def test_window_closure_finds_three_constants():
 
 
 def test_window_closure_all_plus_rule():
-    spec = VeechSpec.generated("triangular", "plus")
+    spec = VeechSpec(generator="triangular", sign_rule="plus")
     scan = veech_window_closure(spec, w=4, budget=128)
     width = 9
     assert set(scan.above_threshold) == {(1,) * width, (0,) * width}
 
 
 def test_window_closure_explicit_spec_limited_blocks():
-    spec = VeechSpec.explicit(starts=(1, 3, 6, 10, 15, 21, 28), signs=(1, -1, 1, -1, 1, -1))
+    spec = VeechSpec(starts=(1, 3, 6, 10, 15, 21, 28), signs=(1, -1, 1, -1, 1, -1))
     scan = veech_window_closure(spec, w=1, budget=64)
     assert scan.max_gap == 7
     assert all(len(win) == 3 for win in scan.above_threshold)

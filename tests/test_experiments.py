@@ -282,7 +282,7 @@ class TestChowlaDecay:
 
 class TestShortInterval:
     def test_tau_one_single_endpoint(self):
-        prefix = mertens_prefix(200)
+        prefix = mertens_prefix(sieve_mobius(200))
         res = short_interval_sup(prefix, 100, 1.0)
         assert res.h_min == res.h_max == 100
         assert res.argmax_h == 100
@@ -309,7 +309,7 @@ class TestShortInterval:
         assert res.sup == pytest.approx(brute, abs=1e-15)
 
     def test_prefix_too_small(self):
-        prefix = mertens_prefix(100)
+        prefix = mertens_prefix(sieve_mobius(100))
         with pytest.raises(ParameterError):
             short_interval_sup(prefix, 60, 0.5)
 
@@ -339,7 +339,7 @@ class TestIntervalSupOracle:
         n = 2 * _BLOCK_XS[-1]
         rng = np.random.default_rng(17)
         if source == "mobius":
-            prefix = mertens_prefix(n)
+            prefix = mertens_prefix(sieve_mobius(n))
         elif source == "flat":
             prefix = MertensPrefix(n, np.zeros(n + 1, dtype=np.int64))
         else:
@@ -379,10 +379,10 @@ class TestSecondMoment:
         # an empty interval has no second moment to normalize
         for h in (0, -3):
             with pytest.raises(ParameterError, match="h >= 1"):
-                interval_second_moment(mertens_prefix(100), 30, h)
+                interval_second_moment(mertens_prefix(sieve_mobius(100)), 30, h)
 
     def test_matches_brute_force(self):
-        prefix = mertens_prefix(300)
+        prefix = mertens_prefix(sieve_mobius(300))
         big_x, h = 80, 11
         res = interval_second_moment(prefix, big_x, h)
         brute = sum(
@@ -391,14 +391,14 @@ class TestSecondMoment:
         assert res.value == pytest.approx(brute, abs=1e-12)
 
     def test_range_exceeding_prefix(self):
-        prefix = mertens_prefix(100)
+        prefix = mertens_prefix(sieve_mobius(100))
         with pytest.raises(ParameterError):
             interval_second_moment(prefix, 49, 10)
 
 
 class TestPartition:
     def test_unit_steps_count_squarefree(self):
-        prefix = mertens_prefix(10)
+        prefix = mertens_prefix(sieve_mobius(10))
         res = partition_mertens_sum(prefix, range(1, 11))
         squarefree = sum(1 for n in range(2, 11) if helpers.ref_squarefree(n))
         assert res.ratio == squarefree / 10
@@ -407,29 +407,29 @@ class TestPartition:
         assert res.signs[2] == 1  # mu(4) = 0 -> +1
 
     def test_single_interval(self):
-        prefix = mertens_prefix(100)
+        prefix = mertens_prefix(sieve_mobius(100))
         res = partition_mertens_sum(prefix, (10, 100))
         assert res.ratio == abs(prefix.m(100) - prefix.m(10)) / 100
 
     def test_growing_gaps_materialize_step_function(self):
-        prefix = mertens_prefix(30)
+        prefix = mertens_prefix(sieve_mobius(30))
         res = partition_mertens_sum(prefix, (1, 4, 9, 16, 25))
         assert isinstance(res.veech, VeechSpec)
         assert res.veech.starts == (1, 4, 9, 16, 25)
         assert res.veech.signs == tuple(res.signs)
 
     def test_flat_gaps_do_not_materialize(self):
-        prefix = mertens_prefix(10)
+        prefix = mertens_prefix(sieve_mobius(10))
         res = partition_mertens_sum(prefix, range(1, 11))
         assert res.veech is None
 
     def test_non_monotone_rejected(self):
-        prefix = mertens_prefix(100)
+        prefix = mertens_prefix(sieve_mobius(100))
         with pytest.raises(ParameterError):
             partition_mertens_sum(prefix, (1, 5, 5, 10))
 
     def test_beyond_limit_rejected(self):
-        prefix = mertens_prefix(50)
+        prefix = mertens_prefix(sieve_mobius(50))
         with pytest.raises(ParameterError):
             partition_mertens_sum(prefix, (1, 10, 60))
 
