@@ -3,8 +3,8 @@
 The windows are initial segments {1, ..., N_j} with geometrically growing
 lengths.  The seminorm of a bounded sequence is estimated by the running
 window averages of |g|; since the defining limsup cannot be observed at
-finite scale, the reported estimate is the maximum over the last few
-windows (default 3).
+finite scale, the reported estimate is the maximum over the last r
+windows.
 
 Everything operates on materialized value arrays; orbit streams and
 arithmetic tables are read through their first N entries, so g(t) for
@@ -90,7 +90,7 @@ class SeminormEstimate:
         return float(self.averages[-self.r :].max())
 
 
-def besicovitch_seminorm(source, schedule: FolnerSchedule, r: int = 3) -> SeminormEstimate:
+def besicovitch_seminorm(source, schedule: FolnerSchedule, r: int) -> SeminormEstimate:
     """Finite-scale estimate of limsup (1/N) sum_{t<=N} |g(t)|."""
     if r < 1:
         raise ParameterError("r must be >= 1")
@@ -101,7 +101,7 @@ def besicovitch_seminorm(source, schedule: FolnerSchedule, r: int = 3) -> Semino
     return SeminormEstimate(schedule.lengths, averages, min(r, len(lengths)))
 
 
-def besicovitch_distance(f, g, schedule: FolnerSchedule, r: int = 3) -> SeminormEstimate:
+def besicovitch_distance(f, g, schedule: FolnerSchedule, r: int) -> SeminormEstimate:
     """Seminorm estimate of the difference sequence |f - g|."""
     n = schedule.max_length
     diff = _materialize(f, n).astype(np.complex128) - _materialize(g, n).astype(np.complex128)
@@ -150,16 +150,13 @@ class ProbeRow:
     pairs: int
 
 
-_DEFAULT_DELTAS = tuple(2.0**-j for j in range(1, 11))
-
-
 def mean_equicontinuity_probe(
     stream: OrbitStream,
-    deltas=_DEFAULT_DELTAS,
-    pairs: int = 32,
-    n: int = 1 << 14,
+    deltas,
+    pairs: int,
+    n: int,
+    r: int,
     seed: int = 0,
-    r: int = 3,
     threads: int = 1,
 ) -> list[ProbeRow]:
     """Estimate the Besicovitch distance between orbits of nearby points.

@@ -203,14 +203,14 @@ class TableStream(OrbitStream):
 # factories
 
 
-def rotation_orbit(alpha, x0=0.0, *, check: bool = True) -> RotationStream:
+def rotation_orbit(alpha, x0, *, check: bool) -> RotationStream:
     """Orbit of the rotation x -> x + alpha with observable e^(2 pi i x)."""
     a = to_state(alpha)
     if check:
         _guard_irrational(a, "alpha")
     return RotationStream(a, to_state(x0))
 
-def skew_orbit(variant: str, x0=0.0, y0=0.0, alpha=None, *, check: bool = True) -> SkewStream:
+def skew_orbit(variant: str, x0, y0, alpha=None, *, check: bool) -> SkewStream:
     """Skew-product orbit; "additive" is (x,y)->(x,x+y), "affine" adds alpha."""
     if variant not in ("additive", "affine"):
         raise ParameterError(f"unknown skew variant {variant!r}")
@@ -228,7 +228,7 @@ def skew_orbit(variant: str, x0=0.0, y0=0.0, alpha=None, *, check: bool = True) 
     return SkewStream(variant, a, x, to_state(y0))
 
 
-def sturmian_word(alpha, x0=0.0, *, check: bool = True) -> SturmianStream:
+def sturmian_word(alpha, x0, *, check: bool) -> SturmianStream:
     """Sturmian coding w_n = 1 iff x0 + n*alpha mod 1 lands in [1-alpha, 1)."""
     a = to_state(alpha)
     if check:
@@ -236,7 +236,7 @@ def sturmian_word(alpha, x0=0.0, *, check: bool = True) -> SturmianStream:
     return SturmianStream(a, to_state(x0))
 
 
-def bernoulli_stream(p: float = 0.5, seed: int = 0) -> BernoulliStream:
+def bernoulli_stream(p: float, seed: int) -> BernoulliStream:
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"bias p={p} outside [0, 1]")
     return BernoulliStream(float(p), int(seed))
@@ -256,7 +256,6 @@ class VeechSpec:
     signs: tuple[int, ...] | None = None
     generator: str | None = None
     sign_rule: str | None = None
-    mertens_limit: int | None = None
 
     def __post_init__(self):
         explicit = self.starts is not None or self.signs is not None
@@ -286,8 +285,6 @@ class VeechSpec:
                 raise ParameterError(f"unknown generator {self.generator!r}")
             if self.sign_rule not in ("alternating", "plus", "minus", "mertens"):
                 raise ParameterError(f"unknown sign rule {self.sign_rule!r}")
-            if self.sign_rule == "mertens" and not self.mertens_limit:
-                raise ParameterError("the mertens sign rule needs mertens_limit")
 
 
 class VeechFunction:
@@ -296,7 +293,7 @@ class VeechFunction:
     Generated specs materialize blocks on demand; explicit specs raise a
     ParameterError when evaluated at or beyond their last start.  The
     "mertens" sign rule reads the block increments of M from `mertens`, a
-    prefix up to the spec's mertens_limit.
+    prefix reaching the last start read (veech_last_start, for a scan).
     """
 
     def __init__(self, spec: VeechSpec, mertens: MertensPrefix | None = None):
@@ -326,12 +323,7 @@ class VeechFunction:
             return 1
         if rule == "minus":
             return -1
-        lo, hi = self._starts[index], self._starts[index + 1]
-        if hi > self._mertens.limit:
-            raise ParameterError(
-                f"mertens_limit {self._mertens.limit} too small for start {hi}"
-            )
-        inc = self._mertens.range_sum(lo, hi)
+        inc = self._mertens.range_sum(self._starts[index], self._starts[index + 1])
         return -1 if inc < 0 else 1
 
     def _extend(self, blocks: int) -> None:
@@ -348,14 +340,6 @@ class VeechFunction:
             )
         while self._starts[-1] <= n:
             self._extend(1)
-
-    def ensure_blocks(self, count: int) -> None:
-        """Materialize at least `count` sign blocks (generated specs only)."""
-        if len(self._signs) >= count:
-            return
-        if not self._growable:
-            raise ParameterError(f"explicit spec has only {len(self._signs)} blocks")
-        self._extend(count - len(self._signs))
 
     @property
     def starts(self) -> list[int]:
@@ -440,28 +424,23 @@ def _constancy_radius(center: int, runs) -> int:
     return 0
 
 
-def veech_window_closure(
-    spec: VeechSpec, w: int, budget: int = 256, mertens: MertensPrefix | None = None
-) -> WindowScan:
-    """Sample length-(2w+1) windows of f and flag the persistent constants.
+def _scan_centers(f: VeechFunction, w: int, budget: int) -> tuple[list[int], list[int]]:
+    """The sorted window centers of a scan of f and the sampled block gaps.
 
     Centers combine the midpoint of every sampled block (these sit in the
     middle third, so their constancy radius grows with the gaps), a
     geometric ladder of negative centers probing the zero tail, and a
-    uniform spread.  Windows whose best constancy radius exceeds
-    max_gap / 3 are reported in above_threshold.
+    uniform spread.  They depend on the block starts, never on the signs.
     """
     if w < 0:
         raise ParameterError("window radius must be >= 0")
     if budget < 8:
         raise ParameterError("budget must be at least 8")
-    f = VeechFunction(spec, mertens)
-
     n_neg = min(8, max(2, budget // 16))
     n_spread = budget // 4
     n_mid = max(1, budget - n_neg - n_spread)
     if f._growable:
-        f.ensure_blocks(n_mid + 1)
+        f._extend(n_mid + 1 - len(f.signs))
     n_mid = min(n_mid, len(f.signs))
 
     starts = f.starts
@@ -480,10 +459,30 @@ def veech_window_closure(
 
     if not f._growable:
         centers = {c for c in centers if c + w <= starts[-1] - 1}
+    return sorted(centers), sampled_gaps
 
-    runs = None
+
+def veech_last_start(w: int, budget: int) -> int:
+    """The last block start a scan of a generated spec reads, which is as far
+    as the "mertens" sign rule reads M.  The blocks a scan reads depend on w
+    and budget only, so a "plus" function stands in for every sign rule."""
+    f = VeechFunction(VeechSpec(generator="triangular", sign_rule="plus"))
+    centers, _ = _scan_centers(f, w, budget)
+    f._ensure_covering(centers[-1] + w)  # as reading the last window does
+    return f.starts[-1]
+
+
+def veech_window_closure(
+    spec: VeechSpec, w: int, budget: int, mertens: MertensPrefix | None = None
+) -> WindowScan:
+    """Sample length-(2w+1) windows of f around _scan_centers and flag the
+    persistent constants: windows whose best constancy radius exceeds
+    max_gap / 3 are reported in above_threshold.
+    """
+    f = VeechFunction(spec, mertens)
+    centers, sampled_gaps = _scan_centers(f, w, budget)
     samples = []
-    for center in sorted(centers):
+    for center in centers:
         window = tuple(int(v) for v in f.values_range(center - w, center + w))
         runs = f.runs()  # may have grown while reading the window
         radius = _constancy_radius(center, runs)

@@ -121,7 +121,7 @@ def _local_series(v: np.ndarray, center: float, step: float) -> list[complex]:
     return coeffs
 
 
-def davenport_sum(table: ArithmeticTable, x: int, a: float = 2.0, refine: bool = True) -> DavenportResult:
+def davenport_sum(table: ArithmeticTable, x: int, a: float, refine: bool) -> DavenportResult:
     """Maximum over theta of |S(theta)| = |sum_{k<=x} v(k) e^(ik theta)|.
 
     A zero-padded real FFT of length pad >= 4x evaluates |S| on the grid
@@ -468,7 +468,7 @@ def _random_walk(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
 
 
 def random_mertens_sim(
-    grid, tau: float, paths: int, p: float = 0.5, seed: int = 0, threads: int = 1
+    grid, tau: float, paths: int, p: float, seed: int = 0, threads: int = 1
 ) -> RandomMertensResult:
     """Walk M(n) = sum of i.i.d. +-1 with P(+1) = p; per path and per grid x,
     the exact sup over h in [ceil(x^tau), x] of |M(x+h) - M(x)| / h.  Each
@@ -520,7 +520,7 @@ class ZhanResult:
     argmax_theta: float
 
 
-def zhan_sup(table: ArithmeticTable, x: int, tau: float, thetas: int = 64) -> ZhanResult:
+def zhan_sup(table: ArithmeticTable, x: int, tau: float, thetas: int) -> ZhanResult:
     """Double sup over h and theta of |(1/h) sum_{x<n<=x+h} v(n) e^(in theta)|.
 
     h runs over the ladder ceil(x^tau), doubling, capped at x; theta over the

@@ -59,7 +59,7 @@ class RotationFamily(FunctionFamily):
     the exact reference.
     """
 
-    def __init__(self, alpha, size: int, check: bool = True):
+    def __init__(self, alpha, size: int, check: bool):
         if size < 1:
             raise ParameterError("family size must be >= 1")
         self.alpha_state = to_state(alpha)
@@ -83,7 +83,7 @@ class RotationFamily(FunctionFamily):
 class BernoulliCoordinateFamily(FunctionFamily):
     """Coordinate maps f_t(omega) = omega_t on +-1 sequences, P(+1) = p."""
 
-    def __init__(self, size: int, p: float = 0.5):
+    def __init__(self, size: int, p: float):
         if size < 1:
             raise ParameterError("family size must be >= 1")
         if not 0.0 <= p <= 1.0:
@@ -200,7 +200,7 @@ class DeviationResult:
 
 
 def empirical_sup_deviation(
-    family: FunctionFamily, n: int, reps: int = 32, seed: int = 0, threads: int = 1
+    family: FunctionFamily, n: int, reps: int, seed: int = 0, threads: int = 1
 ) -> DeviationResult:
     """Per-rep sup_t |(1/n) sum_i f_t(x_i) - E f_t| over fresh samples."""
     if n < 1 or reps < 1:
@@ -287,7 +287,7 @@ def _greedy_separated_packed(words: np.ndarray, min_differ: int) -> int:
     return count
 
 
-def covering_number(sample, eps: float, norm: str = "mean-l1") -> CoveringBounds:
+def covering_number(sample, eps: float, norm: str) -> CoveringBounds:
     """Greedy bracket [lower, upper] for the eps-covering number of the rows.
 
     The greedy visits the distinct rows in lexicographic order.  When every
@@ -330,9 +330,9 @@ def entropy_rate(
     family: FunctionFamily,
     ns,
     reps: int,
-    eps: float = 0.1,
+    eps: float,
+    norm: str,
     seed: int = 0,
-    norm: str = "mean-l1",
     threads: int = 1,
 ) -> list[EntropyPoint]:
     """e_n = (1/n) log N_upper(eps), averaged over reps, for each n in ns."""
@@ -403,7 +403,7 @@ def shattering_probability(
     n: int,
     alpha: float,
     beta: float,
-    reps: int = 64,
+    reps: int,
     seed: int = 0,
     threads: int = 1,
 ) -> ShatterProbability:

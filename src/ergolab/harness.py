@@ -46,7 +46,6 @@ from .arith import (
     sieve_mobius,
 )
 from .averaging import (
-    _DEFAULT_DELTAS,
     FolnerSchedule,
     besicovitch_distance,
     besicovitch_seminorm,
@@ -61,6 +60,7 @@ from .dynsys import (
     rotation_orbit,
     skew_orbit,
     sturmian_word,
+    veech_last_start,
     veech_window_closure,
 )
 from .errors import ParameterError
@@ -400,7 +400,7 @@ def _run_admissible(p, ctx):
 
 def _run_veech(p, ctx):
     spec = VeechSpec(**p["spec"])
-    mertens = ctx.prefix(spec.mertens_limit) if spec.sign_rule == "mertens" else None
+    mertens = ctx.prefix(veech_last_start(p["w"], p["budget"])) if spec.sign_rule == "mertens" else None
     scan = veech_window_closure(spec, p["w"], p["budget"], mertens)
     samples = scan.samples
     above = sorted(scan.above_threshold.items())
@@ -667,8 +667,7 @@ _SYSTEM = {"oneOf": [
     _object(["variant", "alpha"], variant={"const": "skew-affine"}, alpha=_NUMBER, x0=_num(0.0),
          y0=_num(0.0), check=_CHECK),
     _object(["variant", "alpha"], variant={"const": "sturmian"}, alpha=_NUMBER, x0=_num(0.0), check=_CHECK),
-    # check is accepted for every variant; a Bernoulli stream has nothing to check
-    _object(["variant"], variant={"const": "bernoulli"}, p=_BIAS, seed=_int(0, minimum=0), check=_CHECK),
+    _object(["variant"], variant={"const": "bernoulli"}, p=_BIAS, seed=_int(0, minimum=0)),
 ]}
 _INTEGERS = {"type": "array", "items": {"type": "integer"}}
 _VEECH_SPEC = {"oneOf": [
@@ -677,7 +676,6 @@ _VEECH_SPEC = {"oneOf": [
         ["generator"],
         generator={"enum": ["triangular"]},
         sign_rule={"enum": ["alternating", "plus", "minus", "mertens"], "default": "alternating"},
-        mertens_limit={"type": ["integer", "null"], "minimum": 1, "default": None},
     ),
 ]}
 
@@ -774,7 +772,7 @@ _EXPERIMENTS = [
         "orbit-distance probe: seminorm of |f(orbit of x) - f(orbit of x+delta)| over a delta grid",
         {
             "system": {**_SYSTEM, "default": _DEFAULT_SYSTEM},
-            "deltas": {"type": "array", "minItems": 1, "items": _NUMBER, "default": list(_DEFAULT_DELTAS)},
+            "deltas": {"type": "array", "minItems": 1, "items": _NUMBER, "default": [2.0**-j for j in range(1, 11)]},
             "pairs": _int(32),
             "n": _int(1 << 14),
             "r": _int(3),

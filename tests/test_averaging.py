@@ -23,6 +23,7 @@ from ergolab.errors import ParameterError
 from ergolab.harness import REGISTRY, build_system, prepare_run, run_experiment
 
 SQRT2M1 = math.sqrt(2) - 1
+PROBE_DELTAS = REGISTRY["probe-equicont"].defaults()["deltas"]
 
 
 def squares_indicator(n: int) -> np.ndarray:
@@ -66,7 +67,7 @@ def test_folner_average_squares_indicator_exact():
 
 def test_seminorm_constant_stream():
     est = besicovitch_seminorm(
-        np.full(4096, -0.5), FolnerSchedule.geometric(start=512, cap=4096)
+        np.full(4096, -0.5), FolnerSchedule.geometric(start=512, cap=4096), r=3
     )
     assert est.lengths == (512, 1024, 2048, 4096)
     assert np.allclose(est.averages, 0.5, rtol=0, atol=1e-12)
@@ -76,7 +77,7 @@ def test_seminorm_constant_stream():
 def test_seminorm_squares_indicator_matches_formula():
     n = 1 << 14
     schedule = FolnerSchedule.geometric(start=1024, cap=n)
-    est = besicovitch_seminorm(squares_indicator(n), schedule)
+    est = besicovitch_seminorm(squares_indicator(n), schedule, r=3)
     expected = [math.isqrt(nj) / nj for nj in est.lengths]
     assert np.allclose(est.averages, expected, rtol=0, atol=1e-15)
     assert est.estimate == pytest.approx(max(expected[-3:]), abs=1e-15)
@@ -84,7 +85,7 @@ def test_seminorm_squares_indicator_matches_formula():
 
 def test_seminorm_accepts_orbit_streams():
     est = besicovitch_seminorm(
-        rotation_orbit(SQRT2M1), FolnerSchedule.geometric(start=256, cap=1024)
+        rotation_orbit(SQRT2M1, x0=0.0, check=True), FolnerSchedule.geometric(start=256, cap=1024), r=3
     )
     assert np.allclose(est.averages, 1.0, atol=1e-12)  # |e^(2 pi i x)| = 1
 
@@ -92,13 +93,13 @@ def test_seminorm_accepts_orbit_streams():
 def test_seminorm_mobius_square_density():
     n = 1 << 20
     mu = sieve_mobius(n)
-    est = besicovitch_seminorm(np.abs(mu.values), FolnerSchedule.geometric(cap=n))
+    est = besicovitch_seminorm(np.abs(mu.values), FolnerSchedule.geometric(cap=n), r=3)
     assert abs(est.estimate - 6 / math.pi**2) < 1e-2
 
 
 def test_seminorm_needs_enough_data():
     with pytest.raises(ParameterError):
-        besicovitch_seminorm(np.ones(100), FolnerSchedule((128,)))
+        besicovitch_seminorm(np.ones(100), FolnerSchedule((128,)), r=3)
 
 
 def test_distance_symmetry_and_identity():
@@ -106,10 +107,10 @@ def test_distance_symmetry_and_identity():
     f = rng.normal(size=2048)
     g = rng.normal(size=2048)
     schedule = FolnerSchedule.geometric(start=256, cap=2048)
-    dfg = besicovitch_distance(f, g, schedule)
-    dgf = besicovitch_distance(g, f, schedule)
+    dfg = besicovitch_distance(f, g, schedule, r=3)
+    dgf = besicovitch_distance(g, f, schedule, r=3)
     assert dfg.estimate == dgf.estimate
-    assert besicovitch_distance(f, f, schedule).estimate == 0.0
+    assert besicovitch_distance(f, f, schedule, r=3).estimate == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +148,11 @@ def test_bfree_gap_exact_on_periodic_window():
 
 def test_probe_rotation_distance_is_exact():
     rows = mean_equicontinuity_probe(
-        rotation_orbit(SQRT2M1),
+        rotation_orbit(SQRT2M1, x0=0.0, check=True),
         deltas=(0.25, 0.125),
         pairs=8,
         n=2048,
+        r=3,
         seed=11,
     )
     for row in rows:
@@ -160,7 +162,7 @@ def test_probe_rotation_distance_is_exact():
 
 def test_probe_envelope_monotone_for_rotation():
     rows = mean_equicontinuity_probe(
-        rotation_orbit(SQRT2M1), pairs=4, n=2048, seed=3
+        rotation_orbit(SQRT2M1, x0=0.0, check=True), deltas=PROBE_DELTAS, pairs=4, n=2048, r=3, seed=3
     )
     deltas = [row.delta for row in rows]
     assert deltas == sorted(deltas)
@@ -170,7 +172,7 @@ def test_probe_envelope_monotone_for_rotation():
 
 def test_probe_bernoulli_not_equicontinuous():
     rows = mean_equicontinuity_probe(
-        bernoulli_stream(), deltas=(0.25, 2**-6, 2**-10), pairs=8, n=4096, seed=5
+        bernoulli_stream(0.5, 0), deltas=(0.25, 2**-6, 2**-10), pairs=8, n=4096, r=3, seed=5
     )
     for row in rows:
         assert row.mean_estimate > 0.5  # distance stays macroscopic
@@ -205,12 +207,12 @@ def test_shifted_pair_matches_reference_sampler(system, delta):
 
 def test_probe_needs_at_least_one_pair():
     with pytest.raises(ParameterError):
-        mean_equicontinuity_probe(bernoulli_stream(), pairs=0, n=1024)
+        mean_equicontinuity_probe(bernoulli_stream(0.5, 0), deltas=PROBE_DELTAS, pairs=0, n=1024, r=3)
 
 
 @pytest.mark.parametrize("bad", [1.5, 0.0, -0.25, math.nan])
 def test_probe_checks_every_delta_before_any_pair(bad):
-    stream = rotation_orbit(SQRT2M1)
+    stream = rotation_orbit(SQRT2M1, x0=0.0, check=True)
     drawn = []
 
     class Counting:
@@ -219,7 +221,7 @@ def test_probe_checks_every_delta_before_any_pair(bad):
             return stream.shifted_pair(*args)
 
     with pytest.raises(ParameterError, match="outside"):
-        mean_equicontinuity_probe(Counting(), deltas=(0.5, 0.25, 0.125, 2**-4, bad), pairs=2, n=1024)
+        mean_equicontinuity_probe(Counting(), deltas=(0.5, 0.25, 0.125, 2**-4, bad), pairs=2, n=1024, r=3)
     assert drawn == []
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -10,12 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 from ergolab.arith import sieve_mobius
-from ergolab.averaging import _DEFAULT_DELTAS
 from ergolab.cli import main
 from ergolab.errors import ParameterError
 from ergolab.experiments import MAX_FFT
 from ergolab.gc_stats import BernoulliCoordinateFamily, FiniteFamily, RotationFamily, SubshiftWindowFamily
-from ergolab import acceptance, harness
+from ergolab import acceptance, averaging, dynsys, experiments, gc_stats, harness
 from ergolab.harness import (
     _ROW_BLOCK,
     REGISTRY,
@@ -77,6 +77,34 @@ def test_registry_matches_cli_surface():
     }
     assert set(REGISTRY) == expected
     assert expected | {"list", "verify"} <= set(main.commands)
+
+
+# kernel parameters whose only default is the registry schema's
+SCHEMA_OWNED = [
+    (dynsys.veech_window_closure, "budget"),
+    *[(f, name) for f in (dynsys.rotation_orbit, dynsys.sturmian_word) for name in ("x0", "check")],
+    *[(dynsys.skew_orbit, name) for name in ("x0", "y0", "check")],
+    *[(dynsys.bernoulli_stream, name) for name in ("p", "seed")],
+    (averaging.besicovitch_seminorm, "r"),
+    (averaging.besicovitch_distance, "r"),
+    *[(averaging.mean_equicontinuity_probe, name) for name in ("deltas", "pairs", "n", "r")],
+    (gc_stats.empirical_sup_deviation, "reps"),
+    (gc_stats.entropy_rate, "eps"),
+    (gc_stats.entropy_rate, "norm"),
+    (gc_stats.covering_number, "norm"),
+    (gc_stats.shattering_probability, "reps"),
+    (gc_stats.BernoulliCoordinateFamily, "p"),
+    (gc_stats.RotationFamily, "check"),
+    (experiments.davenport_sum, "a"),
+    (experiments.davenport_sum, "refine"),
+    (experiments.zhan_sup, "thetas"),
+    (experiments.random_mertens_sim, "p"),
+]
+
+
+@pytest.mark.parametrize("kernel, name", SCHEMA_OWNED, ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_kernel_parameters_take_the_schema_default(kernel, name):
+    assert inspect.signature(kernel).parameters[name].default is inspect.Parameter.empty
 
 
 def test_descriptions_are_single_lines():
@@ -221,7 +249,7 @@ def test_empty_statistic_rejected(sandbox, name, config):
 
 def test_probe_defaults_pin_the_deltas():
     params, _ = prepare_run(REGISTRY["probe-equicont"], None, None)
-    assert params["deltas"] == list(_DEFAULT_DELTAS)
+    assert params["deltas"] == [2.0**-j for j in range(1, 11)]
 
 
 def test_resource_bound_exit_code(sandbox):
@@ -255,7 +283,14 @@ def test_thread_count_does_not_change_bytes(sandbox):
 
 # sha256 of every output but manifest.json of the default-config runs whose
 # values are exact integers or ratios (admissible with block [1, 2], its one
-# required key); a refactor must leave these bytes as they are
+# required key) and of veech's mertens rule at two sizes; a refactor must
+# leave these bytes as they are
+MERTENS_SPEC = {"spec": {"generator": "triangular", "sign_rule": "mertens"}}
+PINNED_CONFIGS = {
+    "admissible": ("admissible", {"block": [1, 2]}),
+    "veech mertens": ("veech", MERTENS_SPEC),
+    "veech mertens w3 b64": ("veech", {**MERTENS_SPEC, "w": 3, "budget": 64}),
+}
 PINNED_OUTPUTS = {
     "admissible": {
         "checks.csv": "b17fb176229e51adcca8407c56a952cc6c092074a91214040ef0c23c2d46a3f0",
@@ -290,12 +325,24 @@ PINNED_OUTPUTS = {
         "samples.csv": "0fa8d3a6140486a9d679a46b95ad9b63b2fa80f5aa8d4e2a7260513e5d9600bd",
         "summary.csv": "01645d33b8a5b2eaf1634b6168d33c356c4a3eaab8c7c110d2c3fef27b848a87",
     },
+    "veech mertens": {
+        "above-threshold.csv": "87ce5226e4330ebc43f6b65273166567790e8db93faa4021d1c96dba004b3291",
+        "constants.csv": "96c6bec72beb50d896463adcedbb68d32912964f049339a80301e64a5ce135dc",
+        "samples.csv": "b16de08ad352041975448d74aa80ef30a109ebad7564526fe45547d12733f68f",
+        "summary.csv": "01645d33b8a5b2eaf1634b6168d33c356c4a3eaab8c7c110d2c3fef27b848a87",
+    },
+    "veech mertens w3 b64": {
+        "above-threshold.csv": "1fbd4b1022c0eccff3c3d13cca07916d158868376351a3d4b8ca8de0e491afba",
+        "constants.csv": "6f2ca7df6b472b85f7579607208a59d6c67deb6a04d886ae97261adf5a6466e6",
+        "samples.csv": "4661f78b93dd2fecea8c3484d7132654cbadfcadb60465c6d849a29d458f370f",
+        "summary.csv": "eae7ee7eb00ec6cd722912674bb1dd1be8084b40bd73ca47fef708087ec3008d",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
 def test_exact_default_outputs_keep_their_bytes(sandbox, name):
-    result = invoke(sandbox, name, {"block": [1, 2]} if name == "admissible" else None)
+    result = invoke(sandbox, *PINNED_CONFIGS.get(name, (name, None)))
     assert result.exit_code == 0, result.output
     outputs = Path(run_dir_of(result)).iterdir()
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs if p.name != "manifest.json"}
@@ -351,13 +398,22 @@ def test_cache_created_once_and_reused(sandbox):
     assert (cache / "mobius-50.npy").stat().st_mtime_ns == stamp
 
 
-def test_veech_mertens_rule_sieves_through_the_cache(sandbox):
-    spec = {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": 100_000}
-    result = invoke(sandbox, "veech", {"spec": spec})
-    assert result.exit_code == 0, result.output
-    manifest = json.load(open(os.path.join(run_dir_of(result), "manifest.json")))
-    assert manifest["limits"] == {"mobius": 100_000}
-    assert sorted(p.name for p in (sandbox / "cache").iterdir()) == ["mobius-100000.npy"]
+def test_veech_mertens_rule_sieves_through_the_cache(sandbox, monkeypatch):
+    # the limit is the last block start the scan reads, worked out from w and budget
+    for config, limit in [(MERTENS_SPEC, 17391), ({**MERTENS_SPEC, "w": 3, "budget": 64}, 1081)]:
+        monkeypatch.setenv("ERGOLAB_CACHE_DIR", str(sandbox / f"cache-{limit}"))
+        result = invoke(sandbox, "veech", config)
+        assert result.exit_code == 0, result.output
+        manifest = json.load(open(os.path.join(run_dir_of(result), "manifest.json")))
+        assert manifest["limits"] == {"mobius": limit}
+        assert sorted(p.name for p in (sandbox / f"cache-{limit}").iterdir()) == [f"mobius-{limit}.npy"]
+
+
+def test_veech_mertens_limit_past_the_sieve_bound_exits_3_before_sieving(sandbox):
+    result = invoke(sandbox, "veech", {**MERTENS_SPEC, "budget": 100_000})
+    assert result.exit_code == 3
+    assert json.loads(result.stderr)["error"] == "resource"
+    assert not (sandbox / "cache").exists()
 
 
 def test_cached_sieve_roundtrip(tmp_path):
@@ -581,7 +637,9 @@ def test_prepare_run_fills_sub_document_defaults():
         "variant": "skew-affine", "alpha": ALPHA, "x0": 0.0, "y0": 0.0, "check": True
     }
     params, _ = prepare_run(REGISTRY["veech"], {}, None)
-    assert params["spec"] == {"generator": "triangular", "sign_rule": "alternating", "mertens_limit": None}
+    assert params["spec"] == {"generator": "triangular", "sign_rule": "alternating"}
+    params, _ = prepare_run(REGISTRY["orbit"], {"system": {"variant": "bernoulli"}}, None)
+    assert params["system"] == {"variant": "bernoulli", "p": 0.5, "seed": 0}
     params, _ = prepare_run(REGISTRY["veech"], {"spec": {"starts": [1, 3, 6], "signs": [1, -1]}}, None)
     assert params["spec"] == {"starts": [1, 3, 6], "signs": [1, -1]}
 
@@ -594,14 +652,12 @@ MALFORMED = [
     ("zhan", {"thetas": 8.0}, "thetas"),
     ("covering", {"ns": [4.0]}, "ns.0"),
     ("gc-deviation", {"family": {"type": "bernoulli", "size": 2.0}}, "family.size"),
-    ("veech", {"spec": {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": 100.0}},
-     "spec.mertens_limit"),
-    # a Mertens limit below 1
-    ("veech", {"spec": {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": 0}},
-     "spec.mertens_limit"),
-    ("veech", {"spec": {"generator": "triangular", "sign_rule": "mertens", "mertens_limit": -5}},
-     "spec.mertens_limit"),
     ("orbit", {"system": {"variant": "bernoulli", "seed": 1.0}}, "system.seed"),
+    # keys that are gone: veech works out its Mertens limit, a Bernoulli system has nothing to check
+    *[("veech", {"spec": {"generator": "triangular", "sign_rule": rule, "mertens_limit": limit}}, "mertens_limit")
+      for rule, limit in [("mertens", 100.0), ("mertens", 0), ("mertens", -5), ("mertens", 100_000),
+                          ("plus", 5), ("minus", 5), ("alternating", 5)]],
+    ("orbit", {"system": {"variant": "bernoulli", "check": True}}, "check"),
     # unknown family types, keys of another type, a missing type
     ("gc-deviation", {"family": {"type": "nope"}}, "family"),
     ("gc-deviation", {"family": {"type": "bernoulli", "alpha": 1}}, "alpha"),
@@ -630,6 +686,7 @@ def test_malformed_document_rejected_before_running(sandbox, name, config, where
     assert record["error"] == "config"
     assert where in record["message"]
     assert not (sandbox / "results").exists()
+    assert not (sandbox / "cache").exists()
 
 
 def test_manifest_records_sub_document_defaults(sandbox):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergolab.arith import mertens_prefix, sieve_mobius
+from ergolab.arith import ArithmeticTable, mertens_prefix, sieve_mobius
 from ergolab.dynsys import (
     TableStream,
     VeechFunction,
@@ -14,6 +14,7 @@ from ergolab.dynsys import (
     skew_orbit,
     sturmian_word,
     to_state,
+    veech_last_start,
     veech_window_closure,
 )
 from ergolab.errors import ParameterError
@@ -51,15 +52,15 @@ def test_to_state_exact_dyadics():
 
 def test_rational_guard():
     with pytest.raises(ParameterError):
-        rotation_orbit(0.5)
+        rotation_orbit(0.5, x0=0.0, check=True)
     with pytest.raises(ParameterError):
-        rotation_orbit(0.0)
+        rotation_orbit(0.0, x0=0.0, check=True)
     with pytest.raises(ParameterError):
-        rotation_orbit(Fraction(3, 65536))
+        rotation_orbit(Fraction(3, 65536), x0=0.0, check=True)
     # denominator above 2^16 is accepted
-    rotation_orbit(Fraction(1, 65537))
+    rotation_orbit(Fraction(1, 65537), x0=0.0, check=True)
     # guard can be switched off for test constructions
-    rotation_orbit(0.5, check=False)
+    rotation_orbit(0.5, x0=0.0, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +74,14 @@ def test_rotation_period_two_when_alpha_half():
 
 
 def test_rotation_first_value_is_observable_at_start():
-    orbit = rotation_orbit(SQRT2M1, x0=0.25)
+    orbit = rotation_orbit(SQRT2M1, x0=0.25, check=True)
     assert abs(orbit.take(1)[0] - np.exp(2j * np.pi * 0.25)) < 1e-15
 
 
 def test_rotation_states_exact():
     a = to_state(SQRT2M1)
     x0 = to_state(0.1)
-    orbit = rotation_orbit(SQRT2M1, x0=0.1)
+    orbit = rotation_orbit(SQRT2M1, x0=0.1, check=True)
     states = orbit.states(100)
     for n in range(100):
         assert int(states[n]) == (x0 + n * a) & MASK
@@ -88,23 +89,23 @@ def test_rotation_states_exact():
 
 def test_rotation_equidistribution():
     n = 1_000_000
-    orbit = rotation_orbit(SQRT2M1, x0=0.0)
+    orbit = rotation_orbit(SQRT2M1, x0=0.0, check=True)
     fracs = orbit.states(n).astype(np.float64) / 2.0**64
     assert ks_uniform(fracs) < 3 / math.sqrt(n)
 
 
 def test_rotation_advance_group_law():
-    orbit = rotation_orbit(SQRT2M1, x0=0.7)
+    orbit = rotation_orbit(SQRT2M1, x0=0.7, check=True)
     m, k = 137, 64
     direct = orbit.take(m + k)[m:]
     # the orbit of T^m x, started from its exact state
     a = orbit.alpha_state
-    shifted = rotation_orbit(exact(a), x0=exact((orbit.x_state + m * a) & MASK)).take(k)
+    shifted = rotation_orbit(exact(a), x0=exact((orbit.x_state + m * a) & MASK), check=True).take(k)
     assert np.array_equal(direct, shifted)
 
 
 def test_rotation_unit_modulus():
-    vals = rotation_orbit(SQRT2M1).take(1000)
+    vals = rotation_orbit(SQRT2M1, x0=0.0, check=True).take(1000)
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
 
 
@@ -119,7 +120,7 @@ def test_skew_additive_constant_when_x0_zero():
 
 
 def test_skew_additive_fiber_is_rotation_by_x0():
-    orbit = skew_orbit("additive", x0=SQRT2M1, y0=0.0)
+    orbit = skew_orbit("additive", x0=SQRT2M1, y0=0.0, check=True)
     x0 = to_state(SQRT2M1)
     states = orbit.fiber_states(200)
     for n in range(200):
@@ -130,7 +131,7 @@ def test_skew_affine_closed_form_matches_iteration():
     a = to_state(SQRT2M1)
     x0 = to_state(0.15)
     y0 = to_state(0.85)
-    orbit = skew_orbit("affine", x0=0.15, y0=0.85, alpha=SQRT2M1)
+    orbit = skew_orbit("affine", x0=0.15, y0=0.85, alpha=SQRT2M1, check=True)
     states = orbit.fiber_states(300)
     x, y = x0, y0
     for n in range(300):
@@ -141,15 +142,15 @@ def test_skew_affine_closed_form_matches_iteration():
 
 def test_skew_affine_fiber_equidistribution():
     n = 1_000_000
-    orbit = skew_orbit("affine", x0=0.0, y0=0.0, alpha=SQRT2M1)
+    orbit = skew_orbit("affine", x0=0.0, y0=0.0, alpha=SQRT2M1, check=True)
     fracs = orbit.fiber_states(n).astype(np.float64) / 2.0**64
     assert ks_uniform(fracs) < 3 / math.sqrt(n)
 
 
 def test_skew_advance_group_law():
     for variant, kwargs in [
-        ("additive", dict(x0=SQRT2M1, y0=0.2)),
-        ("affine", dict(x0=0.3, y0=0.1, alpha=SQRT2M1)),
+        ("additive", dict(x0=SQRT2M1, y0=0.2, check=True)),
+        ("affine", dict(x0=0.3, y0=0.1, alpha=SQRT2M1, check=True)),
     ]:
         orbit = skew_orbit(variant, **kwargs)
         direct = orbit.take(100)[37:]
@@ -159,18 +160,18 @@ def test_skew_advance_group_law():
         for _ in range(37):
             x, y = (x + a) & MASK, (y + x) & MASK
         alpha = exact(a) if variant == "affine" else None
-        moved = skew_orbit(variant, exact(x), exact(y), alpha)
+        moved = skew_orbit(variant, exact(x), exact(y), alpha, check=True)
         assert np.array_equal(moved.take(63), direct)
 
 
 def test_skew_guard_checks_relevant_parameter():
     with pytest.raises(ParameterError):
-        skew_orbit("additive", x0=0.5, y0=0.0)
+        skew_orbit("additive", x0=0.5, y0=0.0, check=True)
     with pytest.raises(ParameterError):
-        skew_orbit("affine", x0=0.5, y0=0.0, alpha=0.25)
-    skew_orbit("affine", x0=0.5, y0=0.0, alpha=SQRT2M1)  # x0 may be rational here
+        skew_orbit("affine", x0=0.5, y0=0.0, alpha=0.25, check=True)
+    skew_orbit("affine", x0=0.5, y0=0.0, alpha=SQRT2M1, check=True)  # x0 may be rational here
     with pytest.raises(ParameterError):
-        skew_orbit("diagonal", x0=0.1, y0=0.1)
+        skew_orbit("diagonal", x0=0.1, y0=0.1, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def test_skew_guard_checks_relevant_parameter():
 def test_sturmian_matches_scalar_definition():
     a = to_state(SQRT2M1)
     x0 = to_state(0.33)
-    word = sturmian_word(SQRT2M1, x0=0.33).take(500)
+    word = sturmian_word(SQRT2M1, x0=0.33, check=True).take(500)
     thresh = (1 << 64) - a
     for n in range(500):
         state = (x0 + n * a) & MASK
@@ -188,13 +189,13 @@ def test_sturmian_matches_scalar_definition():
 
 
 def test_sturmian_complexity_k_plus_one():
-    word = sturmian_word(SQRT2M1).take(100_000)
+    word = sturmian_word(SQRT2M1, x0=0.0, check=True).take(100_000)
     for k in range(1, 13):
         assert helpers.ref_subword_count(word, k) == k + 1, k
 
 
 def test_sturmian_balance():
-    word = sturmian_word(SQRT2M1).take(100_000).astype(np.int64)
+    word = sturmian_word(SQRT2M1, x0=0.0, check=True).take(100_000).astype(np.int64)
     prefix = np.concatenate([[0], np.cumsum(word)])
     for k in range(1, 1001):
         sums = prefix[k:] - prefix[:-k]
@@ -203,15 +204,15 @@ def test_sturmian_balance():
 
 def test_sturmian_one_frequency_close_to_alpha():
     n = 1_000_000
-    word = sturmian_word(SQRT2M1).take(n)
+    word = sturmian_word(SQRT2M1, x0=0.0, check=True).take(n)
     assert abs(word.mean() - SQRT2M1) <= 1e-2
 
 
 def test_sturmian_advance():
-    word = sturmian_word(SQRT2M1, x0=0.9)
+    word = sturmian_word(SQRT2M1, x0=0.9, check=True)
     # the coding of T^11 x, started from its exact state
     a = word.alpha_state
-    moved = sturmian_word(exact(a), x0=exact((word.x_state + 11 * a) & MASK))
+    moved = sturmian_word(exact(a), x0=exact((word.x_state + 11 * a) & MASK), check=True)
     assert np.array_equal(moved.take(50), word.take(61)[11:])
 
 
@@ -290,24 +291,38 @@ def test_veech_triangular_generator_extends():
 
 def test_veech_mertens_sign_rule():
     pref = mertens_prefix(sieve_mobius(100))
-    spec = VeechSpec(generator="triangular", sign_rule="mertens", mertens_limit=100)
+    spec = VeechSpec(generator="triangular", sign_rule="mertens")
     f = VeechFunction(spec, pref)
     # M(1)=1, M(3)=-1, M(6)=-1, M(10)=-1: increments -2, 0, 0 -> signs -1, +1, +1
     assert (f(1), f(3), f(6)) == (-1, 1, 1)
     assert pref.m(3) - pref.m(1) == -2
-    with pytest.raises(ParameterError, match="too small for start"):
-        f(100)
+    with pytest.raises(ParameterError, match=r"bad range \(91, 105\] for limit 100"):
+        f(100)  # the block [91, 105) ends past the prefix
     with pytest.raises(ParameterError, match="needs a Mertens prefix"):
         VeechFunction(spec)
+
+
+@pytest.mark.parametrize("w, budget", [(8, 256), (3, 64), (0, 8), (1000, 8), (20, 100), (5, 512)])
+def test_veech_last_start_is_the_prefix_a_mertens_scan_reads(w, budget):
+    # a prefix of exactly the last start gives the scan a longer one gives; one shorter fails
+    limit = veech_last_start(w, budget)
+    spec = VeechSpec(generator="triangular", sign_rule="mertens")
+    mu = sieve_mobius(100_000)
+
+    def prefix(n):
+        return mertens_prefix(ArithmeticTable("mobius", 1, n, mu.values[:n]))
+
+    exact = veech_window_closure(spec, w, budget, prefix(limit))
+    assert exact == veech_window_closure(spec, w, budget, mertens_prefix(mu))
+    with pytest.raises(ParameterError, match="bad range"):
+        veech_window_closure(spec, w, budget, prefix(limit - 1))
 
 
 def test_veech_from_json_dict():
     # the veech runner passes its (schema-checked, default-filled) spec document as keywords
     f = VeechFunction(VeechSpec(**{"starts": [1, 3, 6], "signs": [1, -1]}))
     assert f(2) == 1 and f(4) == -1
-    g = VeechFunction(
-        VeechSpec(**{"generator": "triangular", "sign_rule": "plus", "mertens_limit": None})
-    )
+    g = VeechFunction(VeechSpec(**{"generator": "triangular", "sign_rule": "plus"}))
     assert g(100) == 1
     with pytest.raises(ParameterError):
         VeechSpec(**{"starts": [1, 3, 6]})

@@ -69,13 +69,13 @@ class TestDisjointness:
     def test_bounded_by_folner_average(self):
         n = 4096
         mu = sieve_mobius(n)
-        res = disjointness_sum(mu, rotation_orbit(SQRT2M1), n)
+        res = disjointness_sum(mu, rotation_orbit(SQRT2M1, x0=0.0, check=True), n)
         assert abs(res.value) <= folner_average(np.abs(mu.values), n) + 1e-12
 
     def test_rotation_average_is_small(self):
         n = 10_000
         mu = sieve_mobius(n)
-        res = disjointness_sum(mu, rotation_orbit(SQRT2M1), n)
+        res = disjointness_sum(mu, rotation_orbit(SQRT2M1, x0=0.0, check=True), n)
         assert abs(res.value) <= 10 / math.log(n) ** 2
 
     def test_short_table_rejected(self):
@@ -96,7 +96,7 @@ class TestDisjointness:
 class TestDavenport:
     def test_theta0_is_exact_mertens_magnitude(self):
         mu = sieve_mobius(10)
-        res = davenport_sum(mu, 10, a=2.0)
+        res = davenport_sum(mu, 10, a=2.0, refine=True)
         assert res.theta0 == 1
         assert isinstance(res.theta0, int)
 
@@ -104,42 +104,42 @@ class TestDavenport:
         mu = sieve_mobius(1000)
         prefix = mertens_prefix(mu)
         for x in (100, 1000):
-            res = davenport_sum(mu, x, a=2.0)
+            res = davenport_sum(mu, x, a=2.0, refine=True)
             assert res.theta0 == abs(prefix.m(x))
 
     def test_all_ones_peaks_at_zero(self):
-        res = davenport_sum(ones_table(16), 16, a=2.0)
+        res = davenport_sum(ones_table(16), 16, a=2.0, refine=True)
         assert res.max_value == pytest.approx(16.0, rel=1e-12)
         tau = 2 * math.pi
         assert min(res.argmax_theta, tau - res.argmax_theta) < 1e-6
 
     def test_refinement_never_loses_to_grid(self):
         mu = sieve_mobius(500)
-        res = davenport_sum(mu, 500, a=2.0)
+        res = davenport_sum(mu, 500, a=2.0, refine=True)
         assert res.max_value >= res.grid_max - 1e-12
 
     def test_grid_is_dense_power_of_two(self):
         mu = sieve_mobius(100)
-        res = davenport_sum(mu, 100, a=2.0)
+        res = davenport_sum(mu, 100, a=2.0, refine=True)
         assert res.grid_size >= 4 * 100
         assert res.grid_size & (res.grid_size - 1) == 0
 
     def test_ratio_definition(self):
         mu = sieve_mobius(200)
-        res = davenport_sum(mu, 200, a=2.0)
+        res = davenport_sum(mu, 200, a=2.0, refine=True)
         assert res.ratio == pytest.approx(res.max_value / (200 / math.log(200) ** 2))
 
     def test_max_value_lower_bounds_column_sum(self):
         # the reported max is a lower bound for the true sup, which is at
         # most the l1 mass of the coefficient vector
         mu = sieve_mobius(300)
-        res = davenport_sum(mu, 300, a=2.0)
+        res = davenport_sum(mu, 300, a=2.0, refine=True)
         assert res.max_value <= np.abs(mu.values[:300].astype(np.int64)).sum() + 1e-9
 
     def test_oversized_transform_rejected(self):
         mu = sieve_mobius(10)
         with pytest.raises(ParameterError):
-            davenport_sum(mu, 1 << 24, a=2.0)
+            davenport_sum(mu, 1 << 24, a=2.0, refine=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(KIND_TABLES)), st.integers(2, 400))
@@ -147,7 +147,7 @@ class TestDavenport:
     @example("liouville", 20_000)
     def test_matches_golden_section_oracle(self, kind, x):
         ref = helpers.ref_davenport(KIND_TABLES[kind].values, x)
-        res = davenport_sum(KIND_TABLES[kind], x, a=2.0)
+        res = davenport_sum(KIND_TABLES[kind], x, a=2.0, refine=True)
         assert (res.grid_size, res.theta0, res.grid_max) == (ref["grid_size"], ref["theta0"], ref["grid_max"])
         assert res.max_value == pytest.approx(max(ref["grid_max"], ref["value_r"]), rel=1e-8)
         assert res.max_value >= res.grid_max >= res.theta0
@@ -168,7 +168,7 @@ class TestDavenport:
     def test_uncovered_x_rejected(self):
         mu = sieve_mobius(10)
         with pytest.raises(ParameterError):
-            davenport_sum(mu, 20, a=2.0)
+            davenport_sum(mu, 20, a=2.0, refine=True)
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +445,24 @@ class TestRandomMertens:
         assert np.all(res.rms == 1.0)
 
     def test_bound_curve_definition(self):
-        res = random_mertens_sim((16, 64), 0.6, paths=2, seed=1)
+        res = random_mertens_sim((16, 64), 0.6, paths=2, p=0.5, seed=1)
         expect = (math.sqrt(2) + 1) * np.array([16.0, 64.0]) ** (0.5 - 0.6)
         assert np.allclose(res.bound, expect)
 
     def test_thread_count_does_not_change_results(self):
-        one = random_mertens_sim((32, 64, 128), 0.5, paths=8, seed=42, threads=1)
-        four = random_mertens_sim((32, 64, 128), 0.5, paths=8, seed=42, threads=4)
+        one = random_mertens_sim((32, 64, 128), 0.5, paths=8, p=0.5, seed=42, threads=1)
+        four = random_mertens_sim((32, 64, 128), 0.5, paths=8, p=0.5, seed=42, threads=4)
         assert np.array_equal(one.sups, four.sups)
 
     def test_seeds_draw_independent_paths(self):
         # seeds 0-3 XOR-ed into the path index would share one multiset of 8 walks
-        sups = [np.sort(random_mertens_sim((256, 1024), 0.5, paths=8, seed=s).sups, axis=None) for s in range(4)]
+        sups = [np.sort(random_mertens_sim((256, 1024), 0.5, paths=8, p=0.5, seed=s).sups, axis=None) for s in range(4)]
         for a, b in itertools.combinations(sups, 2):
             assert not np.array_equal(a, b)
 
     def test_single_path_matches_manual_walk(self):
         seed, x, tau = 9, 64, 0.5
-        res = random_mertens_sim((x,), tau, paths=1, seed=seed)
+        res = random_mertens_sim((x,), tau, paths=1, p=0.5, seed=seed)
         rng = generator(seed, WALK, 0)
         steps = np.where(rng.random(2 * x) < 0.5, 1, -1)
         walk = np.concatenate([[0], np.cumsum(steps)])
@@ -490,12 +490,12 @@ class TestRandomMertens:
             assert res.sups[path].tolist() == expect
 
     def test_rms_is_root_mean_square(self):
-        res = random_mertens_sim((32,), 0.5, paths=16, seed=3)
+        res = random_mertens_sim((32,), 0.5, paths=16, p=0.5, seed=3)
         assert res.rms[0] == pytest.approx(math.sqrt(np.mean(res.sups[:, 0] ** 2)), abs=1e-12)
 
     def test_grid_must_increase(self):
         with pytest.raises(ParameterError):
-            random_mertens_sim((64, 32), 0.5, paths=2)
+            random_mertens_sim((64, 32), 0.5, paths=2, p=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,7 @@ class TestZhan:
 
     def test_table_must_cover_2x(self):
         with pytest.raises(ParameterError):
-            zhan_sup(sieve_mobius(150), 100, 0.5)
+            zhan_sup(sieve_mobius(150), 100, 0.5, thetas=64)
 
     @pytest.mark.parametrize("thetas", [0, MAX_FFT + 1])
     def test_theta_grid_size_bounded(self, thetas):

@@ -58,7 +58,7 @@ def test_finite_family_needs_a_rectangular_matrix(matrix):
 
 
 def test_rotation_family_deviation_decays():
-    fam = RotationFamily(SQRT2M1, size=64)
+    fam = RotationFamily(SQRT2M1, size=64, check=True)
     med = {
         n: empirical_sup_deviation(fam, n=n, reps=32, seed=5).median
         for n in (64, 256, 1024)
@@ -69,13 +69,13 @@ def test_rotation_family_deviation_decays():
 
 def test_bernoulli_family_deviation_persists():
     for n in (8, 16):
-        fam = BernoulliCoordinateFamily(size=2**n)
+        fam = BernoulliCoordinateFamily(size=2**n, p=0.5)
         res = empirical_sup_deviation(fam, n=n, reps=8, seed=2)
         assert res.deviations.min() >= 0.4
 
 
 def test_deviation_reproducible_and_thread_independent():
-    fam = BernoulliCoordinateFamily(size=64)
+    fam = BernoulliCoordinateFamily(size=64, p=0.5)
     a = empirical_sup_deviation(fam, n=8, reps=6, seed=9, threads=1)
     b = empirical_sup_deviation(fam, n=8, reps=6, seed=9, threads=3)
     assert np.array_equal(a.deviations, b.deviations)
@@ -83,7 +83,7 @@ def test_deviation_reproducible_and_thread_independent():
 
 def test_seeds_draw_independent_reps():
     # seeds 0-3 XOR-ed into the rep index would share one multiset of 8 reps
-    fam = RotationFamily(SQRT2M1, size=16)
+    fam = RotationFamily(SQRT2M1, size=16, check=True)
     devs = [np.sort(empirical_sup_deviation(fam, n=32, reps=8, seed=s).deviations) for s in range(4)]
     for a, b in itertools.combinations(devs, 2):
         assert not np.array_equal(a, b)
@@ -139,7 +139,7 @@ def test_covering_monotone_in_eps():
 
 def test_covering_l1_below_linf_on_family_samples():
     rng = np.random.default_rng(8)
-    fam = RotationFamily(SQRT2M1, size=48)
+    fam = RotationFamily(SQRT2M1, size=48, check=True)
     pts = fam.sample_points(96, rng)
     m = fam.evaluate(pts)
     for eps in (0.05, 0.1, 0.3):
@@ -229,8 +229,8 @@ def test_covering_keeps_ties_at_the_radius_inside():
 
 
 @pytest.mark.parametrize("family", [
-    RotationFamily(SQRT2M1, size=64),
-    BernoulliCoordinateFamily(size=2048),
+    RotationFamily(SQRT2M1, size=64, check=True),
+    BernoulliCoordinateFamily(size=2048, p=0.5),
     BernoulliCoordinateFamily(size=512, p=0.8),
     SubshiftWindowFamily(np.where(np.random.default_rng(2).random(4000) < 0.5, 1.0, -1.0), size=300),
     SubshiftWindowFamily(np.random.default_rng(3).integers(-1, 2, 4000), size=300),
@@ -251,28 +251,28 @@ def test_covering_matches_reference_on_family_samples(family):
 
 def test_entropy_rate_singleton_is_zero():
     fam = FiniteFamily(np.full((1, 3), 0.5))
-    rows = entropy_rate(fam, ns=(4, 8), eps=0.1, reps=4, seed=0)
+    rows = entropy_rate(fam, ns=(4, 8), eps=0.1, norm="mean-l1", reps=4, seed=0)
     assert all(r.e_mean == 0.0 and r.e_std == 0.0 for r in rows)
 
 
 def test_entropy_rate_rotation_decreases():
-    fam = RotationFamily(SQRT2M1, size=64)
-    rows = entropy_rate(fam, ns=(64, 256), eps=0.1, reps=8, seed=3)
+    fam = RotationFamily(SQRT2M1, size=64, check=True)
+    rows = entropy_rate(fam, ns=(64, 256), eps=0.1, norm="mean-l1", reps=8, seed=3)
     assert rows[0].n == 64 and rows[1].n == 256
     assert rows[0].e_mean > rows[1].e_mean
 
 
 def test_entropy_rate_bernoulli_stays_high():
-    fam = BernoulliCoordinateFamily(size=1 << 12)
-    rows = entropy_rate(fam, ns=(4, 8), eps=0.1, reps=4, seed=7)
+    fam = BernoulliCoordinateFamily(size=1 << 12, p=0.5)
+    rows = entropy_rate(fam, ns=(4, 8), eps=0.1, norm="mean-l1", reps=4, seed=7)
     for r in rows:
         assert r.e_mean >= 0.5 * math.log(2)
 
 
 def test_entropy_rate_thread_independent():
-    fam = BernoulliCoordinateFamily(size=256)
-    a = entropy_rate(fam, ns=(4, 6), eps=0.1, reps=6, seed=11, threads=1)
-    b = entropy_rate(fam, ns=(4, 6), eps=0.1, reps=6, seed=11, threads=4)
+    fam = BernoulliCoordinateFamily(size=256, p=0.5)
+    a = entropy_rate(fam, ns=(4, 6), eps=0.1, norm="mean-l1", reps=6, seed=11, threads=1)
+    b = entropy_rate(fam, ns=(4, 6), eps=0.1, norm="mean-l1", reps=6, seed=11, threads=4)
     assert [(r.n, r.e_mean, r.e_std) for r in a] == [(r.n, r.e_mean, r.e_std) for r in b]
 
 
@@ -368,7 +368,7 @@ def test_rotation_translates_realize_at_most_2n_dichotomies():
     # pattern is the set of columns below alpha.  Translates of one unimodal
     # circle function decide at most 2n distinct patterns, fewer than 2^n
     # for n >= 3, so no such sample is shattered.
-    fam = RotationFamily(SQRT2M1, size=256)
+    fam = RotationFamily(SQRT2M1, size=256, check=True)
     rng = np.random.default_rng(7)
     for n in range(3, 9):
         for _ in range(200):
@@ -382,7 +382,7 @@ def test_rotation_translates_realize_at_most_2n_dichotomies():
 
 
 def test_shattering_probability_bernoulli_high():
-    fam = BernoulliCoordinateFamily(size=256)
+    fam = BernoulliCoordinateFamily(size=256, p=0.5)
     res = shattering_probability(fam, n=4, alpha=-0.5, beta=0.5, reps=32, seed=13)
     assert res.fraction >= 0.9
     assert res.root == pytest.approx(res.fraction ** (1 / 4))
@@ -395,7 +395,7 @@ def test_shattering_probability_trivial_family_zero():
 
 
 def test_shattering_probability_reproducible():
-    fam = BernoulliCoordinateFamily(size=64)
+    fam = BernoulliCoordinateFamily(size=64, p=0.5)
     a = shattering_probability(fam, n=6, alpha=-0.5, beta=0.5, reps=16, seed=21, threads=1)
     b = shattering_probability(fam, n=6, alpha=-0.5, beta=0.5, reps=16, seed=21, threads=2)
     assert a.fraction == b.fraction
