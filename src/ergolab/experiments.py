@@ -20,12 +20,13 @@ import numpy as np
 from ._util import DRAW_CHUNK, WALK, fill_signs, generator, map_indexed
 from .arith import ArithmeticTable, MertensPrefix
 from .dynsys import OrbitStream, VeechSpec
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 
 MAX_FFT = 1 << 25  # longest transform (and theta grid) any kernel here allocates
 _GOLDEN = (math.sqrt(5) - 1) / 2
 _TAYLOR_TERMS = 32  # (pi/2)^32 / 32! < 1e-29, see _local_series
 _SUP_BLOCK = 1024  # walk indices per block bounded at once by _interval_sup
+MAX_WALK = (1 << 31) - 1  # longest random walk: its int32 values |W(k)| <= k stay exact
 
 
 def _table_head(table: ArithmeticTable, n: int) -> np.ndarray:
@@ -323,7 +324,9 @@ def _interval_sup(walk: np.ndarray, x: int, h_min: int, extrema) -> tuple[float,
     division is monotone, so that bound holds for the float ratios too.  The
     ragged ends and the block with the top bound are scanned first; then
     every block whose bound is >= the best value so far (ties included, so
-    the smallest maximizing h is found).
+    the smallest maximizing h is found).  ``walk`` is an int64 Mertens prefix
+    or an int32 random walk; a difference of two int32 walk values spans at
+    most x steps, so it is exact in int32 and each ratio is the same float.
     """
     first, bmax, bmin = extrema
     b_lo = -(-(x + h_min) // _SUP_BLOCK)
@@ -452,17 +455,18 @@ class RandomMertensResult:
 def _random_walk(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """W(0..n): W(0) = 0 and step k is +1 if the k-th uniform draw is < p, else -1.
 
-    Built one draw chunk at a time (int8 steps, then an int64 cumsum shifted
-    by the walk so far), so no 8-byte-per-step array exists besides W.
+    W is int32, exact since |W(k)| <= k <= n <= MAX_WALK.  It is built one
+    draw chunk at a time (int8 steps, then a cumsum shifted by the walk so
+    far), so no array of more than 4 bytes per step exists.
     """
-    walk = np.empty(n + 1, dtype=np.int64)
+    walk = np.empty(n + 1, dtype=np.int32)
     walk[0] = 0
     steps = np.empty(min(n, DRAW_CHUNK), dtype=np.int8)
     for start in range(0, n, DRAW_CHUNK):
         stop = min(start + DRAW_CHUNK, n)
         part = steps[: stop - start]
         fill_signs(rng, part, p)
-        np.cumsum(part, dtype=np.int64, out=walk[start + 1 : stop + 1])
+        np.cumsum(part, dtype=np.int32, out=walk[start + 1 : stop + 1])
         walk[start + 1 : stop + 1] += walk[start]
     return walk
 
@@ -473,7 +477,8 @@ def random_mertens_sim(
     """Walk M(n) = sum of i.i.d. +-1 with P(+1) = p; per path and per grid x,
     the exact sup over h in [ceil(x^tau), x] of |M(x+h) - M(x)| / h.  Each
     walk's block extrema are taken once and serve every grid x
-    (`_interval_sup`).
+    (`_interval_sup`).  Walks are int32, so 2 * max(grid) past MAX_WALK
+    raises ResourceLimitError before anything is allocated.
 
     Path i draws from _util.generator(seed, WALK, i): different seeds give
     independent paths, and results do not depend on the thread count.
@@ -487,6 +492,8 @@ def random_mertens_sim(
         raise ParameterError(f"bias p={p} outside [0, 1]")
     h_mins = [_h_floor(x, tau) for x in xs]
     n_max = 2 * xs[-1]
+    if n_max > MAX_WALK:
+        raise ResourceLimitError(f"a walk of 2 * {xs[-1]} steps exceeds the int32 bound {MAX_WALK}")
 
     def one(path: int) -> np.ndarray:
         walk = _random_walk(generator(seed, WALK, path), n_max, p)

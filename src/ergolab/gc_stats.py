@@ -363,20 +363,35 @@ def is_shattered(values, alpha: float, beta: float, *, return_witnesses: bool = 
     other row (an entry in [alpha, beta] or NaN) realizes none.  So one pass
     reads each decided row's mask; the sample is shattered iff all 2^n masks
     occur.  witnesses[G] is the first row realizing G.  n is capped at 24.
+
+    Integer and bool matrices are compared as they are (their values meet a
+    float threshold exactly); any other input is read as float64.  The masks
+    are the below-alpha bits packed little-endian into 1-, 2- or 4-byte
+    words, so no 8-byte copy of the matrix is made.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ParameterError(f"thresholds must be finite, got alpha={alpha}, beta={beta}")
     if not alpha < beta:
         raise ParameterError(f"need alpha < beta, got {alpha} >= {beta}")
-    matrix = np.asarray(values, dtype=np.float64)
+    matrix = np.asarray(values)
+    if matrix.dtype.kind not in "biu":
+        matrix = matrix.astype(np.float64, copy=False)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ParameterError("need a nonempty 2-d evaluation matrix")
     n = matrix.shape[1]
     if n > _MAX_SHATTER_POINTS:
         raise ResourceLimitError(f"{n} points exceed the shattering cap {_MAX_SHATTER_POINTS}")
     below = matrix < alpha
-    decided = np.flatnonzero((below | (matrix > beta)).all(axis=1))
-    patterns = below[decided] @ (1 << np.arange(n, dtype=np.int64))
+    outside = matrix > beta
+    outside |= below
+    decided = np.flatnonzero(outside.all(axis=1))
+    del outside  # the (T, n) masks go before np.unique sorts, so the peak stays < 3 bytes per entry
+    packed = np.packbits(below, axis=1, bitorder="little")[decided]
+    del below
+    width = 1 << (packed.shape[1] - 1).bit_length()  # bytes per word: 1, 2 or 4
+    if width > packed.shape[1]:
+        packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
+    patterns = packed.view(f"<u{width}").ravel()
     realized, first = np.unique(patterns, return_index=True)
     if len(realized) < (1 << n):
         return (False, None) if return_witnesses else False

@@ -143,8 +143,6 @@ def _int_text(column: np.ndarray) -> tuple:
 
 def _write_int_rows(fh, columns) -> None:
     """CSV rows of equal-length 1-D integer arrays, one _ROW_BLOCK at a time."""
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError("columns have different lengths")
     for start in range(0, len(columns[0]), _ROW_BLOCK):
         pieces, masks = [], []
         for i, column in enumerate(columns):
@@ -155,15 +153,25 @@ def _write_int_rows(fh, columns) -> None:
         fh.write(np.hstack(pieces)[np.hstack(masks)].tobytes())
 
 
+def _write_repr_rows(fh, columns) -> None:
+    """CSV rows of equal-length 1-D numeric arrays, one _ROW_BLOCK at a time;
+    a cell is the repr of its Python int or float, the text csv.writer gives."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        cells = [map(repr, column[start : start + _ROW_BLOCK].tolist()) for column in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def write_csv(path, header, *columns) -> None:
     """Write one CSV table from one sequence per header name.
 
     The header goes through ``csv.writer``.  When every column is a 1-D
     integer ndarray, the body is formatted by NumPy, one block of rows at a
-    time (_write_int_rows).  Otherwise a numeric ndarray column is written
-    through ``tolist()`` and every other column (bools, None, strings, NumPy
-    scalars) cell by cell through ``format_cell``, all by one
-    ``csv.writer.writerows``.  Both paths give the same bytes.  Columns must
+    time (_write_int_rows); when every column is a 1-D integer or float
+    ndarray and one is float, it is joined from the cells' reprs, one block
+    at a time (_write_repr_rows).  Otherwise a numeric ndarray column is
+    written through ``tolist()`` and every other column (bools, None,
+    strings, NumPy scalars) cell by cell through ``format_cell``, all by one
+    ``csv.writer.writerows``.  Every path gives the same bytes.  Columns must
     have equal lengths.
     """
     if len(columns) != len(header):
@@ -171,10 +179,15 @@ def write_csv(path, header, *columns) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        integer = (isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "iu" for c in columns)
-        if columns and all(integer):
-            fh.flush()
-            _write_int_rows(fh.buffer, columns)
+        numeric = (isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "iuf" for c in columns)
+        if columns and all(numeric):
+            if len({len(c) for c in columns}) > 1:
+                raise ValueError("columns have different lengths")
+            if any(c.dtype.kind == "f" for c in columns):
+                _write_repr_rows(fh, columns)
+            else:
+                fh.flush()
+                _write_int_rows(fh.buffer, columns)
         else:
             writer.writerows(zip(*(_column_cells(c) for c in columns), strict=True))
 
@@ -930,16 +943,27 @@ _Validator = validators.extend(
 )
 
 
-def _relevance(error):
-    """best_match's order, except that inside a oneOf the errors of a branch
-    whose "type" or "variant" tag the document does not carry come last:
-    they say nothing about the document."""
-    parent = error.parent
-    off = parent is not None and any(
-        e.validator == "const" and e.relative_schema_path[0] == error.relative_schema_path[0]
-        for e in parent.context
+def _other_form(error) -> bool:
+    """Whether ``error`` says that a document carries none of the required
+    keys of an untagged oneOf branch (a veech form)."""
+    return (
+        error.validator == "required"
+        and not error.path
+        and not any("const" in prop for prop in error.schema["properties"].values())
+        and not set(error.validator_value) & set(error.instance)
     )
-    return (off, *relevance(error))
+
+
+def _relevance(error):
+    """best_match's order, except inside a oneOf: the errors of a branch whose
+    "type" or "variant" tag the document does not carry come last, and before
+    them those of an untagged branch none of whose required keys it carries.
+    Such errors say little about the document."""
+    parent = error.parent
+    branch = [] if parent is None else [
+        e for e in parent.context if e.relative_schema_path[0] == error.relative_schema_path[0]
+    ]
+    return (any(e.validator == "const" for e in branch), any(map(_other_form, branch)), *relevance(error))
 
 
 def validate_config(experiment: Experiment, doc: dict) -> None:

@@ -252,6 +252,15 @@ def test_probe_defaults_pin_the_deltas():
     assert params["deltas"] == [2.0**-j for j in range(1, 11)]
 
 
+def test_unknown_veech_spec_key_is_named(sandbox):
+    # the explicit form's errors rank last, since the spec carries none of its keys
+    result = invoke(sandbox, "veech", {"spec": {"generator": "triangular", "sign_rule": "plus", "mertens_limit": 5}})
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["message"] == (
+        "invalid config: spec: Additional properties are not allowed ('mertens_limit' was unexpected)"
+    )
+
+
 def test_resource_bound_exit_code(sandbox):
     result = invoke(sandbox, "sieve", {"limit": 2**31})
     assert result.exit_code == 3
@@ -283,8 +292,9 @@ def test_thread_count_does_not_change_bytes(sandbox):
 
 # sha256 of every output but manifest.json of the default-config runs whose
 # values are exact integers or ratios (admissible with block [1, 2], its one
-# required key) and of veech's mertens rule at two sizes; a refactor must
-# leave these bytes as they are
+# required key), of veech's mertens rule at two sizes, and of the seeded
+# Monte-Carlo and orbit runs at seed 0; a refactor must leave these bytes as
+# they are
 MERTENS_SPEC = {"spec": {"generator": "triangular", "sign_rule": "mertens"}}
 PINNED_CONFIGS = {
     "admissible": ("admissible", {"block": [1, 2]}),
@@ -302,15 +312,40 @@ PINNED_OUTPUTS = {
         "gap.csv": "0d2dc113f53485280032b7ca66ca353e45855ca4949594818ceba2bd73a20f19",
         "indicator.csv": "335ce3e85c4d28d639b4ee3dbc05ce97221a29433290e58a7522eb2cedac4efd",
     },
+    "covering": {
+        "bounds.csv": "6578c2117e497c664de26d129c1132a7b61ac60f793f0f213453851bd4817346",
+        "entropy.csv": "2143db13e4aa507c4119f1b06f102e2a0911264f65c850e6087ca4affb00866d",
+    },
+    "gc-deviation": {
+        "deviations.csv": "5ac39bcb85da733593b9308be58c4c02717bf0546f785d483342f36714275145",
+        "summary.csv": "099ffb0c822b20f56fa02f4dedb1d0568ecc2a3bf2356cf4cda11983822c273b",
+    },
     "mertens": {
         "mertens.csv": "57a70a7426f4bff11b52d167de38356a486888da0acba594d11e8058283b731d",
+    },
+    "orbit": {
+        "orbit.csv": "9c9220f9784d43a6f3d57068adb55afdb1715ed0ff5740e1a486c4e2d3944133",
     },
     "partition": {
         "steps.csv": "d1c1f0b30c0765850866b0b8cf499a78c645bc008581b24c723ccd5870fa82f7",
         "summary.csv": "f9150350a146ced76fda7122d9c50d684e0c9aa5ff7b488e172e510f50f1dbba",
     },
+    "probe-equicont": {
+        "probe.csv": "e1b4146e78023e8bdaf94374cfd40d03d4c559c6d943dfe257196fbb0e3d6c9a",
+    },
+    "random-mertens": {
+        "rms.csv": "710ed00f190d26ce107b5bbda8d2e8adf10a41ca5eea5d4d4edd4ad55149e5d2",
+        "sups.csv": "25cb59771269b6259a6384e29a2078ba79bb94be0668fa12d1d507279e48f7a6",
+    },
     "second-moment": {
         "moments.csv": "b073e6fd648b20e4333b67691db277b36332e30f2985c9ffa04b8318979b8c56",
+    },
+    "shatter": {
+        "result.csv": "b2654e9612f4dd11b2d97b218959c85305965f51ecc57920545ffa016501827e",
+        "witnesses.csv": "d96b9ef16e97d863e460a3386857b3954a053a19a787758fbb46bf38d7ac6e01",
+    },
+    "shatter-prob": {
+        "result.csv": "f96b55aee7b7a08b5d7709bfe3e1535fdbe367bdab1aa724b2fccd032ea95ccd",
     },
     "short-interval": {
         "intervals.csv": "145409a4fdf4eec62fa7bfaf4eae44a68b148abde51b3ad74fc03ac30733fd68",
@@ -414,6 +449,17 @@ def test_veech_mertens_limit_past_the_sieve_bound_exits_3_before_sieving(sandbox
     assert result.exit_code == 3
     assert json.loads(result.stderr)["error"] == "resource"
     assert not (sandbox / "cache").exists()
+
+
+def test_random_walk_past_the_int32_bound_exits_3_before_drawing(sandbox, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(experiments, "_random_walk", no_walk)
+    result = invoke(sandbox, "random-mertens", {"grid": [1 << 30], "paths": 1})
+    assert result.exit_code == 3
+    assert json.loads(result.stderr)["error"] == "resource"
+    assert not list((sandbox / "results").glob("*/*.csv"))
 
 
 def test_cached_sieve_roundtrip(tmp_path):
@@ -560,6 +606,15 @@ WRITE_CSV_COLUMNS = {
         for delta in (-1, 0, 1)
     },
     "int-and-float": [np.array([1, -2, 30]), np.array([0.5, -0.0, 1e16])],
+    "float-zero-rows": [np.empty(0, dtype=np.int64), np.empty(0)],
+    **{
+        f"float-block{delta:+d}": [
+            np.arange(_ROW_BLOCK + delta, dtype=np.uint32),
+            np.resize(_FLOATS, _ROW_BLOCK + delta),
+            np.linspace(-1e-3, 1e20, _ROW_BLOCK + delta).astype(np.float32),
+        ]
+        for delta in (-1, 0, 1)
+    },
     "int-and-bool": [np.array([1, -2, 30], dtype=np.int8), np.array([True, False, True])],
 }
 
@@ -590,6 +645,16 @@ def test_write_csv_formats_only_integer_arrays_with_numpy(tmp_path, monkeypatch,
     write_csv(tmp_path / "t.csv", tuple(f"c{i}" for i in range(len(columns))), *columns)
     integer = all(isinstance(c, np.ndarray) and c.dtype.kind in "iu" for c in columns)
     assert calls == ([len(columns)] if integer else [])
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_CSV_COLUMNS))
+def test_write_csv_joins_reprs_only_for_numeric_arrays_with_a_float(tmp_path, monkeypatch, case):
+    columns = WRITE_CSV_COLUMNS[case]
+    calls = []
+    monkeypatch.setattr(harness, "_write_repr_rows", lambda fh, cols: calls.append(len(cols)))
+    write_csv(tmp_path / "t.csv", tuple(f"c{i}" for i in range(len(columns))), *columns)
+    numeric = all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns)
+    assert calls == ([len(columns)] if numeric and any(c.dtype.kind == "f" for c in columns) else [])
 
 
 def test_prepare_run_merges_defaults_and_seed():

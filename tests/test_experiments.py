@@ -1,20 +1,24 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergolab._util import WALK, generator
+from ergolab._util import DRAW_CHUNK, WALK, generator
 from ergolab.arith import ArithmeticTable, MertensPrefix, mertens_prefix, sieve_liouville, sieve_mobius
 from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
-from ergolab.errors import ParameterError
+from ergolab.errors import ParameterError, ResourceLimitError
+from ergolab import experiments
 from ergolab.experiments import (
     _SUP_BLOCK,
     MAX_FFT,
+    MAX_WALK,
     _h_floor,
+    _random_walk,
     DavenportResult,
     _fit_decay,
     average_chowla,
@@ -496,6 +500,34 @@ class TestRandomMertens:
     def test_grid_must_increase(self):
         with pytest.raises(ParameterError):
             random_mertens_sim((64, 32), 0.5, paths=2, p=0.5)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3])
+    def test_walk_is_int32_and_equals_the_int64_cumsum(self, n, p):
+        walk = _random_walk(generator(6, WALK, n), n, p)
+        steps = np.where(generator(6, WALK, n).random(n) < p, 1, -1)
+        assert walk.dtype == np.int32
+        assert np.array_equal(walk, np.concatenate([[0], np.cumsum(steps, dtype=np.int64)]))
+
+    def test_one_path_holds_four_bytes_per_step(self):
+        # NumPy reports its buffers to tracemalloc, so the peak is deterministic
+        x = 1 << 20
+        tracemalloc.start()
+        try:
+            random_mertens_sim((x,), 0.5, paths=1, p=0.5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (2 * x) + (2 << 20)
+
+    def test_walk_past_the_int32_bound_is_refused_before_drawing(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a walk was drawn")
+
+        monkeypatch.setattr(experiments, "_random_walk", no_walk)
+        for grid in [(MAX_WALK // 2 + 1,), (16, 1 << 40)]:
+            with pytest.raises(ResourceLimitError):
+                random_mertens_sim(grid, 0.5, paths=1, p=0.5)
 
 
 # ---------------------------------------------------------------------------

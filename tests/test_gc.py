@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,52 @@ def test_is_shattered_matches_definition(m):
         assert witnesses.tolist() == ref_witnesses
     else:
         assert witnesses is None
+
+
+def _sign_rows(patterns, n: int) -> np.ndarray:
+    """int8 rows, -1 on the set bits of each pattern and +1 on the others."""
+    bits = (np.asarray(patterns, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return (1 - 2 * bits).astype(np.int8)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 24])
+def test_is_shattered_on_int8_and_bool_matches_float64(n):
+    # int8 at (-0.5, 0.5): -1 below, 0 undecided, +1 above; bool at (0.25, 0.75)
+    rng = np.random.default_rng(n)
+    matrices = []
+    if n <= 17:
+        order = rng.permutation(1 << n)  # every dichotomy once, in this order, then repeats
+        rows = _sign_rows(np.concatenate([order, rng.integers(0, 1 << n, 1 << 10)]), n)
+        rows[rng.integers(len(order), len(rows), 256), rng.integers(0, n, 256)] = 0
+        # witnesses[G] is G's first row; without its all-above rows no row realizes G = 0
+        matrices += [(rows, np.argsort(order)), (rows[~(rows > 0).all(axis=1)], None)]
+    else:
+        matrices.append((rng.integers(-1, 2, size=(4096, n)).astype(np.int8), None))
+    for rows, witnesses in matrices:
+        for m, alpha, beta in [(rows, -0.5, 0.5), (rows > 0, 0.25, 0.75)]:
+            shattered, got = is_shattered(m, alpha, beta, return_witnesses=True)
+            as_float = is_shattered(m.astype(np.float64), alpha, beta, return_witnesses=True)
+            assert shattered is as_float[0] is (witnesses is not None)
+            if witnesses is None:
+                assert got is None and as_float[1] is None
+            else:
+                assert got.tolist() == as_float[1].tolist() == witnesses.tolist()
+            if witnesses is None or n <= 9:  # the reference scans rows per dichotomy
+                ref_shattered, ref_witnesses = helpers.ref_is_shattered(m, alpha, beta)
+                assert ref_shattered is shattered
+                assert ref_witnesses == (None if got is None else got.tolist())
+
+
+def test_is_shattered_int8_peak_under_three_bytes_per_entry():
+    # NumPy reports its buffers to tracemalloc, so the peak is deterministic
+    m = np.random.default_rng(3).choice(np.array([-1, 1], dtype=np.int8), size=(65536, 12))
+    tracemalloc.start()
+    try:
+        is_shattered(m, -0.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * m.size
 
 
 def test_rotation_translates_realize_at_most_2n_dichotomies():
