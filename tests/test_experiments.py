@@ -11,12 +11,10 @@ from ergolab._util import DRAW_CHUNK, WALK, generator
 from ergolab.arith import ArithmeticTable, MertensPrefix, mertens_prefix, sieve_liouville, sieve_mobius
 from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
-from ergolab.errors import ParameterError, ResourceLimitError
-from ergolab import experiments
+from ergolab.errors import ParameterError
 from ergolab.experiments import (
     _SUP_BLOCK,
     MAX_FFT,
-    MAX_WALK,
     _h_floor,
     _random_walk,
     DavenportResult,
@@ -519,15 +517,6 @@ class TestRandomMertens:
         finally:
             tracemalloc.stop()
         assert peak < 4 * (2 * x) + (2 << 20)
-
-    def test_walk_past_the_int32_bound_is_refused_before_drawing(self, monkeypatch):
-        def no_walk(*args):
-            raise AssertionError("a walk was drawn")
-
-        monkeypatch.setattr(experiments, "_random_walk", no_walk)
-        for grid in [(MAX_WALK // 2 + 1,), (16, 1 << 40)]:
-            with pytest.raises(ResourceLimitError):
-                random_mertens_sim(grid, 0.5, paths=1, p=0.5)
 
 
 # ---------------------------------------------------------------------------
