@@ -209,29 +209,36 @@ def brute_arith(n: int) -> tuple[int, int]:
 # Mertens prefix sums
 
 
-def int64_prefix(values) -> np.ndarray:
-    """Exact prefix sums [0, v0, v0 + v1, ...] of a 1-D integer or bool array.
+def prefix_sums(values, dtype=np.int64) -> np.ndarray:
+    """Prefix sums [0, v0, v0 + v1, ...] of a 1-D integer or bool array, in
+    ``dtype``; they are exact when every partial sum fits it.
 
-    The int64 result is filled one segment at a time, so besides it only
-    O(segment) scratch is allocated, never a full-length int64 copy of the
+    The result is filled one segment at a time, so besides it only
+    O(segment) scratch is allocated, never a full-length wide copy of the
     input.
     """
     values = np.asarray(values)
     if values.ndim != 1:
         raise ParameterError("need a one-dimensional value sequence")
-    prefix = np.empty(len(values) + 1, dtype=np.int64)
+    prefix = np.empty(len(values) + 1, dtype=dtype)
     prefix[0] = 0
     for lo in range(0, len(values), _SEGMENT):
         hi = min(lo + _SEGMENT, len(values))
         out = prefix[lo + 1 : hi + 1]
-        np.cumsum(values[lo:hi], dtype=np.int64, out=out)
+        np.cumsum(values[lo:hi], dtype=dtype, out=out)
         out += prefix[lo]
     return prefix
 
 
 @dataclass(frozen=True)
 class MertensPrefix:
-    """Prefix sums M(x) for 0 <= x <= limit, prefix[0] == 0, 64-bit exact."""
+    """Prefix sums M(x) for 0 <= x <= limit, prefix[0] == 0.
+
+    `mertens_prefix` builds an int32 array: |M(x)| <= x <= MAX_SIEVE_LIMIT =
+    2^31 - 1, so it is exact at half the memory of int64.  A difference
+    M(y) - M(x) is at most y - x in size and so exact in int32 too.  Every
+    kernel also accepts a caller's int64 prefix.
+    """
 
     limit: int
     prefix: np.ndarray
@@ -254,7 +261,9 @@ def mertens_prefix(table: ArithmeticTable) -> MertensPrefix:
         raise ParameterError(f"need a mobius table, got kind {table.kind!r}")
     if table.lo != 1:
         raise ParameterError("prefix sums need a table starting at n=1")
-    return MertensPrefix(table.hi, int64_prefix(table.values))
+    if table.hi > MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(f"prefix limit {table.hi} exceeds the int32 bound {MAX_SIEVE_LIMIT}")
+    return MertensPrefix(table.hi, prefix_sums(table.values, dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import PROBE, generator, map_indexed
-from .arith import _SEGMENT, BFreeSpec, bfree_indicator, int64_prefix
+from .arith import _SEGMENT, BFreeSpec, bfree_indicator, prefix_sums
 from .dynsys import OrbitStream
 from .errors import ParameterError
 
@@ -91,20 +91,31 @@ class SeminormEstimate:
 
 
 def besicovitch_seminorm(source, schedule: FolnerSchedule, r: int) -> SeminormEstimate:
-    """Finite-scale estimate of limsup (1/N) sum_{t<=N} |g(t)|."""
+    """Finite-scale estimate of limsup (1/N) sum_{t<=N} |g(t)|.
+
+    |g| is taken in float64 from real values and in complex128 from complex
+    ones, and the window sums are one running float64 sum.  Integer values
+    and their partial sums below 2^53 are exact floats.
+    """
     if r < 1:
         raise ParameterError("r must be >= 1")
-    values = np.abs(_materialize(source, schedule.max_length).astype(np.complex128))
-    prefix = np.concatenate([[0.0], np.cumsum(values.real)])
+    values = _materialize(source, schedule.max_length)
+    if values.dtype.kind == "c":
+        sums = np.abs(values.astype(np.complex128, copy=False))
+    else:
+        sums = np.abs(values, dtype=np.float64)
+    np.cumsum(sums, out=sums)
     lengths = np.asarray(schedule.lengths)
-    averages = prefix[lengths] / lengths
+    averages = sums[lengths - 1] / lengths
     return SeminormEstimate(schedule.lengths, averages, min(r, len(lengths)))
 
 
 def besicovitch_distance(f, g, schedule: FolnerSchedule, r: int) -> SeminormEstimate:
-    """Seminorm estimate of the difference sequence |f - g|."""
+    """Seminorm estimate of the difference sequence |f - g|, subtracted in
+    float64 (complex128 if either sequence is complex)."""
     n = schedule.max_length
-    diff = _materialize(f, n).astype(np.complex128) - _materialize(g, n).astype(np.complex128)
+    a, b = _materialize(f, n), _materialize(g, n)
+    diff = np.subtract(a, b, dtype=np.result_type(a, b, np.float64))
     return besicovitch_seminorm(diff, schedule, r)
 
 
@@ -129,7 +140,7 @@ def bfree_approximation_gap(spec: BFreeSpec, k: int, schedule: FolnerSchedule) -
     n = schedule.max_length
     _, mult_full = bfree_indicator(spec, n)
     _, mult_trunc = bfree_indicator(spec.truncate(k), n)
-    prefix = int64_prefix(mult_full.values != mult_trunc.values)
+    prefix = prefix_sums(mult_full.values != mult_trunc.values)
     lengths = np.asarray(schedule.lengths)
     gaps = prefix[lengths] / lengths
     tail = spec.tail_sum(k)
@@ -223,7 +234,7 @@ def upper_banach_density(indicator, window: int) -> BanachDensity:
         raise ParameterError(f"window {window} outside [1, {len(values)}]")
     if values.dtype.kind not in "biu":
         values = values.astype(np.int8)  # 0/1 floats, checked above
-    prefix = int64_prefix(values)
+    prefix = prefix_sums(values)
     # window sums one segment of offsets at a time; the first maximum wins
     starts = len(values) - window + 1
     count, offset = -1, 0

@@ -23,6 +23,7 @@ delta away; the mean-equicontinuity probe is built on it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -358,9 +359,11 @@ class VeechFunction:
         first = self._starts[0]
         if hi >= first:
             positions = np.arange(max(lo, first), hi + 1)
-            starts = np.asarray(self._starts)
-            idx = np.searchsorted(starts, positions, side="right") - 1
-            signs = np.asarray(self._signs, dtype=np.int8)
+            # only the blocks the window meets, so a read costs O(window), not O(blocks)
+            i0 = bisect.bisect_right(self._starts, positions[0]) - 1
+            i1 = bisect.bisect_right(self._starts, hi)
+            idx = np.searchsorted(self._starts[i0:i1], positions, side="right") - 1
+            signs = np.asarray(self._signs[i0:i1], dtype=np.int8)
             out[positions - lo] = signs[idx]
         return out
 
@@ -415,13 +418,15 @@ class WindowScan:
     persistent_constants: dict
 
 
-def _constancy_radius(center: int, runs) -> int:
-    for lo, hi, _ in runs:
-        if (lo is None or center >= lo) and center <= hi:
-            if lo is None:
-                return hi - center
-            return min(center - lo, hi - center)
-    return 0
+def _constancy_radius(center: int, runs, ends) -> int:
+    """Distance from center to the boundary of the run of ``runs`` holding it,
+    0 past the last run.  The runs tile (-infinity, horizon] in order, so the
+    first whose upper end ``ends[i]`` reaches center holds it."""
+    i = bisect.bisect_left(ends, center)
+    if i == len(runs):
+        return 0
+    lo, hi, _ = runs[i]
+    return hi - center if lo is None else min(center - lo, hi - center)
 
 
 def _scan_centers(f: VeechFunction, w: int, budget: int) -> tuple[list[int], list[int]]:
@@ -482,11 +487,14 @@ def veech_window_closure(
     f = VeechFunction(spec, mertens)
     centers, sampled_gaps = _scan_centers(f, w, budget)
     samples = []
+    blocks = 0
     for center in centers:
         window = tuple(int(v) for v in f.values_range(center - w, center + w))
-        runs = f.runs()  # may have grown while reading the window
-        radius = _constancy_radius(center, runs)
-        samples.append(WindowSample(center, radius, window))
+        if len(f._starts) != blocks:  # f may have grown while reading the window
+            blocks = len(f._starts)
+            runs = f.runs()
+            ends = [hi for _, hi, _ in runs]
+        samples.append(WindowSample(center, _constancy_radius(center, runs, ends), window))
 
     max_gap = max(sampled_gaps) if sampled_gaps else 1
     threshold = max_gap / 3

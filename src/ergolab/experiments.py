@@ -196,19 +196,25 @@ def davenport_sum(table: ArithmeticTable, x: int, a: float, refine: bool) -> Dav
 
 
 def _correlation_input(values, n: int) -> np.ndarray:
+    """v(1..2n) as integers, without a copy of an integer table or array."""
     if isinstance(values, ArithmeticTable):
-        return _table_head(values, 2 * n).astype(np.int64)
+        return _table_head(values, 2 * n)
     arr = np.asarray(values)
     if arr.ndim != 1 or len(arr) < 2 * n:
         raise ParameterError(f"need at least {2 * n} values, have {arr.size}")
-    return arr[: 2 * n].astype(np.int64)
+    head = arr[: 2 * n]
+    return head if head.dtype.kind in "biu" else head.astype(np.int64)
 
 
 def correlations(values, n: int, method: str = "fft") -> np.ndarray:
     """c(m) = sum_{k=1}^{n} v(k) v(k+m) for m = 1..n, as exact integers.
 
     The FFT route computes all lags at once and rounds to integers; the
-    direct route is the O(n^2) reference summation.
+    direct route is the O(n^2) reference summation.  The FFT's circular
+    correlation of v(1..2n) with v(1..n), zero-padded to length pad, reads
+    index k + m at lag m; for k < n and 1 <= m <= n that index is below
+    2n <= pad, so no term wraps and a transform of length >= 2n is exact
+    after rounding.
     """
     n = int(n)
     if n < 1:
@@ -217,13 +223,14 @@ def correlations(values, n: int, method: str = "fft") -> np.ndarray:
         raise ParameterError(f"unknown method {method!r}; use 'fft' or 'direct'")
     v = _correlation_input(values, n)
     if method == "direct":
+        v = v.astype(np.int64)
         head = v[:n]
         return np.array([head @ v[m : m + n] for m in range(1, n + 1)], dtype=np.int64)
-    pad = 1 << (3 * n - 1).bit_length()
+    pad = 1 << (2 * n - 1).bit_length()
     fa = np.fft.rfft(v, pad)
     fb = np.fft.rfft(v[:n], pad)
-    cross = np.fft.irfft(fa * np.conj(fb), pad)
-    return np.rint(cross[1 : n + 1]).astype(np.int64)
+    fa *= np.conj(fb, out=fb)
+    return np.rint(np.fft.irfft(fa, pad)[1 : n + 1]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -324,9 +331,10 @@ def _interval_sup(walk: np.ndarray, x: int, h_min: int, extrema) -> tuple[float,
     division is monotone, so that bound holds for the float ratios too.  The
     ragged ends and the block with the top bound are scanned first; then
     every block whose bound is >= the best value so far (ties included, so
-    the smallest maximizing h is found).  ``walk`` is an int64 Mertens prefix
-    or an int32 random walk; a difference of two int32 walk values spans at
-    most x steps, so it is exact in int32 and each ratio is the same float.
+    the smallest maximizing h is found).  ``walk`` is a Mertens prefix (int32,
+    or a caller's int64) or an int32 random walk; a difference of two int32
+    walk values spans at most x steps, so it is exact in int32 and each ratio
+    is the same float.
     """
     first, bmax, bmin = extrema
     b_lo = -(-(x + h_min) // _SUP_BLOCK)
@@ -394,8 +402,9 @@ def interval_second_moment(prefix: MertensPrefix, big_x: int, h: int) -> SecondM
         raise ParameterError(
             f"prefix limit {prefix.limit} below the required 2X + h = {2 * big_x + h}"
         )
-    xs = np.arange(big_x, 2 * big_x, dtype=np.int64)
-    deltas = prefix.prefix[xs + h] - prefix.prefix[xs]
+    walk = prefix.prefix
+    # |M(x+h) - M(x)| <= h, but the sum of squares can pass 2^31: square in int64
+    deltas = np.subtract(walk[big_x + h : 2 * big_x + h], walk[big_x : 2 * big_x], dtype=np.int64)
     return SecondMoment(big_x, h, float(np.dot(deltas, deltas) / big_x))
 
 

@@ -201,6 +201,37 @@ def ref_interval_sup(walk, x: int, h_min: int) -> tuple[float, int]:
     return best, argmax_h
 
 
+def ref_complex_window_averages(f, g, lengths) -> np.ndarray:
+    """Window averages of |f - g| (of |f| when g is None) the long way: each
+    sequence copied to complex128, the difference and its abs taken there,
+    and a float64 running sum with a leading 0."""
+    values = np.asarray(f).astype(np.complex128)
+    if g is not None:
+        values = values - np.asarray(g).astype(np.complex128)
+    prefix = np.concatenate([[0.0], np.cumsum(np.abs(values).real)])
+    lengths = np.asarray(lengths)
+    return prefix[lengths] / lengths
+
+
+def ref_constancy_radius(center: int, runs) -> int:
+    """Distance from center to the boundary of the first of ``runs`` (lo, hi,
+    value), lo None for -infinity, that holds it, by a linear search; 0 when
+    none does."""
+    for lo, hi, _ in runs:
+        if (lo is None or center >= lo) and center <= hi:
+            return hi - center if lo is None else min(center - lo, hi - center)
+    return 0
+
+
+def ref_veech_value(starts, signs, n: int) -> int:
+    """Sign of the last block start <= n, 0 below the first start."""
+    value = 0
+    for start, sign in zip(starts, signs):
+        if start <= n:
+            value = sign
+    return value
+
+
 def ref_subword_count(word, k: int) -> int:
     """Number of distinct length-k blocks in the sequence."""
     seen = set()

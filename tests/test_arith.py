@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab import arith
 from ergolab.arith import (
     _SEGMENT,
     _sieve_range,
@@ -14,9 +15,9 @@ from ergolab.arith import (
     admissibility_report,
     bfree_indicator,
     brute_arith,
-    int64_prefix,
     is_admissible,
     mertens_prefix,
+    prefix_sums,
     sieve_liouville,
     sieve_mobius,
 )
@@ -167,7 +168,22 @@ def test_mertens_prefix_matches_direct_summation(mu_100k):
     for x in [1, 7, 100, 4096, 99_999, 100_000]:
         assert pref.m(x) == int(values[:x].sum())
     assert pref.prefix[0] == 0
-    assert pref.prefix.dtype == np.int64
+    assert pref.prefix.dtype == np.int32
+    assert np.array_equal(pref.prefix[1:], np.cumsum(values))
+
+
+def test_mertens_prefix_is_int32_across_segments():
+    table = sieve_mobius(2 * _SEGMENT + 3)
+    pref = mertens_prefix(table)
+    assert pref.prefix.dtype == np.int32
+    assert np.array_equal(pref.prefix, np.concatenate([[0], np.cumsum(table.values, dtype=np.int64)]))
+
+
+def test_mertens_prefix_refuses_a_table_past_the_int32_bound(monkeypatch):
+    table = sieve_mobius(100)
+    monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 99)
+    with pytest.raises(ResourceLimitError, match="int32 bound 99"):
+        mertens_prefix(table)
 
 
 def test_mertens_prefix_of_a_sieved_table():
@@ -197,15 +213,15 @@ def test_int64_prefix_matches_concatenated_cumsum(dtype, length):
     else:
         v = rng.integers(-1 if dtype is np.int8 else 0, 2, size=length).astype(dtype)
     expected = np.concatenate([[0], np.cumsum(v.astype(np.int64))])
-    got = int64_prefix(v)
+    got = prefix_sums(v)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
 
 
 def test_int64_prefix_of_nothing_and_of_a_matrix():
-    assert int64_prefix(np.empty(0, dtype=np.int8)).tolist() == [0]
+    assert prefix_sums(np.empty(0, dtype=np.int8)).tolist() == [0]
     with pytest.raises(ParameterError):
-        int64_prefix(np.zeros((2, 2), dtype=np.int8))
+        prefix_sums(np.zeros((2, 2), dtype=np.int8))
 
 
 def test_mertens_rejects_non_mobius_table(lam_100k):

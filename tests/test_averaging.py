@@ -8,7 +8,7 @@ import helpers
 
 from ergolab import averaging
 from ergolab._util import map_indexed
-from ergolab.arith import _SEGMENT, BFreeSpec, sieve_mobius
+from ergolab.arith import _SEGMENT, BFreeSpec, sieve_liouville, sieve_mobius
 from ergolab.averaging import (
     FolnerSchedule,
     besicovitch_distance,
@@ -111,6 +111,25 @@ def test_distance_symmetry_and_identity():
     dgf = besicovitch_distance(g, f, schedule, r=3)
     assert dfg.estimate == dgf.estimate
     assert besicovitch_distance(f, f, schedule, r=3).estimate == 0.0
+
+
+@pytest.mark.parametrize("case", ["mu-lambda", "mu", "rotation-pair", "float-pair"])
+def test_besicovitch_equals_the_complex128_route_bit_for_bit(case):
+    n = 1 << 16
+    if case.startswith("mu"):
+        f = sieve_mobius(n).values
+        g = sieve_liouville(n).values if case == "mu-lambda" else None
+    elif case == "rotation-pair":
+        f = rotation_orbit(SQRT2M1, x0=0.0, check=True).take(n)
+        g = rotation_orbit(SQRT2M1, x0=0.3, check=True).take(n)
+    else:
+        rng = np.random.default_rng(5)
+        f, g = rng.normal(size=n), rng.normal(size=n)
+    schedule = FolnerSchedule.geometric(start=64, cap=n)
+    est = besicovitch_seminorm(f, schedule, 3) if g is None else besicovitch_distance(f, g, schedule, 3)
+    expect = helpers.ref_complex_window_averages(f, g, schedule.lengths)
+    assert est.averages.dtype == np.float64
+    assert est.averages.tobytes() == expect.tobytes()
 
 
 # ---------------------------------------------------------------------------

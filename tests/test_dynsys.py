@@ -9,6 +9,9 @@ from ergolab.dynsys import (
     TableStream,
     VeechFunction,
     VeechSpec,
+    WindowSample,
+    _constancy_radius,
+    _scan_centers,
     bernoulli_stream,
     rotation_orbit,
     skew_orbit,
@@ -364,3 +367,42 @@ def test_window_closure_explicit_spec_limited_blocks():
     scan = veech_window_closure(spec, w=1, budget=64)
     assert scan.max_gap == 7
     assert all(len(win) == 3 for win in scan.above_threshold)
+
+
+def _grown(rule: str, top: int) -> VeechFunction:
+    mertens = mertens_prefix(sieve_mobius(20_000)) if rule == "mertens" else None
+    f = VeechFunction(VeechSpec(generator="triangular", sign_rule=rule), mertens)
+    f.values_range(0, top)
+    return f
+
+
+@pytest.mark.parametrize("rule", ["alternating", "plus", "mertens"])
+def test_constancy_radius_matches_the_linear_search(rule):
+    f = _grown(rule, 15_000)
+    runs = f.runs()
+    ends = [hi for _, hi, _ in runs]
+    for center in range(-300, f.starts[-1] + 300):
+        assert _constancy_radius(center, runs, ends) == helpers.ref_constancy_radius(center, runs)
+
+
+def test_values_range_matches_the_block_lookup():
+    f = _grown("mertens", 5000)
+    starts, signs = f.starts, f.signs
+    for lo, hi in [(-10, 3), (0, 0), (1, 1), (2, 2), (5, 40), (44, 46), (990, 1300), (4990, 5000), (-5, 5000)]:
+        expect = [helpers.ref_veech_value(starts, signs, n) for n in range(lo, hi + 1)]
+        assert f.values_range(lo, hi).tolist() == expect, (lo, hi)
+
+
+@pytest.mark.parametrize("rule", ["alternating", "plus", "mertens"])
+@pytest.mark.parametrize("w, budget", [(8, 200), (3, 1000), (0, 64)])
+def test_window_closure_matches_the_per_centre_scan(rule, w, budget):
+    # runs rebuilt and searched linearly after every window, as the scan once did
+    mertens = mertens_prefix(sieve_mobius(veech_last_start(w, budget))) if rule == "mertens" else None
+    spec = VeechSpec(generator="triangular", sign_rule=rule)
+    f = VeechFunction(spec, mertens)
+    centers, _ = _scan_centers(f, w, budget)
+    expect = []
+    for center in centers:
+        window = tuple(int(v) for v in f.values_range(center - w, center + w))
+        expect.append(WindowSample(center, helpers.ref_constancy_radius(center, f.runs()), window))
+    assert veech_window_closure(spec, w, budget, mertens).samples == tuple(expect)

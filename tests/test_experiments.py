@@ -201,6 +201,17 @@ class TestCorrelations:
             correlations(table, n, method="fft"), correlations(table, n, method="direct")
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096, 4097])
+    @pytest.mark.parametrize("kind", ["mobius", "liouville", "ones"])
+    def test_fft_equals_direct_at_transform_edges(self, kind, n):
+        # 2n at, just below and just past a power of two (the length-2n
+        # transform's tightest fits); all ones gives the largest |c(m)| = n
+        values = KIND_TABLES[kind].values[: 2 * n]
+        fft = correlations(values, n)
+        assert np.array_equal(fft, correlations(values, n, method="direct"))
+        if kind == "ones":
+            assert np.all(fft == n)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
             correlations(np.ones(8), 4, method="magic")
@@ -396,6 +407,24 @@ class TestSecondMoment:
         prefix = mertens_prefix(sieve_mobius(100))
         with pytest.raises(ParameterError):
             interval_second_moment(prefix, 49, 10)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_sum_of_squares_past_int32(self, dtype):
+        # the all-ones walk at X = 10^5, h = 10^3: sum of Delta^2 = 10^11 > 2^31
+        prefix = MertensPrefix(201_000, np.arange(201_001, dtype=dtype))
+        assert interval_second_moment(prefix, 10**5, 10**3).value == 1e6
+
+
+def test_kernels_read_an_int64_prefix_as_the_int32_one():
+    p32 = mertens_prefix(sieve_mobius(10**6))
+    p64 = MertensPrefix(p32.limit, p32.prefix.astype(np.int64))
+    assert p32.prefix.dtype == np.int32
+    for x in (10**3, 10**5, 5 * 10**5):
+        assert short_interval_sup(p32, x, 0.6) == short_interval_sup(p64, x, 0.6)
+    for x, h in ((10**3, 30), (4 * 10**5, 1000)):
+        assert interval_second_moment(p32, x, h) == interval_second_moment(p64, x, h)
+    squares = [k * k for k in range(1, 1001)]
+    assert partition_mertens_sum(p32, squares) == partition_mertens_sum(p64, squares)
 
 
 class TestPartition:
