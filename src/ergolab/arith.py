@@ -4,13 +4,14 @@ This module produces exact integer tables of the Mobius function mu(n),
 the Liouville function lambda(n) = (-1)^Omega(n), B-free indicators, and
 Mertens prefix sums M(x) = sum_{n<=x} mu(n).
 
-Tables are computed by a segmented, vectorized sieve: each segment fills
-its slice of a one-byte value array from a signed 4-byte accumulator whose
-sign is the value over the primes up to sqrt(hi) and whose magnitude detects
-the single prime factor above sqrt(hi).  Memory is therefore one byte per
-table entry plus about 9 bytes of scratch per segment entry, allocated once
-per sieve; the hard limit is 2^31 - 1 entries (about 2 GiB of output), with
-desk-scale use expected at 1e8 and below.
+Tables are computed by a segmented, vectorized sieve: each segment of
+one-byte values comes from a signed 4-byte accumulator whose sign is the
+value over the primes up to sqrt(hi) and whose magnitude detects the single
+prime factor above sqrt(hi).  Memory is therefore one byte per table entry
+the caller keeps plus about 10 bytes of scratch per segment entry, allocated
+once per sieve; a caller that keeps only a head can pass every segment on
+(to a file, say) as it is finished.  The hard limit is 2^31 - 1 entries
+(about 2 GiB of output), with desk-scale use expected at 1e8 and below.
 
 All values are exact; nothing here is floating point.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,8 +120,9 @@ def _check_window(lo: int, hi: int) -> None:
         )
 
 
-def _sieve_range(kind: str, lo: int, hi: int) -> ArithmeticTable:
-    """One segmented sieve for mu or lambda on [lo, hi].
+def sieve_segments(kind: str, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The mu or lambda values on [lo, hi], one finished int8 segment of at
+    most _SEGMENT values at a time, in order.
 
     Per segment, a signed int32 accumulator starts at 1 and is multiplied by
     -p for each multiple of p (mu; multiples of p^2 are then zeroed) or for
@@ -128,20 +130,22 @@ def _sieve_range(kind: str, lo: int, hi: int) -> ArithmeticTable:
     p <= sqrt(hi).  Afterwards sign(acc) is the value over those primes and
     |acc| is the part of n they make up; it divides n, so int32 holds it for
     every n <= MAX_SIEVE_LIMIT.  Where |acc| != n, n has one prime factor
-    above sqrt(hi) and the sign flips once more.  The scratch (acc, n and a
-    mask) is allocated once and reused for every segment.
+    above sqrt(hi) and the sign flips once more.  The scratch (acc, n, a
+    mask and the yielded segment) is allocated once and reused for every
+    segment, so a consumer must copy or write out a segment before asking
+    for the next.
     """
     _check_window(lo, hi)
     primes = [int(p) for p in primes_up_to(math.isqrt(hi))]
-    values = np.empty(hi - lo + 1, dtype=np.int8)
     width = min(_SEGMENT, hi - lo + 1)
     acc_buf = np.empty(width, dtype=np.int32)
     n_buf = np.arange(lo, lo + width, dtype=np.int32)
     mask_buf = np.empty(width, dtype=bool)
+    out_buf = np.empty(width, dtype=np.int8)
     for seg_lo in range(lo, hi + 1, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
         size = seg_hi - seg_lo + 1
-        acc, n, mask = acc_buf[:size], n_buf[:size], mask_buf[:size]
+        acc, n, mask, out = acc_buf[:size], n_buf[:size], mask_buf[:size], out_buf[:size]
         if seg_lo > lo:
             n += _SEGMENT
         acc.fill(1)
@@ -156,22 +160,43 @@ def _sieve_range(kind: str, lo: int, hi: int) -> ArithmeticTable:
             while q <= seg_hi:
                 acc[-seg_lo % q :: q] *= -p
                 q *= p
-        out = values[seg_lo - lo : seg_hi - lo + 1]
         np.sign(acc, out=out)
         np.abs(acc, out=acc)
         np.not_equal(acc, n, out=mask)
         np.negative(out, where=mask, out=out)
-    return ArithmeticTable(kind, lo, hi, values)
+        yield out
 
 
-def sieve_mobius(limit: int) -> ArithmeticTable:
-    """Exact mu(n) for 1 <= n <= limit."""
-    return _sieve_range("mobius", 1, limit) if limit >= 1 else _bad_limit(limit)
+def _sieve_range(kind: str, lo: int, hi: int, keep: int | None = None, sink=None) -> ArithmeticTable:
+    """The table of the first `keep` values (all by default) of mu or lambda
+    on [lo, hi], filled from sieve_segments.  When `sink` is given, every
+    segment of the whole window is passed to sink(segment) in order, so a
+    caller can write out the full table while only `keep` values are held.
+    """
+    _check_window(lo, hi)
+    keep = hi - lo + 1 if keep is None else keep
+    if not 1 <= keep <= hi - lo + 1:
+        raise ParameterError(f"keep={keep} outside [1, {hi - lo + 1}]")
+    values = np.empty(keep, dtype=np.int8)
+    for start, segment in zip(range(0, hi - lo + 1, _SEGMENT), sieve_segments(kind, lo, hi)):
+        if sink is not None:
+            sink(segment)
+        if start < keep:
+            values[start : start + len(segment)] = segment[: keep - start]
+    return ArithmeticTable(kind, lo, lo + keep - 1, values)
 
 
-def sieve_liouville(limit: int) -> ArithmeticTable:
-    """Exact lambda(n) for 1 <= n <= limit."""
-    return _sieve_range("liouville", 1, limit) if limit >= 1 else _bad_limit(limit)
+def sieve_mobius(limit: int, keep: int | None = None, sink=None) -> ArithmeticTable:
+    """Exact mu(n) for 1 <= n <= keep (default: limit), sieved up to limit;
+    every segment of [1, limit] goes to sink(segment) when a sink is given."""
+    return _sieve_range("mobius", 1, limit, keep, sink) if limit >= 1 else _bad_limit(limit)
+
+
+def sieve_liouville(limit: int, keep: int | None = None, sink=None) -> ArithmeticTable:
+    """Exact lambda(n) for 1 <= n <= keep (default: limit), sieved up to
+    limit; every segment of [1, limit] goes to sink(segment) when a sink is
+    given."""
+    return _sieve_range("liouville", 1, limit, keep, sink) if limit >= 1 else _bad_limit(limit)
 
 
 def _bad_limit(limit: int):
@@ -315,6 +340,15 @@ class BFreeSpec:
         return float(sum(1.0 / b for b in self.members[k:]))
 
 
+def multiples_mask(members, lo: int, hi: int) -> np.ndarray:
+    """Bool mask over the integers lo + 1, ..., hi: True where a member
+    divides the integer."""
+    mask = np.zeros(hi - lo, dtype=bool)
+    for b in members:
+        mask[-(lo + 1) % b :: b] = True
+    return mask
+
+
 def bfree_indicator(
     spec: BFreeSpec, limit: int
 ) -> tuple[ArithmeticTable, ArithmeticTable]:
@@ -324,11 +358,8 @@ def bfree_indicator(
     multiple set {n : some member divides n}.
     """
     _check_window(1, limit)
-    free = np.ones(limit, dtype=np.int8)
-    for b in spec.members:
-        if b <= limit:
-            free[b - 1 :: b] = 0
-    mult = (1 - free).astype(np.int8)
+    mult = multiples_mask(spec.members, 0, limit).view(np.int8)
+    free = 1 - mult
     return (
         ArithmeticTable("bfree-indicator", 1, limit, free),
         ArithmeticTable("bfree-indicator", 1, limit, mult),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import PROBE, generator, map_indexed
-from .arith import _SEGMENT, BFreeSpec, bfree_indicator, prefix_sums
+from .arith import _SEGMENT, BFreeSpec, _check_window, multiples_mask
 from .dynsys import OrbitStream
 from .errors import ParameterError
 
@@ -137,13 +137,21 @@ class BFreeGap:
 
 
 def bfree_approximation_gap(spec: BFreeSpec, k: int, schedule: FolnerSchedule) -> BFreeGap:
+    """The gap at N is the count of n <= N that some member after the first
+    k divides and none of the first k does, over N.  The counts are taken
+    one segment of [1, max N] at a time, between consecutive lengths."""
     n = schedule.max_length
-    _, mult_full = bfree_indicator(spec, n)
-    _, mult_trunc = bfree_indicator(spec.truncate(k), n)
-    prefix = prefix_sums(mult_full.values != mult_trunc.values)
-    lengths = np.asarray(schedule.lengths)
-    gaps = prefix[lengths] / lengths
+    _check_window(1, n)
     tail = spec.tail_sum(k)
+    lengths = np.asarray(schedule.lengths)
+    counts = np.zeros(len(lengths), dtype=np.int64)
+    for lo in range(0, n, _SEGMENT):
+        hi = min(lo + _SEGMENT, n)
+        differ = multiples_mask(spec.members[k:], lo, hi)
+        differ &= ~multiples_mask(spec.members[:k], lo, hi)
+        cuts = np.clip(lengths, lo, hi) - lo  # the end of each window within this segment
+        counts += np.cumsum([np.count_nonzero(differ[a:b]) for a, b in zip([0, *cuts[:-1]], cuts)])
+    gaps = counts / lengths
     within = gaps <= tail + 2.0 / np.sqrt(lengths)
     return BFreeGap(k, schedule.lengths, gaps, tail, within)
 
@@ -225,23 +233,35 @@ class BanachDensity:
 
 
 def upper_banach_density(indicator, window: int) -> BanachDensity:
+    """The first offset s with the most ones in indicator[s : s + window].
+
+    The window sums W(s) are taken one segment of offsets at a time from a
+    running total: W(s) - W(s - 1) = v[s + window - 1] - v[s - 1].  Besides
+    the input only one int64 segment is allocated, never a full prefix.
+    """
     values = np.asarray(indicator)
     if values.ndim != 1 or len(values) == 0:
         raise ParameterError("need a nonempty one-dimensional 0/1 sequence")
-    if not np.isin(values, (0, 1)).all():
-        raise ParameterError("indicator values must be 0 or 1")
+    for lo in range(0, len(values), _SEGMENT):
+        part = values[lo : lo + _SEGMENT]
+        if not ((part == 0) | (part == 1)).all():
+            raise ParameterError("indicator values must be 0 or 1")
     if not 1 <= window <= len(values):
         raise ParameterError(f"window {window} outside [1, {len(values)}]")
-    if values.dtype.kind not in "biu":
-        values = values.astype(np.int8)  # 0/1 floats, checked above
-    prefix = prefix_sums(values)
-    # window sums one segment of offsets at a time; the first maximum wins
     starts = len(values) - window + 1
-    count, offset = -1, 0
-    for lo in range(0, starts, _SEGMENT):
+    total = int(np.count_nonzero(values[:window]))  # W(0)
+    count, offset = total, 0
+    buffer = np.empty(min(_SEGMENT, starts), dtype=np.int64)
+    for lo in range(1, starts, _SEGMENT):
         hi = min(lo + _SEGMENT, starts)
-        sums = prefix[lo + window : hi + window] - prefix[lo:hi]
-        k = int(np.argmax(sums))
+        sums = buffer[: hi - lo]
+        # 0/1 floats cast to exact integers
+        np.subtract(values[lo + window - 1 : hi + window - 1], values[lo - 1 : hi - 1],
+                    out=sums, dtype=np.int64, casting="unsafe")
+        np.cumsum(sums, out=sums)
+        sums += total
+        total = int(sums[-1])
+        k = int(np.argmax(sums))  # the first maximum wins
         if sums[k] > count:
             count, offset = int(sums[k]), lo + k
     return BanachDensity(window, count, offset)

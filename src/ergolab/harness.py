@@ -38,6 +38,7 @@ from ._util import COVERING_SAMPLE, SHATTER_SAMPLE, generator
 from .arith import (
     BFreeSpec,
     ArithmeticTable,
+    _check_window,
     admissibility_report,
     bfree_indicator,
     is_admissible,
@@ -250,33 +251,48 @@ def _cached_limits(kind: str, cache: Path) -> list:
     return [int(m[1]) for path in cache.glob(f"{kind}-*.npy") if (m := pattern.fullmatch(path.name))]
 
 
-def cached_sieve(kind: str, limit: int, cache: Path) -> ArithmeticTable:
-    """Sieve table for [1, limit], memoized on disk as ``<kind>-<limit>.npy``.
+def cached_sieve(kind: str, limit: int, cache: Path, count: int | None = None) -> ArithmeticTable:
+    """The first `count` values (all `limit` by default) of the sieve table
+    for [1, limit], memoized on disk as ``<kind>-<limit>.npy``.
 
     The exact entry is served when there is one.  Otherwise the smallest
     cached entry of the same kind with a larger limit is served as a prefix
-    slice, and no file is written.  Only when no entry covers the request is
-    it sieved and written.  The chosen entry is re-sieved and atomically
-    replaced when it is damaged: when _read_entry refuses it, or when the
-    values read fall outside the kind's range.
+    slice, and no file is written.  Only the `count` values served are read
+    and range-checked; damage past them is caught by the first call that
+    reads it.  Only when no entry covers the request is it sieved, and the
+    entry is then written one segment at a time as the sieve finishes each,
+    in np.save's format, while only the `count` values served are held.
+    The chosen entry is re-sieved and atomically replaced when it is
+    damaged: when _read_entry refuses it, or when the values read fall
+    outside the kind's range.
     """
     if kind not in ("mobius", "liouville"):
         raise ParameterError(f"unknown sieve kind {kind!r}")
     limit = int(limit)
     if limit < 1:
         raise ParameterError(f"sieve limit must be >= 1, got {limit}")
+    count = limit if count is None else int(count)
+    if not 1 <= count <= limit:
+        raise ParameterError(f"count {count} outside [1, {limit}]")
     source = min((n for n in _cached_limits(kind, cache) if n >= limit), default=limit)
     path = cache / f"{kind}-{source}.npy"
-    values = _read_entry(path, source, limit)
+    values = _read_entry(path, source, count)
     if values is not None:
         try:
-            return ArithmeticTable(kind, 1, limit, values)
+            return ArithmeticTable(kind, 1, count, values)
         except ParameterError:  # values out of range, or the file shrank since the check
             pass
-    values = (sieve_mobius if kind == "mobius" else sieve_liouville)(source).values
+    _check_window(1, source)  # before the cache dir or a temporary file exists
+    table = None
+
+    def stream(fh):
+        nonlocal table
+        np.lib.format.write_array_header_1_0(fh, {"descr": "|i1", "fortran_order": False, "shape": (source,)})
+        table = (sieve_mobius if kind == "mobius" else sieve_liouville)(source, count, fh.write)
+
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, lambda fh: np.save(fh, values))
-    return ArithmeticTable(kind, 1, limit, values[:limit].copy() if source > limit else values)
+    _atomic_write(path, stream)
+    return table
 
 
 def _atomic_write(path: Path, write: Callable) -> None:
@@ -302,8 +318,10 @@ class RunContext:
     cache: Path = field(default_factory=cache_dir_path)
     limits: dict = field(default_factory=dict)
 
-    def table(self, kind: str, limit: int) -> ArithmeticTable:
-        table = cached_sieve(kind, limit, self.cache)
+    def table(self, kind: str, limit: int, count: int | None = None) -> ArithmeticTable:
+        """The first `count` values (all by default) of the run's table for
+        [1, limit]; the ledger records `limit`."""
+        table = cached_sieve(kind, limit, self.cache, count)
         self.limits[kind] = max(self.limits.get(kind, 0), int(limit))
         return table
 
@@ -362,9 +380,8 @@ def _geometric_checkpoints(n: int) -> list:
 
 
 def _run_sieve(p, ctx):
-    table = ctx.table(p["kind"], p["limit"])
     head = min(p["head"], p["limit"])
-    head_table = ArithmeticTable(p["kind"], 1, head, table.values[:head])
+    head_table = ctx.table(p["kind"], p["limit"], head)
     return [
         CsvTable("table.csv", ("n", "value"), [np.arange(1, head + 1), head_table.values]),
         BinaryBlob("table.bin", head_table.to_bytes()),
@@ -372,10 +389,9 @@ def _run_sieve(p, ctx):
 
 
 def _run_mertens(p, ctx):
-    table = ctx.table("mobius", p["limit"])
     head = min(p["head"], p["limit"])
     # M(x) for x <= head needs mu only up to head
-    prefix = mertens_prefix(ArithmeticTable("mobius", 1, head, table.values[:head]))
+    prefix = mertens_prefix(ctx.table("mobius", p["limit"], head))
     return [CsvTable("mertens.csv", ("x", "m"), [np.arange(1, head + 1), prefix.prefix[1:]])]
 
 
@@ -572,7 +588,8 @@ def _run_second_moment(p, ctx):
     for x, h in zip(p["xs"], hs):
         if h < 1:  # checked before any sieve work
             raise ParameterError(f"h = x^exponent must be >= 1, got h = {h} at x = {x}")
-    results = [interval_second_moment(ctx.prefix(2 * x + h), x, h) for x, h in zip(p["xs"], hs)]
+    prefix = ctx.prefix(max(2 * x + h for x, h in zip(p["xs"], hs)))
+    results = [interval_second_moment(prefix, x, h) for x, h in zip(p["xs"], hs)]
     header = ("x", "h", "value", "normalized")
     return [CsvTable("moments.csv", header, _fields(results, header))]
 

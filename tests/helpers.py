@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ergolab.averaging import BanachDensity, BFreeGap
 from ergolab.dynsys import (
     SkewStream,
     bernoulli_stream,
@@ -61,6 +62,38 @@ def ref_is_bfree(n: int, members) -> bool:
 
 def ref_squarefree(n: int) -> bool:
     return ref_mobius(n) != 0
+
+
+def ref_upper_banach_density(indicator, window: int) -> BanachDensity:
+    """upper_banach_density from one full-length int64 prefix: every window
+    sum at once, the first maximum by np.argmax."""
+    values = np.asarray(indicator)
+    if values.ndim != 1 or len(values) == 0:
+        raise ParameterError("need a nonempty one-dimensional 0/1 sequence")
+    if not np.isin(values, (0, 1)).all():
+        raise ParameterError("indicator values must be 0 or 1")
+    if not 1 <= window <= len(values):
+        raise ParameterError(f"window {window} outside [1, {len(values)}]")
+    prefix = np.concatenate(([0], np.cumsum(values.astype(np.int64))))
+    sums = prefix[window:] - prefix[: len(values) - window + 1]
+    k = int(np.argmax(sums))
+    return BanachDensity(window, int(sums[k]), k)
+
+
+def ref_bfree_approximation_gap(spec, k: int, schedule) -> BFreeGap:
+    """bfree_approximation_gap from the two full multiple tables and one
+    full-length int64 prefix of the positions where they differ."""
+    n = schedule.max_length
+    mult_full, mult_trunc = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for i, b in enumerate(spec.members):
+        mult_full[b - 1 :: b] = True
+        if i < k:
+            mult_trunc[b - 1 :: b] = True
+    prefix = np.concatenate(([0], np.cumsum(mult_full != mult_trunc, dtype=np.int64)))
+    lengths = np.asarray(schedule.lengths)
+    gaps = prefix[lengths] / lengths
+    tail = spec.tail_sum(k)
+    return BFreeGap(k, schedule.lengths, gaps, tail, gaps <= tail + 2.0 / np.sqrt(lengths))
 
 
 def ref_correlation(values, m: int, n_max: int) -> int:

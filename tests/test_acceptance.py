@@ -90,9 +90,9 @@ def test_quick_suite_sieves_each_table_once(monkeypatch):
     sieved = []
 
     def counted(name, sieve):
-        def wrapper(limit):
+        def wrapper(limit, *args):
             sieved.append(name)
-            return sieve(limit)
+            return sieve(limit, *args)
 
         return wrapper
 

@@ -154,6 +154,33 @@ def test_bfree_gap_full_truncation_is_zero():
     assert gap.tail_bound == 0.0
 
 
+GAP_CASES = [
+    ((2, 3), 1, (6, 60, 600)),
+    ((2, 3), 0, (1, 16, 17, 33)),
+    ((4, 9, 25, 49), 2, (1, 15, 16, 17, 31, 32, 33, 100)),  # lengths on and beside segment edges
+    ((4, 9, 25, 49), 4, (5, 50)),
+    ((4, 9, 121), 1, (3, 100)),  # a member beyond the longest window
+    ((3,), 0, (16,)),  # one length, one whole segment
+]
+
+
+@pytest.mark.parametrize("members, k, lengths", GAP_CASES)
+def test_bfree_gap_matches_the_full_prefix_route(monkeypatch, members, k, lengths):
+    monkeypatch.setattr(averaging, "_SEGMENT", 16)
+    spec, schedule = BFreeSpec(members), FolnerSchedule(lengths)
+    gap = bfree_approximation_gap(spec, k, schedule)
+    ref = helpers.ref_bfree_approximation_gap(spec, k, schedule)
+    assert (gap.k, gap.lengths, gap.tail_bound) == (ref.k, ref.lengths, ref.tail_bound)
+    assert gap.gaps.dtype == np.float64
+    assert gap.gaps.tobytes() == ref.gaps.tobytes()
+    assert np.array_equal(gap.within, ref.within)
+
+
+def test_bfree_gap_rejects_a_bad_truncation():
+    with pytest.raises(ParameterError, match="truncation index"):
+        bfree_approximation_gap(BFreeSpec((2, 3)), 3, FolnerSchedule((6,)))
+
+
 def test_bfree_gap_exact_on_periodic_window():
     # period of {2,3} is 6; over any multiple of 6 the gap is exactly 1/6
     spec = BFreeSpec((2, 3))
@@ -308,6 +335,40 @@ def test_banach_density_first_maximum_across_segments():
     vals[_SEGMENT - 2 : _SEGMENT + 2] = 1  # straddles the first segment boundary
     d = upper_banach_density(vals, 4)
     assert (d.count, d.offset) == (4, _SEGMENT - 2)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 40])
+def test_banach_density_matches_the_full_prefix_route(monkeypatch, dtype, n):
+    monkeypatch.setattr(averaging, "_SEGMENT", 8)
+    rng = np.random.default_rng(n)
+    cases = [
+        (rng.random(n) < 0.4).astype(dtype),
+        np.resize(np.array([1, 0, 0], dtype=dtype), n),  # many tied windows
+        np.ones(n, dtype=dtype),  # every window ties
+    ]
+    for vals in cases:
+        for window in sorted({1, 2, 3, 7, 8, 9, n - 1, n} & set(range(1, n + 1))):
+            assert upper_banach_density(vals, window) == helpers.ref_upper_banach_density(vals, window)
+
+
+def test_banach_density_first_maximum_among_ties_in_later_segments(monkeypatch):
+    monkeypatch.setattr(averaging, "_SEGMENT", 8)
+    vals = np.zeros(40, dtype=np.int8)
+    vals[[6, 7, 8, 19, 20, 21, 35, 36, 37]] = 1  # three best windows; the first straddles an edge
+    for window in (2, 3, 5):
+        d = upper_banach_density(vals, window)
+        assert d == helpers.ref_upper_banach_density(vals, window)
+        assert d.offset == (6 if window < 5 else 4)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan, 2.0, -1.0])
+def test_banach_density_rejects_a_non_indicator_value_in_any_segment(monkeypatch, bad):
+    monkeypatch.setattr(averaging, "_SEGMENT", 8)
+    vals = np.zeros(30)
+    vals[21] = bad
+    with pytest.raises(ParameterError, match="0 or 1"):
+        upper_banach_density(vals, 4)
 
 
 def test_banach_density_validation():

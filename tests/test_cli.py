@@ -1,9 +1,11 @@
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,10 @@ from click.testing import CliRunner
 
 from ergolab.arith import sieve_mobius
 from ergolab.cli import main
-from ergolab.errors import ParameterError
+from ergolab.errors import ParameterError, ResourceLimitError
 from ergolab.experiments import MAX_FFT
 from ergolab.gc_stats import BernoulliCoordinateFamily, FiniteFamily, RotationFamily, SubshiftWindowFamily
-from ergolab import acceptance, averaging, dynsys, experiments, gc_stats, harness
+from ergolab import acceptance, arith, averaging, dynsys, experiments, gc_stats, harness
 from ergolab.harness import (
     _ROW_BLOCK,
     REGISTRY,
@@ -28,7 +30,7 @@ from ergolab.harness import (
     write_csv,
 )
 
-from helpers import ref_write_csv
+from helpers import ref_liouville, ref_mobius, ref_write_csv
 
 ALPHA = 0.4142135623730951
 
@@ -540,6 +542,113 @@ def test_damaged_cache_entry_through_the_cli(sandbox):
     result = invoke(sandbox, "mertens", {"limit": 300, "head": 3})
     assert result.exit_code == 0
     assert (Path(run_dir_of(result)) / "mertens.csv").read_text() == "x,m\n1,1\n2,0\n3,-1\n"
+
+
+SEG = 64  # a small _SEGMENT, so every limit below crosses segment edges
+STREAM_LIMITS = [1, SEG - 1, SEG, SEG + 1, 2 * SEG + 3]
+
+
+def _full_table(kind, limit):
+    return np.array([(ref_mobius if kind == "mobius" else ref_liouville)(n) for n in range(1, limit + 1)], np.int8)
+
+
+def _npy_bytes(values):
+    buffer = io.BytesIO()
+    np.save(buffer, values)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("limit", STREAM_LIMITS)
+@pytest.mark.parametrize("kind", ["mobius", "liouville"])
+def test_streamed_cache_entry_has_the_bytes_of_np_save(tmp_path, monkeypatch, kind, limit):
+    monkeypatch.setattr(arith, "_SEGMENT", SEG)
+    full = _full_table(kind, limit)
+    head = cached_sieve(kind, limit, tmp_path, 1)
+    assert (head.lo, head.hi) == (1, 1)
+    assert head.values.tolist() == [1]
+    assert (tmp_path / f"{kind}-{limit}.npy").read_bytes() == _npy_bytes(full)
+    assert _cache_files(tmp_path) == [f"{kind}-{limit}.npy"]
+
+
+@pytest.mark.parametrize("kind", ["mobius", "liouville"])
+def test_head_reads_are_slices_of_the_full_table(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(arith, "_SEGMENT", SEG)
+    limit = 2 * SEG + 3
+    full = _full_table(kind, limit)
+    counts = [1, SEG - 1, SEG, SEG + 1, limit]
+    for count in counts:  # a miss, then hits on the exact entry
+        cache = tmp_path / f"miss-{count}"
+        for path in ("miss", "hit"):
+            table = cached_sieve(kind, limit, cache, count)
+            assert (table.lo, table.hi, path) == (1, count, path)
+            assert np.array_equal(table.values, full[:count])
+        assert _cache_files(cache) == [f"{kind}-{limit}.npy"]
+    cache = tmp_path / f"miss-{limit}"
+    for smaller, count in [(1, 1), (SEG, 1), (SEG, SEG), (SEG + 1, SEG - 1), (limit - 1, limit - 1)]:
+        table = cached_sieve(kind, smaller, cache, count)  # a prefix slice of the larger entry
+        assert (table.lo, table.hi) == (1, count)
+        assert np.array_equal(table.values, full[:count])
+    assert _cache_files(cache) == [f"{kind}-{limit}.npy"]
+    with pytest.raises(ParameterError, match="count"):
+        cached_sieve(kind, limit, tmp_path, 0)
+    with pytest.raises(ParameterError, match="count"):
+        cached_sieve(kind, limit, tmp_path, limit + 1)
+
+
+def test_head_read_range_checks_only_the_values_it_serves(tmp_path):
+    values = sieve_mobius(500).values.copy()
+    values[400] = 5  # out of range, past the head a run reads
+    np.save(tmp_path / "mobius-500.npy", values)
+    assert np.array_equal(cached_sieve("mobius", 500, tmp_path, 300).values, values[:300])
+    assert np.array_equal(cached_sieve("mobius", 500, tmp_path).values, sieve_mobius(500).values)
+    assert np.array_equal(np.load(tmp_path / "mobius-500.npy"), sieve_mobius(500).values)
+
+
+def test_exception_mid_stream_leaves_no_entry(tmp_path, monkeypatch):
+    monkeypatch.setattr(arith, "_SEGMENT", SEG)
+    written = []
+
+    def failing(limit, keep, sink):
+        def one_segment(segment):
+            if written:
+                raise RuntimeError("disk full")
+            written.append(len(segment))
+            sink(segment)
+
+        return arith.sieve_mobius(limit, keep, one_segment)
+
+    monkeypatch.setattr(harness, "sieve_mobius", failing)
+    with pytest.raises(RuntimeError, match="disk full"):
+        cached_sieve("mobius", 2 * SEG + 3, tmp_path / "cache", 5)
+    assert written == [SEG]
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_miss_past_the_sieve_bound_creates_no_cache_dir(tmp_path):
+    with pytest.raises(ResourceLimitError):
+        cached_sieve("mobius", arith.MAX_SIEVE_LIMIT + 1, tmp_path / "cache", 10)
+    assert not (tmp_path / "cache").exists()
+
+
+def test_miss_keeping_a_head_holds_o_segment_memory(tmp_path):
+    # 2**25 entries are 32 MiB; the segmented write must hold well under half of that
+    tracemalloc.start()
+    try:
+        table = cached_sieve("mobius", 1 << 25, tmp_path, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.values.tolist() == [ref_mobius(n) for n in range(1, 11)]
+    assert peak < 16 << 20
+    assert (tmp_path / f"mobius-{1 << 25}.npy").stat().st_size == (1 << 25) + 128
+
+
+def test_second_moment_writes_only_its_largest_table(sandbox):
+    result = invoke(sandbox, "second-moment", {"xs": [100, 1000], "h": 4})
+    assert result.exit_code == 0, result.output
+    manifest = json.load(open(os.path.join(run_dir_of(result), "manifest.json")))
+    assert manifest["limits"] == {"mobius": 2004}
+    assert _cache_files(sandbox / "cache") == ["mobius-2004.npy"]
 
 
 @pytest.mark.parametrize(
