@@ -297,7 +297,7 @@ def criterion_11() -> CriterionResult:
     near = abs(g - 1.0 / 6.0) <= 1e-2
     bounded = g <= spec.tail_sum(1) + 2.0 / math.sqrt(n)
     mob = _table("mobius", n)
-    free, _ = bfree_indicator(BFreeSpec.prime_squares(n), n)
+    free = bfree_indicator(BFreeSpec.prime_squares(n), n)
     chi_bad = int(np.count_nonzero(free.values.astype(np.int64) != mob.values.astype(np.int64) ** 2))
     passed = near and bounded and chi_bad == 0
     detail = (

@@ -7,10 +7,14 @@ Mertens prefix sums M(x) = sum_{n<=x} mu(n).
 Tables are computed by a segmented, vectorized sieve: each segment of
 one-byte values comes from a signed 4-byte accumulator whose sign is the
 value over the primes up to sqrt(hi) and whose magnitude detects the single
-prime factor above sqrt(hi).  Memory is therefore one byte per table entry
-the caller keeps plus about 10 bytes of scratch per segment entry, allocated
-once per sieve; a caller that keeps only a head can pass every segment on
-(to a file, say) as it is finished.  The hard limit is 2^31 - 1 entries
+prime factor above sqrt(hi).  Each segment's accumulator starts from a
+periodic template that already holds the primes up to 13 (period
+4 * 9 * 5 * 7 * 11 * 13 = 180,180 entries), so only the larger primes and
+prime powers are sieved by strided passes.  Memory is therefore one byte per
+table entry the caller keeps plus about 10 bytes of scratch per segment
+entry and the 0.7 MiB template, allocated once per sieve; a caller that
+keeps only a head can pass every segment on (to a file, say) as it is
+finished.  The hard limit is 2^31 - 1 entries
 (about 2 GiB of output), with desk-scale use expected at 1e8 and below.
 
 All values are exact; nothing here is floating point.
@@ -29,6 +33,10 @@ from .errors import ParameterError, ResourceLimitError
 
 MAX_SIEVE_LIMIT = 2**31 - 1
 _SEGMENT = 1 << 20
+# each prime p <= 13 and the largest power of it the pre-sieved template
+# holds; their product is the template's period
+_PRESIEVED = {2: 4, 3: 9, 5: 5, 7: 7, 11: 11, 13: 13}
+_PERIOD = math.prod(_PRESIEVED.values())
 
 _HEADER = struct.Struct("<6sHII")
 _MAGIC = b"ATBL01"
@@ -120,23 +128,49 @@ def _check_window(lo: int, hi: int) -> None:
         )
 
 
+def _template(kind: str) -> np.ndarray:
+    """The accumulator of n = 0, 1, ..., _PERIOD - 1 after the passes for
+    the prime powers in _PRESIEVED: they depend only on n mod _PERIOD, so a
+    segment starts from this template, copied in at seg_lo % _PERIOD."""
+    template = np.ones(_PERIOD, dtype=np.int32)
+    for p, top in _PRESIEVED.items():
+        q = p
+        while q <= top:
+            template[::q] *= -p
+            q *= p
+        if kind == "mobius" and top > p:
+            template[:: p * p] = 0
+    return template
+
+
 def sieve_segments(kind: str, lo: int, hi: int) -> Iterator[np.ndarray]:
     """The mu or lambda values on [lo, hi], one finished int8 segment of at
     most _SEGMENT values at a time, in order.
 
-    Per segment, a signed int32 accumulator starts at 1 and is multiplied by
-    -p for each multiple of p (mu; multiples of p^2 are then zeroed) or for
-    each multiple of every prime power p^k <= hi (lambda), over the primes
-    p <= sqrt(hi).  Afterwards sign(acc) is the value over those primes and
-    |acc| is the part of n they make up; it divides n, so int32 holds it for
-    every n <= MAX_SIEVE_LIMIT.  Where |acc| != n, n has one prime factor
-    above sqrt(hi) and the sign flips once more.  The scratch (acc, n, a
-    mask and the yielded segment) is allocated once and reused for every
-    segment, so a consumer must copy or write out a segment before asking
-    for the next.
+    Per segment, a signed int32 accumulator is multiplied by -p for each
+    multiple of p (mu; multiples of p^2 are then zeroed) or for each
+    multiple of every prime power p^k <= hi (lambda), over the primes
+    p <= max(13, sqrt(hi)).  The passes for the prime powers that divide
+    _PERIOD = 4 * 9 * 5 * 7 * 11 * 13 = 180,180 are pre-sieved: acc starts
+    as a copy of the periodic _template, and the strided loop does the rest
+    (mu: the primes above 13 and the zeros at 25, 49, 121 and 169; lambda:
+    every prime power the template leaves out).  Zeroing commutes with the
+    multiplications, so the multiples of every p^2 > _SEGMENT, at most one
+    per segment, are zeroed by one fancy-index assignment.
+
+    Afterwards sign(acc) is the value over the sieved primes and |acc| is
+    the part of n they make up; it divides n, so int32 holds it for every
+    n <= MAX_SIEVE_LIMIT.  Where |acc| != n, n has one prime factor above
+    the sieved ones and the sign flips once more, by int8 ops on the mask's
+    bytes.  The scratch (acc, n, a mask and the yielded segment: about 10
+    bytes per segment entry, plus the 0.7 MiB template) is allocated once
+    and reused for every segment, so a consumer must copy or write out a
+    segment before asking for the next.
     """
     _check_window(lo, hi)
     primes = [int(p) for p in primes_up_to(math.isqrt(hi))]
+    squares = np.array([p * p for p in primes if p * p > _SEGMENT], dtype=np.int64)
+    template = _template(kind)
     width = min(_SEGMENT, hi - lo + 1)
     acc_buf = np.empty(width, dtype=np.int32)
     n_buf = np.arange(lo, lo + width, dtype=np.int32)
@@ -148,22 +182,31 @@ def sieve_segments(kind: str, lo: int, hi: int) -> Iterator[np.ndarray]:
         acc, n, mask, out = acc_buf[:size], n_buf[:size], mask_buf[:size], out_buf[:size]
         if seg_lo > lo:
             n += _SEGMENT
-        acc.fill(1)
+        for pos in range(-(seg_lo % _PERIOD), size, _PERIOD):
+            acc[max(pos, 0) : pos + _PERIOD] = template[max(-pos, 0) : size - pos]
         for p in primes:
             if p * p > seg_hi:
                 break
+            q = _PRESIEVED.get(p, 1) * p  # the first power of p the template leaves out
             if kind == "mobius":
-                acc[-seg_lo % p :: p] *= -p
-                acc[-seg_lo % (p * p) :: p * p] = 0
+                if q == p:
+                    acc[-seg_lo % p :: p] *= -p
+                if q <= p * p <= _SEGMENT:
+                    acc[-seg_lo % (p * p) :: p * p] = 0
                 continue
-            q = p
             while q <= seg_hi:
                 acc[-seg_lo % q :: q] *= -p
                 q *= p
+        if kind == "mobius":
+            hits = -seg_lo % squares
+            acc[hits[hits < size]] = 0
         np.sign(acc, out=out)
         np.abs(acc, out=acc)
         np.not_equal(acc, n, out=mask)
-        np.negative(out, where=mask, out=out)
+        flip = mask.view(np.int8)
+        np.negative(flip, out=flip)  # 0 where |acc| == n, -1 where the sign flips
+        out ^= flip
+        out -= flip
         yield out
 
 
@@ -349,21 +392,15 @@ def multiples_mask(members, lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-def bfree_indicator(
-    spec: BFreeSpec, limit: int
-) -> tuple[ArithmeticTable, ArithmeticTable]:
-    """Indicator tables (chi_Bfree, chi_multiples) on [1, limit].
-
-    The second table is the pointwise complement: the indicator of the
-    multiple set {n : some member divides n}.
-    """
+def bfree_indicator(spec: BFreeSpec, limit: int) -> ArithmeticTable:
+    """The indicator table of chi_Bfree on [1, limit]; 1 - values is the
+    indicator of the multiple set {n : some member divides n}.  The table
+    is the multiples mask, inverted in place and viewed as int8, so it
+    takes limit bytes and no second copy."""
     _check_window(1, limit)
-    mult = multiples_mask(spec.members, 0, limit).view(np.int8)
-    free = 1 - mult
-    return (
-        ArithmeticTable("bfree-indicator", 1, limit, free),
-        ArithmeticTable("bfree-indicator", 1, limit, mult),
-    )
+    free = multiples_mask(spec.members, 0, limit)
+    np.logical_not(free, out=free)
+    return ArithmeticTable("bfree-indicator", 1, limit, free.view(np.int8))
 
 
 # ---------------------------------------------------------------------------

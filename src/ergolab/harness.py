@@ -126,10 +126,11 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 def _int_text(column: np.ndarray) -> tuple:
     """Decimal text of a 1-D integer array, right-aligned in a (rows, width)
     uint8 matrix, and the mask of the bytes each row uses."""
-    magnitude = column.astype(np.int64 if column.dtype.kind == "i" else np.uint64)
-    negative = magnitude < 0
-    magnitude = magnitude.view(np.uint64)
-    np.negative(magnitude, where=negative, out=magnitude)  # |-2**63| is 2**63 as uint64
+    negative = column < 0
+    if column.dtype.kind == "u":
+        magnitude = column.astype(np.uint64)
+    else:
+        magnitude = np.abs(column, dtype=np.int64).view(np.uint64)  # |-2**63| is 2**63 as uint64
     length = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1 + negative
     width = int(length.max())
     text = np.empty((len(column), width), dtype=np.uint8)
@@ -398,18 +399,18 @@ def _run_mertens(p, ctx):
 def _run_bfree(p, ctx):
     spec = BFreeSpec(tuple(p["members"]))
     limit = p["limit"]
-    free, mult = bfree_indicator(spec, limit)
+    free = bfree_indicator(spec, limit).values
     head = min(p["head"], limit)
-    indicator = [np.arange(1, head + 1), free.values[:head], mult.values[:head]]
-    density = float(free.values.mean())
-    banach = upper_banach_density(free.values, min(p["window"], limit))
+    indicator = [np.arange(1, head + 1), free[:head], 1 - free[:head]]
+    density = float(free.mean())
+    banach = upper_banach_density(free, min(p["window"], limit))
     gap = bfree_approximation_gap(spec, p["k"], FolnerSchedule.geometric(cap=limit))
     return [
         CsvTable("indicator.csv", ("n", "free", "multiple"), indicator),
         CsvTable(
             "density.csv",
             ("limit", "free_count", "density", "banach_window", "banach_count", "banach_density"),
-            _one_row(limit, int(free.values.sum()), density, banach.window, banach.count, banach.density),
+            _one_row(limit, int(free.sum()), density, banach.window, banach.count, banach.density),
         ),
         CsvTable("gap.csv", ("length", "gap", "within_bound"), [gap.lengths, gap.gaps, gap.within]),
         CsvTable("gap-summary.csv", ("k", "tail_bound"), _one_row(gap.k, gap.tail_bound)),

@@ -52,6 +52,36 @@ def ref_liouville(n: int) -> int:
     return (-1) ** sum(ref_factorization(n).values())
 
 
+def ref_sieve_segments(kind: str, lo: int, hi: int, segment: int):
+    """mu or lambda on [lo, hi], `segment` values at a time, by the plain
+    strided sieve: a signed int32 accumulator starts at 1 and is multiplied
+    by -p for each multiple of p (mu; multiples of p^2 are then zeroed) or
+    of every prime power p^k <= hi (lambda), over the primes p <= sqrt(hi);
+    the sign flips once more where |acc| != n."""
+    flags = np.ones(math.isqrt(hi) + 1, dtype=bool)
+    flags[:2] = False
+    for d in range(2, math.isqrt(len(flags)) + 1):
+        flags[d * d :: d] = False
+    primes = [int(p) for p in np.flatnonzero(flags)]
+    for seg_lo in range(lo, hi + 1, segment):
+        seg_hi = min(seg_lo + segment - 1, hi)
+        acc = np.ones(seg_hi - seg_lo + 1, dtype=np.int32)
+        for p in primes:
+            if p * p > seg_hi:
+                break
+            if kind == "mobius":
+                acc[-seg_lo % p :: p] *= -p
+                acc[-seg_lo % (p * p) :: p * p] = 0
+                continue
+            q = p
+            while q <= seg_hi:
+                acc[-seg_lo % q :: q] *= -p
+                q *= p
+        out = np.sign(acc).astype(np.int8)
+        out[np.abs(acc) != np.arange(seg_lo, seg_hi + 1)] *= -1
+        yield out
+
+
 def ref_mertens(x: int) -> int:
     return sum(ref_mobius(n) for n in range(1, x + 1))
 

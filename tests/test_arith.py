@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -138,6 +140,43 @@ def test_window_across_a_segment_boundary_matches_full_run():
         assert brute_arith(n) == (full_mu.value_at(n), full_lam.value_at(n))
 
 
+# lo on and beside 1, 13^2 and the template period 180,180; hi below 2^2,
+# 5^2 and 13^2; windows across one and two periods
+SIEVE_WINDOWS = [(lo, hi) for lo in (1, 2) for hi in (3, 24, 168)] + [
+    (lo, lo + width) for lo in (169, 180179, 180180, 180181) for width in (0, 2000)
+] + [(178_000, 182_000), (358_000, 362_500)]
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_division(kind, lo, hi):
+    ref = helpers.ref_mobius if kind == "mobius" else helpers.ref_liouville
+    return np.array([ref(n) for n in range(lo, hi + 1)], dtype=np.int8)
+
+
+@pytest.mark.parametrize("segment", [64, 1000, _SEGMENT])
+@pytest.mark.parametrize("kind", ["mobius", "liouville"])
+@pytest.mark.parametrize("lo, hi", SIEVE_WINDOWS)
+def test_presieved_segments_match_the_strided_loop(monkeypatch, lo, hi, kind, segment):
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    got = [s.copy() for s in arith.sieve_segments(kind, lo, hi)]
+    ref = list(helpers.ref_sieve_segments(kind, lo, hi, segment))
+    assert [len(s) for s in got] == [len(s) for s in ref]
+    assert np.array_equal(np.concatenate(got), np.concatenate(ref))
+    assert np.array_equal(np.concatenate(got), _trial_division(kind, lo, hi))
+
+
+@pytest.mark.parametrize("kind", ["mobius", "liouville"])
+def test_presieved_segments_match_the_strided_loop_on_3e6_values_at_the_top(kind):
+    # primes up to 46,340, so most squares exceed a segment and are zeroed
+    # by the fancy-index pass; compared one segment at a time
+    hi = arith.MAX_SIEVE_LIMIT
+    lo = hi - 3 * 10**6 + 1
+    pairs = itertools.zip_longest(arith.sieve_segments(kind, lo, hi),
+                                  helpers.ref_sieve_segments(kind, lo, hi, _SEGMENT))
+    for got, ref in pairs:
+        assert got is not None and ref is not None and np.array_equal(got, ref)
+
+
 def test_sieve_rejects_bad_limits():
     with pytest.raises(ParameterError):
         sieve_mobius(0)
@@ -239,27 +278,26 @@ def test_mertens_rejects_window_table():
 
 
 def test_bfree_single_even_modulus():
-    free, mult = bfree_indicator(BFreeSpec((2,)), 10)
+    free = bfree_indicator(BFreeSpec((2,)), 10)
     assert list(free.values) == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
-    assert list(mult.values) == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_bfree_two_three():
-    free, mult = bfree_indicator(BFreeSpec((2, 3)), 12)
+    free = bfree_indicator(BFreeSpec((2, 3)), 12)
     assert list(free.values) == [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0]
-    assert np.array_equal(mult.values, 1 - free.values)
+    assert free.values.dtype == np.int8
 
 
 def test_bfree_matches_reference():
     spec = BFreeSpec((4, 7, 9, 25))
-    free, _ = bfree_indicator(spec, 2000)
+    free = bfree_indicator(spec, 2000)
     for n in range(1, 2001):
         assert free.value_at(n) == int(helpers.ref_is_bfree(n, spec.members)), n
 
 
 def test_bfree_prime_squares_equals_squarefree_indicator(mu_100k):
     spec = BFreeSpec.prime_squares(10_000)
-    free, _ = bfree_indicator(spec, 10_000)
+    free = bfree_indicator(spec, 10_000)
     musq = (mu_100k.values[:10_000] != 0).astype(np.int8)
     assert np.array_equal(free.values, musq)
 
@@ -267,7 +305,7 @@ def test_bfree_prime_squares_equals_squarefree_indicator(mu_100k):
 def test_bfree_periodic_with_lcm_period():
     spec = BFreeSpec((4, 5, 9))
     period = math.lcm(*spec.members)
-    free, _ = bfree_indicator(spec, 3 * period)
+    free = bfree_indicator(spec, 3 * period)
     vals = free.values
     assert np.array_equal(vals[:period], vals[period : 2 * period])
     assert np.array_equal(vals[:period], vals[2 * period : 3 * period])
@@ -291,9 +329,8 @@ def test_bfree_spec_truncate():
 
 
 def test_bfree_empty_spec_is_all_free():
-    free, mult = bfree_indicator(BFreeSpec(()), 5)
+    free = bfree_indicator(BFreeSpec(()), 5)
     assert list(free.values) == [1] * 5
-    assert list(mult.values) == [0] * 5
 
 
 # ---------------------------------------------------------------------------

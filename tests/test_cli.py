@@ -701,6 +701,8 @@ WRITE_CSV_COLUMNS = {
                     np.array([-(2**31), -10, 10, 99, 2**31 - 1], dtype=np.int32)],
     "int-extremes": [np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64),
                      np.array([2**64 - 1, 0, 1], dtype=np.uint64), np.array([0, 255, 10], dtype=np.uint8)],
+    "int-sign-edges": [np.array([-(2**63), -1, 0, 2**63 - 1], dtype=np.int64),
+                       np.array([2**64 - 1, 0, 1, 2**63], dtype=np.uint64)],
     "int-all-negative": [np.array([-1, -9, -10, -99, -100, -12345], dtype=np.int64),
                          np.array([-128, -1, -1, -2, -100, -10], dtype=np.int8)],
     "int-single-digit": [np.arange(10, dtype=np.int8), np.arange(9, -1, -1, dtype=np.uint64)],
