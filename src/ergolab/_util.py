@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-DRAW_CHUNK = 1 << 17  # uniforms held at once by fill_signs (1 MiB)
+DRAW_CHUNK = 1 << 17  # uniforms held at once by uniform_chunks (1 MiB)
 
 # leading keys of the seeded streams, one per drawing site, so no two
 # streams of one run share a key
@@ -35,18 +35,29 @@ def map_indexed(fn, count: int, threads: int = 1) -> list:
         return list(pool.map(fn, range(count)))
 
 
+def uniform_chunks(rng: np.random.Generator, n: int):
+    """Yield (start, u) for start = 0, DRAW_CHUNK, ... < n, u holding the
+    uniform draws start, start + 1, ... of rng, at most DRAW_CHUNK of them.
+
+    The draws are rng.random(n)'s, without holding 8 bytes per draw: every
+    u is a view of one buffer, which the next chunk overwrites.
+    """
+    buffer = np.empty(min(n, DRAW_CHUNK))
+    for start in range(0, n, DRAW_CHUNK):
+        yield start, rng.random(out=buffer[: min(DRAW_CHUNK, n - start)])
+
+
 def fill_signs(rng: np.random.Generator, out: np.ndarray, p: float) -> None:
     """Fill the C-contiguous int8 array ``out`` with +1 where a uniform draw is
     < p and -1 elsewhere.
 
-    The uniforms are drawn in C order, DRAW_CHUNK at a time, so ``out`` ends
-    up equal to np.where(rng.random(out.shape) < p, 1, -1) and the generator
-    in the same state, without holding 8 bytes per entry.
+    The uniforms are drawn in C order (`uniform_chunks`), so ``out`` ends up
+    equal to np.where(rng.random(out.shape) < p, 1, -1) and the generator in
+    the same state.
     """
     flat = out.reshape(-1)
     hits = flat.view(np.bool_)
-    for start in range(0, flat.size, DRAW_CHUNK):
-        stop = min(start + DRAW_CHUNK, flat.size)
-        np.less(rng.random(stop - start), p, out=hits[start:stop])
+    for start, u in uniform_chunks(rng, flat.size):
+        np.less(u, p, out=hits[start : start + len(u)])
     flat *= 2
     flat -= 1

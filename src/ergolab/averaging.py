@@ -20,7 +20,7 @@ import numpy as np
 from ._util import PROBE, generator, map_indexed
 from .arith import _SEGMENT, BFreeSpec, _check_window, multiples_mask
 from .dynsys import OrbitStream
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -237,27 +237,31 @@ def upper_banach_density(indicator, window: int) -> BanachDensity:
 
     The window sums W(s) are taken one segment of offsets at a time from a
     running total: W(s) - W(s - 1) = v[s + window - 1] - v[s - 1].  Besides
-    the input only one int64 segment is allocated, never a full prefix.
+    the input only one int32 segment is allocated, never a full prefix: a
+    window sum is at most the window, and a window past 2^31 - 1 raises
+    ResourceLimitError.
     """
     values = np.asarray(indicator)
     if values.ndim != 1 or len(values) == 0:
         raise ParameterError("need a nonempty one-dimensional 0/1 sequence")
+    if not 1 <= window <= len(values):
+        raise ParameterError(f"window {window} outside [1, {len(values)}]")
+    if window > np.iinfo(np.int32).max:
+        raise ResourceLimitError(f"window {window} exceeds the int32 bound of the window sums")
     for lo in range(0, len(values), _SEGMENT):
         part = values[lo : lo + _SEGMENT]
         if not ((part == 0) | (part == 1)).all():
             raise ParameterError("indicator values must be 0 or 1")
-    if not 1 <= window <= len(values):
-        raise ParameterError(f"window {window} outside [1, {len(values)}]")
     starts = len(values) - window + 1
     total = int(np.count_nonzero(values[:window]))  # W(0)
     count, offset = total, 0
-    buffer = np.empty(min(_SEGMENT, starts), dtype=np.int64)
+    buffer = np.empty(min(_SEGMENT, starts), dtype=np.int32)
     for lo in range(1, starts, _SEGMENT):
         hi = min(lo + _SEGMENT, starts)
         sums = buffer[: hi - lo]
         # 0/1 floats cast to exact integers
         np.subtract(values[lo + window - 1 : hi + window - 1], values[lo - 1 : hi - 1],
-                    out=sums, dtype=np.int64, casting="unsafe")
+                    out=sums, dtype=np.int32, casting="unsafe")
         np.cumsum(sums, out=sums)
         sums += total
         total = int(sums[-1])

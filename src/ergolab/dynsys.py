@@ -78,7 +78,17 @@ def _linear_states(x0: int, step: int, n: int) -> np.ndarray:
 
 
 def _phase(states: np.ndarray) -> np.ndarray:
-    return np.exp(2j * np.pi * (states.astype(np.float64) * 2.0**-64))
+    """e^(i theta), theta = 2 pi (state 2^-64), as cos and sin written into
+    one complex array.  theta is the one np.exp(2j * np.pi * (state 2^-64))
+    exponentiates, and glibc's cexp(0 + i theta) is (cos theta, sin theta),
+    so the bits are np.exp's, without its complex product."""
+    theta = states.astype(np.float64)
+    theta *= 2.0**-64
+    theta *= 2 * np.pi
+    out = np.empty(len(theta), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 class OrbitStream:

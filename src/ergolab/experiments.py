@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import DRAW_CHUNK, WALK, fill_signs, generator, map_indexed
+from ._util import DRAW_CHUNK, WALK, generator, map_indexed, uniform_chunks
 from .arith import ArithmeticTable, MertensPrefix
 from .dynsys import OrbitStream, VeechSpec
 from .errors import ParameterError, ResourceLimitError
@@ -332,9 +332,9 @@ def _interval_sup(walk: np.ndarray, x: int, h_min: int, extrema) -> tuple[float,
     ragged ends and the block with the top bound are scanned first; then
     every block whose bound is >= the best value so far (ties included, so
     the smallest maximizing h is found).  ``walk`` is a Mertens prefix (int32,
-    or a caller's int64) or an int32 random walk; a difference of two int32
-    walk values spans at most x steps, so it is exact in int32 and each ratio
-    is the same float.
+    or a caller's int64) or a `_PackedWalk`, which is read only at the
+    indices scanned; a difference of two int32 walk values spans at most x
+    steps, so it is exact in int32 and each ratio is the same float.
     """
     first, bmax, bmin = extrema
     b_lo = -(-(x + h_min) // _SUP_BLOCK)
@@ -461,23 +461,66 @@ class RandomMertensResult:
     bound: np.ndarray
 
 
-def _random_walk(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+# W(8j + i) - W(8j) for an octet of steps packed as np.packbits packs them
+# (step 8j + 1 + i is bit 7 - i, a set bit is +1), i = 0..7; the octet's
+# whole step sum, and the extrema of its eight prefix values
+_OCTET_STEPS = 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int32) - 1
+_OCTET_PART = np.cumsum(_OCTET_STEPS, axis=1, dtype=np.int32) - _OCTET_STEPS
+_OCTET_SUM = _OCTET_STEPS.sum(axis=1, dtype=np.int32)
+_OCTET_MAX = _OCTET_PART.max(axis=1)
+_OCTET_MIN = _OCTET_PART.min(axis=1)
+
+
+class _PackedWalk:
     """W(0..n): W(0) = 0 and step k is +1 if the k-th uniform draw is < p, else -1.
 
-    W is int32, exact since |W(k)| <= k <= n <= MAX_WALK.  It is built one
-    draw chunk at a time (int8 steps, then a cumsum shifted by the walk so
-    far), so no array of more than 4 bytes per step exists.
+    The steps are packed one bit each, one draw chunk at a time, and W(8j)
+    is kept in int32 (exact, since |W(k)| <= k <= n <= MAX_WALK): 5/8 byte
+    per step, where W(8j + i) = starts[j] + _OCTET_PART[octets[j], i].
+    Indexing by an int, a slice or an index array gives the int32 values
+    of the full walk; no per-step prefix is ever built.
     """
-    walk = np.empty(n + 1, dtype=np.int32)
-    walk[0] = 0
-    steps = np.empty(min(n, DRAW_CHUNK), dtype=np.int8)
-    for start in range(0, n, DRAW_CHUNK):
-        stop = min(start + DRAW_CHUNK, n)
-        part = steps[: stop - start]
-        fill_signs(rng, part, p)
-        np.cumsum(part, dtype=np.int32, out=walk[start + 1 : stop + 1])
-        walk[start + 1 : stop + 1] += walk[start]
-    return walk
+
+    def __init__(self, rng: np.random.Generator, n: int, p: float):
+        self.n = n
+        self.octets = np.zeros(n // 8 + 1, dtype=np.uint8)  # the last one is partial or empty
+        self.starts = np.zeros(n // 8 + 1, dtype=np.int32)
+        hits = np.empty(min(n, DRAW_CHUNK), dtype=np.bool_)
+        for start, u in uniform_chunks(rng, n):  # DRAW_CHUNK is a multiple of 8
+            packed = np.packbits(np.less(u, p, out=hits[: len(u)]))
+            j, full = start // 8, (start + len(u)) // 8  # octets j..full-1 are whole
+            self.octets[j : j + len(packed)] = packed
+            self.starts[j + 1 : full + 1] = np.take(_OCTET_SUM, packed[: full - j])
+        # W(8j) for j <= n // 8, in one same-dtype cumsum (a casting one holds the GIL)
+        np.cumsum(self.starts, out=self.starts)
+
+    def __len__(self) -> int:
+        return self.n + 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            lo, hi, step = k.indices(len(self))
+            if step == 1:  # the eight values of each octet holding lo..hi-1
+                j, stop = lo >> 3, -(-hi // 8)
+                rows = self.starts[j:stop, None] + _OCTET_PART[self.octets[j:stop]]
+                return rows.ravel()[lo - 8 * j : hi - 8 * j]
+            k = np.arange(lo, hi, step)
+        j = k >> 3
+        return self.starts[j] + _OCTET_PART[self.octets[j], k & 7]
+
+    def block_extrema(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """`_block_extrema` over the whole walk, from each octet's extrema,
+        one draw chunk at a time."""
+        blocks = len(self) // _SUP_BLOCK
+        shape = (blocks, _SUP_BLOCK // 8)
+        octets = self.octets[: blocks * shape[1]].reshape(shape)
+        starts = self.starts[: blocks * shape[1]].reshape(shape)
+        bmax, bmin = np.empty(blocks, dtype=np.int32), np.empty(blocks, dtype=np.int32)
+        for lo in range(0, blocks, DRAW_CHUNK // _SUP_BLOCK):
+            rows = slice(lo, lo + DRAW_CHUNK // _SUP_BLOCK)
+            np.max(np.take(_OCTET_MAX, octets[rows]) + starts[rows], axis=1, out=bmax[rows])
+            np.min(np.take(_OCTET_MIN, octets[rows]) + starts[rows], axis=1, out=bmin[rows])
+        return 0, bmax, bmin
 
 
 def random_mertens_sim(
@@ -486,8 +529,9 @@ def random_mertens_sim(
     """Walk M(n) = sum of i.i.d. +-1 with P(+1) = p; per path and per grid x,
     the exact sup over h in [ceil(x^tau), x] of |M(x+h) - M(x)| / h.  Each
     walk's block extrema are taken once and serve every grid x
-    (`_interval_sup`).  Walks are int32, so 2 * max(grid) past MAX_WALK
-    raises ResourceLimitError before anything is allocated.
+    (`_interval_sup`).  Walks are `_PackedWalk`s with int32 values, so
+    2 * max(grid) past MAX_WALK raises ResourceLimitError before anything is
+    drawn or allocated.
 
     Path i draws from _util.generator(seed, WALK, i): different seeds give
     independent paths, and results do not depend on the thread count.
@@ -505,8 +549,8 @@ def random_mertens_sim(
         raise ResourceLimitError(f"a walk of 2 * {xs[-1]} steps exceeds the int32 bound {MAX_WALK}")
 
     def one(path: int) -> np.ndarray:
-        walk = _random_walk(generator(seed, WALK, path), n_max, p)
-        extrema = _block_extrema(walk, 0, n_max)
+        walk = _PackedWalk(generator(seed, WALK, path), n_max, p)
+        extrema = walk.block_extrema()
         return np.array([_interval_sup(walk, x, h, extrema)[0] for x, h in zip(xs, h_mins)])
 
     sups = np.array(map_indexed(one, paths, threads))

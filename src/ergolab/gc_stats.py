@@ -208,7 +208,14 @@ def empirical_sup_deviation(
     means = family.true_means()
 
     def deviation(sample: EmpiricalSample) -> float:
-        return float(np.abs(sample.matrix.mean(axis=1) - means).max())
+        m = sample.matrix
+        if m.dtype == np.int8:
+            # +-1 column sums are exact integers in int32 and in mean's float64
+            # sum alike, so dividing them gives the floats mean gives
+            sample_means = np.add.reduce(m, axis=1, dtype=np.int32) / n
+        else:
+            sample_means = m.mean(axis=1)
+        return float(np.abs(sample_means - means).max())
 
     devs = np.array(_replicates(deviation, family, n, reps, seed, (DEVIATION,), threads))
     return DeviationResult(n, reps, devs)

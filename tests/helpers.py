@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ergolab._util import DRAW_CHUNK, fill_signs
 from ergolab.averaging import BanachDensity, BFreeGap
 from ergolab.dynsys import (
     SkewStream,
@@ -249,6 +250,23 @@ def ref_covering_number(matrix, eps: float, norm: str) -> tuple[int, int]:
 
     rows = ref_unique_rows(matrix)
     return greedy_separated(rows, eps), greedy_separated(rows, 2 * eps)
+
+
+def ref_random_walk(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """W(0..n) in full: W(0) = 0 and step k is +1 if the k-th uniform draw is
+    < p, else -1.  W is int32, exact since |W(k)| <= k <= n < 2^31; it is
+    built one draw chunk at a time (int8 steps, then a cumsum shifted by the
+    walk so far), 4 bytes per step."""
+    walk = np.empty(n + 1, dtype=np.int32)
+    walk[0] = 0
+    steps = np.empty(min(n, DRAW_CHUNK), dtype=np.int8)
+    for start in range(0, n, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, n)
+        part = steps[: stop - start]
+        fill_signs(rng, part, p)
+        np.cumsum(part, dtype=np.int32, out=walk[start + 1 : stop + 1])
+        walk[start + 1 : stop + 1] += walk[start]
+    return walk
 
 
 def ref_interval_sup(walk, x: int, h_min: int) -> tuple[float, int]:

@@ -19,7 +19,7 @@ from ergolab.averaging import (
     upper_banach_density,
 )
 from ergolab.dynsys import bernoulli_stream, rotation_orbit
-from ergolab.errors import ParameterError
+from ergolab.errors import ParameterError, ResourceLimitError
 from ergolab.harness import REGISTRY, build_system, prepare_run, run_experiment
 
 SQRT2M1 = math.sqrt(2) - 1
@@ -379,3 +379,10 @@ def test_banach_density_validation():
         upper_banach_density(vals, 4)
     with pytest.raises(ParameterError):
         upper_banach_density(np.array([0, 2], dtype=np.int8), 1)
+
+
+def test_banach_density_refuses_a_window_past_the_int32_sums():
+    # a zero-stride view: 2^31 entries without the memory
+    values = np.broadcast_to(np.int8(0), (1 << 31,))
+    with pytest.raises(ResourceLimitError):
+        upper_banach_density(values, 1 << 31)

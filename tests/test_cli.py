@@ -457,7 +457,7 @@ def test_random_walk_past_the_int32_bound_exits_3_before_drawing(sandbox, monkey
     def no_walk(*args):
         raise AssertionError("a walk was drawn")
 
-    monkeypatch.setattr(experiments, "_random_walk", no_walk)
+    monkeypatch.setattr(experiments, "_PackedWalk", no_walk)
     result = invoke(sandbox, "random-mertens", {"grid": [1 << 30], "paths": 1})
     assert result.exit_code == 3
     assert json.loads(result.stderr)["error"] == "resource"

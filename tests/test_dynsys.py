@@ -11,6 +11,7 @@ from ergolab.dynsys import (
     VeechSpec,
     WindowSample,
     _constancy_radius,
+    _phase,
     _scan_centers,
     bernoulli_stream,
     rotation_orbit,
@@ -105,6 +106,16 @@ def test_rotation_advance_group_law():
     a = orbit.alpha_state
     shifted = rotation_orbit(exact(a), x0=exact((orbit.x_state + m * a) & MASK), check=True).take(k)
     assert np.array_equal(direct, shifted)
+
+
+def test_phase_has_the_bits_of_the_complex_exp():
+    rng = np.random.default_rng(23)
+    edges = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    states = np.concatenate([rng.integers(0, 2**64, size=1 << 20, dtype=np.uint64), edges])
+    expect = np.exp(2j * np.pi * (states.astype(float) * 2.0**-64))
+    got = _phase(states)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
 def test_rotation_unit_modulus():

@@ -15,8 +15,9 @@ from ergolab.errors import ParameterError
 from ergolab.experiments import (
     _SUP_BLOCK,
     MAX_FFT,
+    _block_extrema,
     _h_floor,
-    _random_walk,
+    _PackedWalk,
     DavenportResult,
     _fit_decay,
     average_chowla,
@@ -529,15 +530,30 @@ class TestRandomMertens:
             random_mertens_sim((64, 32), 0.5, paths=2, p=0.5)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("n", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3])
     def test_walk_is_int32_and_equals_the_int64_cumsum(self, n, p):
-        walk = _random_walk(generator(6, WALK, n), n, p)
+        full = helpers.ref_random_walk(generator(6, WALK, n), n, p)
         steps = np.where(generator(6, WALK, n).random(n) < p, 1, -1)
-        assert walk.dtype == np.int32
-        assert np.array_equal(walk, np.concatenate([[0], np.cumsum(steps, dtype=np.int64)]))
+        assert np.array_equal(full, np.concatenate([[0], np.cumsum(steps, dtype=np.int64)]))
+        walk = _PackedWalk(generator(6, WALK, n), n, p)
+        assert len(walk) == n + 1
+        values = walk[0 : n + 1]
+        assert values.dtype == np.int32 and np.array_equal(values, full)
+        for k in {0, 1, n // 2, n - 1, n}:
+            assert walk[k] == full[k]
+        for lo, hi in [(0, 1), (1, n), (n // 3, n // 3 + 9), (n, n + 1), (n + 1, n + 1), (5, 3)]:
+            assert np.array_equal(walk[lo:hi], full[lo:hi])
+        assert np.array_equal(walk[1::3], full[1::3]) and np.array_equal(walk[::-5], full[::-5])
+        idx = np.random.default_rng(n).integers(0, n + 1, size=500)
+        assert walk[idx].dtype == np.int32 and np.array_equal(walk[idx], full[idx])
+        first, bmax, bmin = walk.block_extrema()
+        expect = _block_extrema(full, 0, n)
+        assert first == expect[0]
+        assert np.array_equal(bmax, expect[1]) and np.array_equal(bmin, expect[2])
 
-    def test_one_path_holds_four_bytes_per_step(self):
-        # NumPy reports its buffers to tracemalloc, so the peak is deterministic
+    def test_one_path_holds_under_two_bytes_per_step(self):
+        # NumPy reports its buffers to tracemalloc, so the peak is deterministic:
+        # 5/8 byte per step for the packed walk, plus one draw chunk's buffers
         x = 1 << 20
         tracemalloc.start()
         try:
@@ -545,7 +561,7 @@ class TestRandomMertens:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * (2 * x) + (2 << 20)
+        assert peak < 5 * (2 * x) // 8 + (2 << 20)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab._util import generator
+from ergolab._util import DEVIATION, generator
 from ergolab.errors import ParameterError, ResourceLimitError
 from ergolab.gc_stats import (
     BernoulliCoordinateFamily,
@@ -17,6 +17,7 @@ from ergolab.gc_stats import (
     _distinct_rows,
     _pack_signs,
     covering_number,
+    empirical_sample,
     empirical_sup_deviation,
     entropy_rate,
     is_shattered,
@@ -80,6 +81,17 @@ def test_deviation_reproducible_and_thread_independent():
     a = empirical_sup_deviation(fam, n=8, reps=6, seed=9, threads=1)
     b = empirical_sup_deviation(fam, n=8, reps=6, seed=9, threads=3)
     assert np.array_equal(a.deviations, b.deviations)
+
+
+@pytest.mark.parametrize("size, n, p", [(64, 8, 0.5), (4096, 1024, 0.5), (300, 77, 0.3)])
+def test_int8_deviation_equals_the_float_mean_route(size, n, p):
+    fam = BernoulliCoordinateFamily(size=size, p=p)
+    res = empirical_sup_deviation(fam, n=n, reps=4, seed=11)
+    for rep in range(4):
+        matrix = empirical_sample(fam, n, generator(11, DEVIATION, rep)).matrix
+        assert matrix.dtype == np.int8
+        expect = float(np.abs(matrix.astype(np.float64).mean(axis=1) - fam.true_means()).max())
+        assert res.deviations[rep] == expect
 
 
 def test_seeds_draw_independent_reps():
