@@ -77,14 +77,20 @@ def _linear_states(x0: int, step: int, n: int) -> np.ndarray:
     return idx * np.uint64(step & _MASK) + np.uint64(x0 & _MASK)
 
 
-def _phase(states: np.ndarray) -> np.ndarray:
-    """e^(i theta), theta = 2 pi (state 2^-64), as cos and sin written into
-    one complex array.  theta is the one np.exp(2j * np.pi * (state 2^-64))
-    exponentiates, and glibc's cexp(0 + i theta) is (cos theta, sin theta),
-    so the bits are np.exp's, without its complex product."""
+def _angle(states: np.ndarray) -> np.ndarray:
+    """theta = 2 pi (state 2^-64) in a new float64 array, scaled in place."""
     theta = states.astype(np.float64)
     theta *= 2.0**-64
     theta *= 2 * np.pi
+    return theta
+
+
+def _phase(states: np.ndarray) -> np.ndarray:
+    """e^(i theta), theta = _angle(states), as cos and sin written into one
+    complex array.  theta is the one np.exp(2j * np.pi * (state 2^-64))
+    exponentiates, and glibc's cexp(0 + i theta) is (cos theta, sin theta),
+    so the bits are np.exp's, without its complex product."""
+    theta = _angle(states)
     out = np.empty(len(theta), dtype=np.complex128)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)

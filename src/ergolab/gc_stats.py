@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import DEVIATION, ENTROPY, SHATTER_DIM, SHATTER_PROB, fill_signs, generator, map_indexed
-from .dynsys import _guard_irrational, to_state
+from .dynsys import _angle, _guard_irrational, to_state
 from .errors import ParameterError, ResourceLimitError
 
 _MAX_SHATTER_POINTS = 24
@@ -73,8 +73,8 @@ class RotationFamily(FunctionFamily):
     def evaluate(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.uint64)
         shifts = np.arange(self.size, dtype=np.uint64) * np.uint64(self.alpha_state)
-        states = shifts[:, None] + pts[None, :]
-        return np.cos(2 * np.pi * (states.astype(np.float64) * 2.0**-64))
+        theta = _angle(shifts[:, None] + pts[None, :])
+        return np.cos(theta, out=theta)
 
     def true_means(self) -> np.ndarray:
         return np.zeros(self.size)

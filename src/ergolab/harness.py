@@ -12,13 +12,14 @@ reproducible and independent of the thread count; timestamps appear only in
 the manifest and in the run directory name.  Sieve tables are cached on disk
 as ``<kind>-<limit>.npy`` under ``./cache`` or ``$ERGOLAB_CACHE_DIR``.
 
-CSV dialect: comma separators, one header row, ``.`` decimal point, LF line
-endings; floats are written with ``repr`` (shortest round-trip form).
+CSV dialect: comma separators, LF line endings, one header row, ``.`` decimal
+point; floats by ``repr`` (shortest round-trip form), bools ``true``/``false``,
+None empty.  Nothing is quoted: ``write_csv`` refuses a cell or header name
+holding ``,``, ``"``, CR or LF, and an empty cell in a one-column table.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -106,21 +107,12 @@ def format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _column_cells(column) -> list:
-    # csv.writer writes a Python int with str and a float with repr, the same
-    # text format_cell gives, so numeric arrays skip the per-cell call
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
-        return column.tolist()
-    return [format_cell(cell) for cell in column]
+    return str(value)  # a float's str is its repr
 
 
 _ROW_BLOCK = 1 << 16
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+_QUOTED = re.compile(r'[,"\r\n]')
 
 
 def _int_text(column: np.ndarray) -> tuple:
@@ -155,43 +147,43 @@ def _write_int_rows(fh, columns) -> None:
         fh.write(np.hstack(pieces)[np.hstack(masks)].tobytes())
 
 
-def _write_repr_rows(fh, columns) -> None:
-    """CSV rows of equal-length 1-D numeric arrays, one _ROW_BLOCK at a time;
-    a cell is the repr of its Python int or float, the text csv.writer gives."""
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        cells = [map(repr, column[start : start + _ROW_BLOCK].tolist()) for column in columns]
+def _write_text_rows(fh, columns) -> None:
+    """CSV rows of equal-length columns, one _ROW_BLOCK at a time: the reprs
+    of an ndarray's ``tolist()`` values, or a list's formatted cells."""
+    for start in range(0, len(columns[0]) if columns else 0, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        cells = [map(repr, c[block].tolist()) if isinstance(c, np.ndarray) else c[block] for c in columns]
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_csv(path, header, *columns) -> None:
-    """Write one CSV table from one sequence per header name.
+    """Write one CSV table from one sequence per header name, in the module's
+    dialect: comma, LF, one header row, floats by ``repr``, bools
+    ``true``/``false``, None empty, no quoting.
 
-    The header goes through ``csv.writer``.  When every column is a 1-D
-    integer ndarray, the body is formatted by NumPy, one block of rows at a
-    time (_write_int_rows); when every column is a 1-D integer or float
-    ndarray and one is float, it is joined from the cells' reprs, one block
-    at a time (_write_repr_rows).  Otherwise a numeric ndarray column is
-    written through ``tolist()`` and every other column (bools, None,
-    strings, NumPy scalars) cell by cell through ``format_cell``, all by one
-    ``csv.writer.writerows``.  Every path gives the same bytes.  Columns must
-    have equal lengths.
+    A table of 1-D integer ndarrays is formatted by NumPy (_write_int_rows);
+    any other is joined as text (_write_text_rows): 1-D integer and float
+    ndarrays as the reprs of ``tolist()``, other columns by ``format_cell``.
+    Both give the same bytes.  Raises ValueError before opening the file on
+    ragged columns and on a cell that ``csv`` would quote: one holding ``,``,
+    ``"`` or LF (CR is refused too), or an empty one in a one-column table.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns have different lengths")
+    numeric = [isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "iuf" for c in columns]
+    columns = [c if num else [format_cell(v) for v in c] for c, num in zip(columns, numeric)]
+    for name, cells, num in (("header", header, False), *zip(header, columns, numeric)):
+        if not num and (_QUOTED.search("".join(cells)) or (len(header) == 1 and "" in cells)):
+            raise ValueError(f"{name}: a cell holds ',', '\"', CR or LF, or is empty in a one-column table")
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        numeric = (isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "iuf" for c in columns)
-        if columns and all(numeric):
-            if len({len(c) for c in columns}) > 1:
-                raise ValueError("columns have different lengths")
-            if any(c.dtype.kind == "f" for c in columns):
-                _write_repr_rows(fh, columns)
-            else:
-                fh.flush()
-                _write_int_rows(fh.buffer, columns)
+        fh.write(",".join(header) + "\n")
+        if columns and all(num and c.dtype.kind in "iu" for c, num in zip(columns, numeric)):
+            fh.flush()
+            _write_int_rows(fh.buffer, columns)
         else:
-            writer.writerows(zip(*(_column_cells(c) for c in columns), strict=True))
+            _write_text_rows(fh, columns)
 
 
 @dataclass(frozen=True)

@@ -397,3 +397,12 @@ def ref_write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([ref_format_cell(cell) for cell in row])
+
+
+def ref_rotation_values(alpha_state: int, size: int, points) -> np.ndarray:
+    """cos(2 pi (x + t alpha)) over t < size and the uint64 points x, by the
+    one-expression rule the rotation family evaluated before its angle was
+    scaled in place."""
+    shifts = np.arange(size, dtype=np.uint64) * np.uint64(alpha_state)
+    states = shifts[:, None] + np.asarray(points, dtype=np.uint64)[None, :]
+    return np.cos(2 * np.pi * (states.astype(np.float64) * 2.0**-64))

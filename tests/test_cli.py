@@ -693,7 +693,7 @@ WRITE_CSV_COLUMNS = {
     "bool": [np.array([True, False, True]), np.array([False, False, True], dtype=np.bool_)],
     "mixed-lists": [
         [None, np.int64(-3), np.float64(0.25), np.bool_(False), True, 7],
-        ["plain", "a,b", 'say "hi"', "line\nbreak", "", None],
+        ["plain", "a b", "say 'hi'", "tab\there", "", None],
         (0.1, 2**70, -0.0, np.uint8(200), np.float32(0.1), np.int8(-1)),
     ],
     "zero-rows": [np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=bool), []],
@@ -760,12 +760,61 @@ def test_write_csv_formats_only_integer_arrays_with_numpy(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("case", sorted(WRITE_CSV_COLUMNS))
 def test_write_csv_joins_reprs_only_for_numeric_arrays_with_a_float(tmp_path, monkeypatch, case):
+    # the routing test of the two body paths: every table but an all-integer
+    # ndarray one is joined as text, its 1-D numeric ndarrays by repr and
+    # every other column through format_cell
     columns = WRITE_CSV_COLUMNS[case]
     calls = []
-    monkeypatch.setattr(harness, "_write_repr_rows", lambda fh, cols: calls.append(len(cols)))
+    monkeypatch.setattr(harness, "_write_int_rows", lambda fh, cols: calls.append(("int", cols)))
+    monkeypatch.setattr(harness, "_write_text_rows", lambda fh, cols: calls.append(("text", cols)))
     write_csv(tmp_path / "t.csv", tuple(f"c{i}" for i in range(len(columns))), *columns)
-    numeric = all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns)
-    assert calls == ([len(columns)] if numeric and any(c.dtype.kind == "f" for c in columns) else [])
+    numeric = [isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns]
+    if all(numeric) and not any(c.dtype.kind == "f" for c in columns):
+        assert [path for path, _ in calls] == ["int"]
+        return
+    assert [path for path, _ in calls] == ["text"]
+    for column, is_numeric, passed in zip(columns, numeric, calls[0][1], strict=True):
+        assert passed is column if is_numeric else passed == [format_cell(v) for v in column]
+
+
+# each case: header, columns, and whether csv.writer quotes the table; the
+# 3.11 writer with lineterminator "\n" writes CR bare, write_csv refuses it
+QUOTED_TABLES = {
+    **{f"cell {c!r}": (("a", "b"), [[1, 2], ["x", f"y{c}z"]], c != "\r") for c in ',"\r\n'},
+    **{f"header {c!r}": (("a", f"b{c}"), [[1], [2]], c != "\r") for c in ',"\r\n'},
+    "empty cell, one column": (("a",), [["x", ""]], True),
+    "None, one column": (("a",), [[1.5, None]], True),
+    "empty header, one column": (("",), [np.arange(3)], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUOTED_TABLES))
+def test_write_csv_refuses_cells_csv_would_quote(tmp_path, case):
+    header, columns, quoted = QUOTED_TABLES[case]
+    if quoted:
+        ref_write_csv(tmp_path / "rows.csv", header, zip(*columns))
+        assert '"' in (tmp_path / "rows.csv").read_text()
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", header, *columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_every_default_run_writes_the_row_writers_bytes(tmp_path, monkeypatch, name):
+    # the defaults PINNED_OUTPUTS leaves out are here too, and no default run
+    # writes a cell that csv.writer would quote
+    tables = []
+
+    def checked(path, header, *columns):
+        write_csv(path, header, *columns)
+        ref_write_csv(tmp_path / "rows.csv", header, zip(*columns))
+        assert Path(path).read_bytes() == (tmp_path / "rows.csv").read_bytes(), Path(path).name
+        tables.append(Path(path).name)
+
+    monkeypatch.setattr(harness, "write_csv", checked)
+    config = {"block": [1, 2]} if name == "admissible" else None
+    harness.run_experiment(name, config, out=tmp_path / "results", cache=tmp_path / "cache")
+    assert tables
 
 
 def test_prepare_run_merges_defaults_and_seed():

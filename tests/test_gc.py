@@ -422,6 +422,17 @@ def test_is_shattered_int8_peak_under_three_bytes_per_entry():
     assert peak < 3 * m.size
 
 
+def test_rotation_values_have_the_bits_of_the_one_expression_rule():
+    rng = np.random.default_rng(24)
+    edges = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    points = np.concatenate([rng.integers(0, 2**64, size=1 << 20, dtype=np.uint64), edges])
+    fam = RotationFamily(SQRT2M1, size=2, check=True)
+    got = fam.evaluate(points)
+    expect = helpers.ref_rotation_values(fam.alpha_state, 2, points)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
 def test_rotation_translates_realize_at_most_2n_dichotomies():
     # A row decides a dichotomy when every column is < alpha or > beta; the
     # pattern is the set of columns below alpha.  Translates of one unimodal
