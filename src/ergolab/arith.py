@@ -246,31 +246,58 @@ def _bad_limit(limit: int):
     raise ParameterError(f"sieve limit must be >= 1, got {limit}")
 
 
-def brute_arith(n: int) -> tuple[int, int]:
-    """(mu(n), lambda(n)) by trial division; the slow reference route."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    omega = 0
-    big_omega = 0
-    squarefree = True
-    m = n
+def brute_arith(n):
+    """(mu(n), lambda(n)) by trial division; the slow reference route.
+
+    ``n`` is an int, which gives a pair of ints, or a 1-D integer array,
+    which gives two int8 arrays of its length.  Either way every entry is
+    trial-divided at once, as one array: by 2, then by each odd d.  An entry
+    whose remaining cofactor r has d * d > r leaves the loop (r is then 1 or
+    one more prime), so a pass over d costs one integer division of the
+    entries still in play, and the loop ends when none is.  Raises
+    ParameterError for an entry below 1.
+    """
+    values = np.asarray(n)
+    if values.ndim > 1 or values.dtype.kind not in "iu":
+        raise ParameterError("need an integer or a 1-D integer array")
+    rest = values.reshape(-1).astype(np.int64)
+    if rest.size and rest.min() < 1:
+        raise ParameterError(f"n must be >= 1, got {rest.min()}")
+    mu = np.ones(rest.size, dtype=np.int8)
+    lam = np.ones(rest.size, dtype=np.int8)
+    pos = np.arange(rest.size)  # where each entry still in play writes its values
+    low = int(rest.min()) if rest.size else 0  # smallest cofactor still in play
     d = 2
-    while d * d <= m:
-        if m % d == 0:
-            omega += 1
-            mult = 0
-            while m % d == 0:
-                m //= d
-                mult += 1
-            big_omega += mult
-            if mult > 1:
-                squarefree = False
+    while rest.size:
+        if d * d > low:
+            done = rest < d * d
+            last = pos[done & (rest > 1)]  # the cofactor is one more prime
+            mu[last] = -mu[last]
+            lam[last] = -lam[last]
+            rest, pos = rest[~done], pos[~done]
+            if not rest.size:
+                break
+            low = int(rest.min())
+        quotient = rest // d
+        hit = np.flatnonzero(quotient * d == rest)
+        if hit.size:
+            at, rest_hit = pos[hit], quotient[hit]
+            mu[at] = -mu[at]
+            lam[at] = -lam[at]
+            while True:  # further powers of d: mu is 0, lambda flips once each
+                quotient = rest_hit // d
+                again = np.flatnonzero(quotient * d == rest_hit)
+                if not again.size:
+                    break
+                mu[at[again]] = 0
+                lam[at[again]] = -lam[at[again]]
+                rest_hit[again] = quotient[again]
+            rest[hit] = rest_hit
+            low = min(low, int(rest_hit.min()))
         d = 3 if d == 2 else d + 2
-    if m > 1:
-        omega += 1
-        big_omega += 1
-    mu = (-1) ** omega if squarefree else 0
-    return mu, (-1) ** big_omega
+    if values.ndim == 0:
+        return int(mu[0]), int(lam[0])
+    return mu, lam
 
 
 # ---------------------------------------------------------------------------

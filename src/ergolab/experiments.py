@@ -24,7 +24,8 @@ from .errors import ParameterError, ResourceLimitError
 
 MAX_FFT = 1 << 25  # longest transform (and theta grid) any kernel here allocates
 _GOLDEN = (math.sqrt(5) - 1) / 2
-_TAYLOR_TERMS = 32  # (pi/2)^32 / 32! < 1e-29, see _local_series
+_TAYLOR_TERMS = 20  # (pi/4)^20 / 20! < 4e-21, see _local_series
+_SERIES_BLOCK = 1 << 16  # indices of v per block of _local_series
 _SUP_BLOCK = 1024  # walk indices per block bounded at once by _interval_sup
 MAX_WALK = (1 << 31) - 1  # longest random walk: its int32 values |W(k)| <= k stay exact
 
@@ -106,20 +107,40 @@ def _phased(v: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _local_series(v: np.ndarray, center: float, step: float) -> list[complex]:
-    """Coefficients c_m with S(center + t*step) = sum_m c_m t^m, m < _TAYLOR_TERMS.
+    """Coefficients c_m, m < _TAYLOR_TERMS, with |S(center + t*step)| =
+    |sum_m c_m t^m| for |t| <= 1, S(theta) = sum_{k=1..n} v_k e^(ik theta).
 
-    c_m = (i^m / m!) sum_k (k*step)^m v_k e^(ik center).  For |t| <= 1 and
-    k*step <= pi/2 the truncation error is below sum|v_k| (pi/2)^M / M!.
+    The series is centred on the middle index K = (n + 1) / 2:
+    S(center + t*step) = e^(iK t step) sum_m c_m t^m with
+    c_m = (i^m / m!) sum_k ((k - K) step)^m v_k e^(ik center), and the unit
+    factor drops out of |S|.  When n * step <= pi/2 (as in davenport_sum),
+    |k - K| step <= pi/4, so the truncation error is below
+    sum|v_k| (pi/4)^M / M! < 4e-21 sum|v_k| at M = 20.
+
+    Only the nonzero v_k enter, _SERIES_BLOCK indices of v at a time, so the
+    scratch stays a few MiB at any n.  Each block adds its sums to the
+    coefficients by np.einsum, not by a BLAS dot: every sum runs in a fixed
+    order on one thread, so the coefficients (and every byte downstream) do
+    not depend on the BLAS thread count.
     """
-    re, im = _phased(v, center)
-    scale = np.arange(1, len(v) + 1, dtype=np.float64)
-    scale *= step
-    power = np.ones(len(v))
-    coeffs = []
-    for m in range(_TAYLOR_TERMS):
-        coeffs.append(complex(np.dot(re, power), np.dot(im, power)) * 1j**m / math.factorial(m))
-        power *= scale
-    return coeffs
+    sums = np.zeros((_TAYLOR_TERMS, 2))  # real and imaginary parts of m! c_m / i^m
+    middle = (len(v) + 1) / 2
+    for lo in range(0, len(v), _SERIES_BLOCK):
+        block = v[lo : lo + _SERIES_BLOCK]
+        nonzero = np.flatnonzero(block)
+        k = nonzero + (lo + 1.0)
+        terms = np.empty((2, len(k)))  # v_k e^(ik center)
+        np.cos(k * center, out=terms[0])
+        np.sin(k * center, out=terms[1])
+        terms *= block[nonzero]
+        offset = k
+        offset -= middle
+        offset *= step
+        power = np.ones(len(k))
+        for m in range(_TAYLOR_TERMS):
+            sums[m] += np.einsum("ij,j->i", terms, power)
+            power *= offset
+    return [complex(re, im) * 1j**m / math.factorial(m) for m, (re, im) in enumerate(sums)]
 
 
 def davenport_sum(table: ArithmeticTable, x: int, a: float, refine: bool) -> DavenportResult:
@@ -132,8 +153,11 @@ def davenport_sum(table: ArithmeticTable, x: int, a: float, refine: bool) -> Dav
 
     With ``refine``, a 48-step golden-section search runs on
     [theta_j - step, theta_j + step], step = 2 pi / pad, over the Taylor
-    expansion of S about theta_j (`_local_series`: one O(x) pass; since
-    k*step <= pi/2 the truncation error is below 1e-29 sum|v(k)|).  |S| at
+    expansion of S about theta_j, centred on the middle index (`_local_series`:
+    20 einsum sums over the nonzero v(k), one block of indices at a time;
+    since |k - (x+1)/2|*step <= pi/4 the truncation error is below
+    4e-21 sum|v(k)|, and no sum goes through BLAS, so the result is the same
+    at every BLAS thread count).  |S| at
     the final point is then summed directly and replaces the grid value only
     if larger, so max_value is a directly evaluated lower bound for the
     supremum and max_value >= grid_max >= theta0.  That direct sum carries
@@ -146,15 +170,17 @@ def davenport_sum(table: ArithmeticTable, x: int, a: float, refine: bool) -> Dav
     pad = 1 << (4 * x - 1).bit_length()
     if pad > MAX_FFT:
         raise ParameterError(f"transform length {pad} exceeds the memory cap {MAX_FFT}")
-    v = _table_head(table, x).astype(np.float64)
+    v = _table_head(table, x)  # exact integers; each float use converts them as it reads
     buf = np.zeros(pad)
     buf[1 : x + 1] = v
-    mags = np.abs(np.fft.rfft(buf))
-    theta0 = abs(int(_table_head(table, x).astype(np.int64).sum()))
+    spectrum = np.fft.rfft(buf)
+    mags = np.abs(spectrum, out=buf[: len(spectrum)])  # buf is spent: reuse it
+    del spectrum
+    theta0 = abs(int(v.sum(dtype=np.int64)))
     mags[0] = float(theta0)
     j = int(np.argmax(mags))
     grid_max = float(mags[j])
-    del buf, mags  # the refine pass allocates its own O(x) arrays; keep the peak at the grid's
+    del buf, mags  # the final direct sum allocates its own O(x) arrays; keep the peak at the grid's
     argmax_theta = 2 * math.pi * j / pad
     max_value = grid_max
     if refine:
@@ -435,13 +461,13 @@ def partition_mertens_sum(prefix: MertensPrefix, partition) -> PartitionResult:
         raise ParameterError(f"partition end {points[-1]} beyond prefix limit {prefix.limit}")
     mvals = prefix.prefix[np.asarray(points, dtype=np.int64)]
     deltas = np.diff(mvals)
-    signs = tuple(1 if d >= 0 else -1 for d in deltas)
+    signs = tuple(np.where(deltas >= 0, 1, -1).tolist())
     abs_sum = int(np.abs(deltas).sum())
     gaps = np.diff(np.asarray(points))
     veech = None
     if np.all(gaps[1:] > gaps[:-1]):
         veech = VeechSpec(starts=points, signs=signs)
-    return PartitionResult(points, tuple(int(d) for d in deltas), signs, abs_sum, abs_sum / points[-1], veech)
+    return PartitionResult(points, tuple(deltas.tolist()), signs, abs_sum, abs_sum / points[-1], veech)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ as ``<kind>-<limit>.npy`` under ``./cache`` or ``$ERGOLAB_CACHE_DIR``.
 
 CSV dialect: comma separators, LF line endings, one header row, ``.`` decimal
 point; floats by ``repr`` (shortest round-trip form), bools ``true``/``false``,
-None empty.  Nothing is quoted: ``write_csv`` refuses a cell or header name
-holding ``,``, ``"``, CR or LF, and an empty cell in a one-column table.
+None empty.  Nothing is quoted and files are ASCII: ``write_csv`` refuses a
+cell or header name holding ``,``, ``"``, CR, LF or a non-ASCII character,
+and an empty cell in a one-column table, before it opens the file.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ def write_csv(path, header, *columns) -> None:
     any other is joined as text (_write_text_rows): 1-D integer and float
     ndarrays as the reprs of ``tolist()``, other columns by ``format_cell``.
     Both give the same bytes.  Raises ValueError before opening the file on
-    ragged columns and on a cell that ``csv`` would quote: one holding ``,``,
-    ``"`` or LF (CR is refused too), or an empty one in a one-column table.
+    ragged columns, on a cell that ``csv`` would quote: one holding ``,``,
+    ``"`` or LF (CR is refused too), or an empty one in a one-column table,
+    and on a non-ASCII cell or header name, which the ASCII file cannot hold.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
@@ -175,8 +177,11 @@ def write_csv(path, header, *columns) -> None:
     numeric = [isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "iuf" for c in columns]
     columns = [c if num else [format_cell(v) for v in c] for c, num in zip(columns, numeric)]
     for name, cells, num in (("header", header, False), *zip(header, columns, numeric)):
-        if not num and (_QUOTED.search("".join(cells)) or (len(header) == 1 and "" in cells)):
-            raise ValueError(f"{name}: a cell holds ',', '\"', CR or LF, or is empty in a one-column table")
+        text = "" if num else "".join(cells)
+        if not num and (_QUOTED.search(text) or not text.isascii() or (len(header) == 1 and "" in cells)):
+            raise ValueError(
+                f"{name}: a cell holds ',', '\"', CR, LF or a non-ASCII character, or is empty in a one-column table"
+            )
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
         if columns and all(num and c.dtype.kind in "iu" for c, num in zip(columns, numeric)):
@@ -602,7 +607,9 @@ def _run_partition(p, ctx):
     points = _partition_points(p)
     prefix = ctx.prefix(points[-1])
     res = partition_mertens_sum(prefix, points)
-    steps = [range(1, len(points)), points[:-1], points[1:], res.deltas, res.signs]
+    x = np.asarray(points, dtype=np.int64)
+    steps = [np.arange(1, len(x), dtype=np.int64), x[:-1], x[1:]]
+    steps += [np.asarray(res.deltas, dtype=np.int64), np.asarray(res.signs, dtype=np.int64)]
     summary = _one_row(len(points) - 1, res.abs_sum, res.ratio, res.veech is not None)
     return [
         CsvTable("steps.csv", ("k", "x_k", "x_k1", "delta", "sign"), steps),

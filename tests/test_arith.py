@@ -67,6 +67,35 @@ def test_brute_matches_sieve(mu_100k, lam_100k):
         assert lam == lam_100k.value_at(n)
 
 
+# 1, 2, 4, prime squares (those below 10^4, the largest below 2^31 and
+# 65,537^2), 2^16, 65,537, 99,991 and the 4,096 values below 2^31, whose
+# cofactors keep the loop running longest
+_PRIME_SQUARES = [p * p for p in range(2, 100) if helpers.ref_factorization(p) == {p: 1}] + [46_337**2, 65_537**2]
+BRUTE_POINTS = np.array([1, 2, 4, *_PRIME_SQUARES, 2**16, 65_537, 99_991, *range(2**31 - 2**12, 2**31)])
+
+
+def test_brute_array_matches_reference():
+    mu, lam = brute_arith(BRUTE_POINTS)
+    assert mu.dtype == lam.dtype == np.int8
+    assert mu.tolist() == [helpers.ref_mobius(int(n)) for n in BRUTE_POINTS]
+    assert lam.tolist() == [helpers.ref_liouville(int(n)) for n in BRUTE_POINTS]
+
+
+def test_brute_empty_array():
+    mu, lam = brute_arith(np.array([], dtype=np.int64))
+    assert mu.dtype == lam.dtype == np.int8
+    assert mu.size == lam.size == 0
+
+
+@pytest.mark.parametrize(
+    "bad", [0, -7, np.array([0]), np.array([5, 0, 7]), np.array([3, -1]), np.array([-(2**40)])],
+    ids=["int-zero", "int-negative", "zero", "zero-inside", "negative", "huge-negative"],
+)
+def test_brute_refuses_entries_below_one(bad):
+    with pytest.raises(ParameterError):
+        brute_arith(bad)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**6))
 def test_brute_matches_reference(n):
@@ -126,9 +155,9 @@ def test_sieve_window_matches_trial_division(lo, hi):
     # at the top of the range an accumulator too narrow for n would overflow
     mu = _sieve_range("mobius", lo, hi).values
     lam = _sieve_range("liouville", lo, hi).values
-    expected = np.array([brute_arith(n) for n in range(lo, hi + 1)], dtype=np.int8)
-    assert np.array_equal(mu, expected[:, 0])
-    assert np.array_equal(lam, expected[:, 1])
+    brute_mu, brute_lam = brute_arith(np.arange(lo, hi + 1))
+    assert np.array_equal(mu, brute_mu)
+    assert np.array_equal(lam, brute_lam)
 
 
 def test_window_across_a_segment_boundary_matches_full_run():
@@ -136,8 +165,10 @@ def test_window_across_a_segment_boundary_matches_full_run():
     full_mu, full_lam = sieve_mobius(hi), sieve_liouville(hi)
     assert np.array_equal(_sieve_range("mobius", lo, hi).values, full_mu.values[lo - 1 :])
     assert np.array_equal(_sieve_range("liouville", lo, hi).values, full_lam.values[lo - 1 :])
-    for n in (lo, lo + _SEGMENT - 1, lo + _SEGMENT, hi):
-        assert brute_arith(n) == (full_mu.value_at(n), full_lam.value_at(n))
+    points = np.array([lo, lo + _SEGMENT - 1, lo + _SEGMENT, hi])
+    brute_mu, brute_lam = brute_arith(points)
+    assert np.array_equal(brute_mu, full_mu.values[points - 1])
+    assert np.array_equal(brute_lam, full_lam.values[points - 1])
 
 
 # lo on and beside 1, 13^2 and the template period 180,180; hi below 2^2,

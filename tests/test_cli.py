@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -314,6 +316,9 @@ PINNED_OUTPUTS = {
         "gap.csv": "0d2dc113f53485280032b7ca66ca353e45855ca4949594818ceba2bd73a20f19",
         "indicator.csv": "335ce3e85c4d28d639b4ee3dbc05ce97221a29433290e58a7522eb2cedac4efd",
     },
+    "davenport": {
+        "davenport.csv": "c877e9d7cdda2489673068438ae8d12a5eb6dd9b0ef08c1af9c8228eeb877d51",
+    },
     "covering": {
         "bounds.csv": "6578c2117e497c664de26d129c1132a7b61ac60f793f0f213453851bd4817346",
         "entropy.csv": "2143db13e4aa507c4119f1b06f102e2a0911264f65c850e6087ca4affb00866d",
@@ -384,6 +389,23 @@ def test_exact_default_outputs_keep_their_bytes(sandbox, name):
     outputs = Path(run_dir_of(result)).iterdir()
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs if p.name != "manifest.json"}
     assert digests == PINNED_OUTPUTS[name]
+
+
+def test_davenport_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS threads a dot product above about 10^4 entries, so a refine
+    # summed by BLAS wrote other bits at x = 10^5 on 2 threads than on 1
+    (tmp_path / "config.json").write_text(json.dumps({"xs": [10**4, 10**5]}))
+    src = str(Path(experiments.__file__).parents[1])
+    written = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, ERGOLAB_CACHE_DIR=str(tmp_path / "cache"),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        command = [sys.executable, "-c", "from ergolab.cli import main; main()", "davenport",
+                   "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / f"blas{blas}")]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+        written.append((Path(done.stdout.strip()) / "davenport.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 3
 
 
 def test_seed_changes_random_outputs(sandbox):
@@ -795,6 +817,24 @@ def test_write_csv_refuses_cells_csv_would_quote(tmp_path, case):
         ref_write_csv(tmp_path / "rows.csv", header, zip(*columns))
         assert '"' in (tmp_path / "rows.csv").read_text()
     with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", header, *columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+# a file of the ASCII dialect cannot hold these; before the pre-open check
+# the first case raised UnicodeEncodeError after "a,b\n" was on disk
+NON_ASCII_TABLES = {
+    "cell": (("a", "b"), [[1, 2], ["x", "\u00e9"]]),
+    "cell, one column": (("a",), [["x", "\u00b5"]]),
+    "header name": (("a", "\u03bc"), [[1], [2]]),
+    "header name over integer arrays": (("\u03bb",), [np.arange(3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_ASCII_TABLES))
+def test_write_csv_refuses_non_ascii_before_opening_the_file(tmp_path, case):
+    header, columns = NON_ASCII_TABLES[case]
+    with pytest.raises(ValueError, match="non-ASCII"):
         write_csv(tmp_path / "t.csv", header, *columns)
     assert not (tmp_path / "t.csv").exists()
 

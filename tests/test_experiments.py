@@ -13,10 +13,12 @@ from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
 from ergolab.errors import ParameterError
 from ergolab.experiments import (
+    _SERIES_BLOCK,
     _SUP_BLOCK,
     MAX_FFT,
     _block_extrema,
     _h_floor,
+    _local_series,
     _PackedWalk,
     DavenportResult,
     _fit_decay,
@@ -167,6 +169,23 @@ class TestDavenport:
             x, 2.0, ref["grid_size"], ref["theta0"], grid_max, grid_max, ref["center"],
             grid_max / (x / math.log(x) ** 2.0),
         )
+
+    @pytest.mark.parametrize("kind", ["mobius", "liouville"])
+    def test_centred_series_matches_direct_sums_across_blocks(self, kind):
+        # x spans two block boundaries; for |t| <= 1 the 20-term series about
+        # the middle index equals |S| up to rounding (its truncation is below
+        # 4e-21 sum|v|; the direct sums round k*theta ~ 1e3 to ~1e-13)
+        x = 2 * _SERIES_BLOCK + 12_345
+        table = sieve_mobius(x) if kind == "mobius" else sieve_liouville(x)
+        v = table.values.astype(np.float64)
+        ks = np.arange(1, x + 1, dtype=np.float64)
+        step = 2 * math.pi / (1 << (4 * x - 1).bit_length())
+        center = 1234 * step
+        coeffs = _local_series(table.values, center, step)
+        for t in (-1.0, -0.37, 0.0, 0.5, 1.0):
+            series = abs(sum(c * t**m for m, c in enumerate(coeffs)))
+            direct = abs(np.sum(v * np.exp(1j * (center + t * step) * ks)))
+            assert series == pytest.approx(direct, abs=1e-12 * np.abs(v).sum())
 
     def test_uncovered_x_rejected(self):
         mu = sieve_mobius(10)
