@@ -80,11 +80,6 @@ class ArithmeticTable:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def value_at(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise ParameterError(f"n={n} outside table window [{self.lo}, {self.hi}]")
-        return int(self.values[n - self.lo])
-
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(_MAGIC, _KIND_CODES[self.kind], self.lo, self.hi)
         return header + self.values.tobytes()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import DRAW_CHUNK, WALK, generator, map_indexed, uniform_chunks
-from .arith import ArithmeticTable, MertensPrefix
+from .arith import _SEGMENT, ArithmeticTable
 from .dynsys import OrbitStream, VeechSpec
 from .errors import ParameterError, ResourceLimitError
 
@@ -27,6 +27,7 @@ _GOLDEN = (math.sqrt(5) - 1) / 2
 _TAYLOR_TERMS = 20  # (pi/4)^20 / 20! < 4e-21, see _local_series
 _SERIES_BLOCK = 1 << 16  # indices of v per block of _local_series
 _SUP_BLOCK = 1024  # walk indices per block bounded at once by _interval_sup
+_AT_BLOCKS = 64  # blocks of indices a MertensWalk rebuilds at once
 MAX_WALK = (1 << 31) - 1  # longest random walk: its int32 values |W(k)| <= k stay exact
 
 
@@ -338,27 +339,129 @@ def _h_floor(x: int, tau: float) -> int:
     return min(max(1, math.ceil(x**tau)), x)
 
 
-def _block_extrema(walk: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(first, max, min) over the aligned blocks walk[b*B : (b+1)*B], B = _SUP_BLOCK,
-    that lie inside walk[lo : hi + 1]; max[i] and min[i] belong to block first + i."""
-    first = -(-lo // _SUP_BLOCK)
-    stop = max((hi + 1) // _SUP_BLOCK, first)
-    blocks = walk[first * _SUP_BLOCK : stop * _SUP_BLOCK].reshape(-1, _SUP_BLOCK)
-    return first, blocks.max(axis=1), blocks.min(axis=1)
+class MertensWalk:
+    """M(0..limit), M(n) = v(1) + ... + v(n), for a table v of int8 values
+    with |v| <= 1 (mu: the Mertens function), kept as checkpoints: M at each
+    block start b * _SUP_BLOCK in int64, and the sum of |v| over each block's
+    values, in int32 (12 bytes per block).  Both come from int8 block sums,
+    taken one segment at a time as ``segments`` yields (lo, values) over
+    [1, limit] in order; no segment is kept.
+
+    Indexing by an int, a slice or a sorted index array gives int32 values
+    (exact, as |M(n)| <= n <= MAX_SIEVE_LIMIT).  They are rebuilt from the
+    block's checkpoint and a cumulative sum of the table values that
+    ``read(start, stop)`` returns (v(start + 1 .. stop), int8), read back
+    only for the indices asked for.
+    """
+
+    def __init__(self, limit: int, segments, read):
+        sums, mass = [], []
+        carry = np.empty(0, dtype=np.int8)  # the values of a block split across segments
+        for _, values in segments:
+            if len(carry):
+                values = np.concatenate([carry, values])
+            whole = len(values) - len(values) % _SUP_BLOCK
+            rows = values[:whole].reshape(-1, _SUP_BLOCK)
+            sums.append(rows.sum(axis=1, dtype=np.int32))
+            mass.append(np.abs(rows).sum(axis=1, dtype=np.int32))
+            carry = values[whole:].copy()
+        if len(carry):  # the last block, short of _SUP_BLOCK values
+            sums.append(np.array([carry.sum(dtype=np.int32)]))
+            mass.append(np.array([np.abs(carry).sum(dtype=np.int32)]))
+        self.limit = limit
+        self.mass = np.concatenate(mass)
+        self.starts = np.zeros(len(self.mass) + 1, dtype=np.int64)  # M(min(b * _SUP_BLOCK, limit))
+        np.cumsum(np.concatenate(sums), dtype=np.int64, out=self.starts[1:])
+        self.read = read
+
+    def __len__(self) -> int:
+        return self.limit + 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            lo, hi, step = k.indices(len(self))
+            if step != 1:
+                raise IndexError("a MertensWalk slice takes step 1")
+            return self._span(lo, max(lo, hi))
+        if isinstance(k, (int, np.integer)):
+            if not 0 <= k <= self.limit:
+                raise IndexError(f"index {k} outside [0, {self.limit}]")
+            return self._span(int(k), int(k) + 1)[0]
+        k = np.asarray(k, dtype=np.int64)
+        if k.ndim != 1:
+            raise IndexError("a MertensWalk index array must be 1-D")
+        if len(k) and (k[0] < 0 or k[-1] > self.limit or np.any(k[1:] < k[:-1])):
+            raise IndexError(f"a MertensWalk index array must be sorted inside [0, {self.limit}]")
+        return self._at(k)
+
+    def _span(self, lo: int, hi: int) -> np.ndarray:
+        """M(lo .. hi - 1), from the checkpoint of lo's block and one read."""
+        first = lo - lo % _SUP_BLOCK
+        out = np.zeros(hi - first, dtype=np.int32)
+        if hi > lo:
+            np.cumsum(self.read(first, hi - 1), dtype=np.int32, out=out[1:])
+            out += int(self.starts[first // _SUP_BLOCK])
+        return out[lo - first :]
+
+    def _at(self, k: np.ndarray) -> np.ndarray:
+        """M at the sorted indices k: the checkpoint of each one's block plus
+        the sum of the block's values before it, _AT_BLOCKS blocks of
+        indices at a time, each stretch read at once and its blocks summed
+        cumulatively."""
+        out = np.empty(len(k), dtype=np.int32)
+        stretch = _AT_BLOCKS * _SUP_BLOCK
+        edges = np.searchsorted(k, np.arange(0, self.limit + 1 + stretch, stretch))
+        for i, j in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            if i == j:
+                continue
+            blocks = k[i:j] // _SUP_BLOCK
+            enters = np.empty(len(blocks), dtype=bool)  # where the indices enter a new block
+            enters[0] = True
+            np.not_equal(blocks[1:], blocks[:-1], out=enters[1:])
+            need = blocks[enters]
+            first, last = int(need[0]), int(need[-1])
+            values = np.zeros((last - first + 1) * _SUP_BLOCK, dtype=np.int8)
+            span = self.read(first * _SUP_BLOCK, min((last + 1) * _SUP_BLOCK, self.limit))
+            values[: len(span)] = span
+            rows = values.reshape(-1, _SUP_BLOCK)[need - first]
+            # index n of block b sits at shift[b - first] + n in the rows, flattened
+            shift = np.zeros(last - first + 1, dtype=np.int64)
+            shift[need - first] = (np.arange(len(need)) - need) * _SUP_BLOCK
+            at = k[i:j] + shift[blocks - first]
+            sums = np.zeros(rows.shape, dtype=np.int32)
+            np.cumsum(rows[:, :-1], axis=1, dtype=np.int32, out=sums[:, 1:])
+            sums += self.starts[need].astype(np.int32)[:, None]
+            out[i:j] = sums.reshape(-1)[at]
+        return out
+
+    def envelope(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(0, upper, lower): bounds on M over each whole block
+        [b * _SUP_BLOCK, (b + 1) * _SUP_BLOCK - 1] <= limit, for `_interval_sup`.
+        From the block's start M, sum s and sum of |v| a: every M in the
+        block lies in [M - (a - s) / 2, M + (a + s) / 2], since a partial sum
+        of the block's values is at least minus the sum of its negative
+        values and at most the sum of its positive ones."""
+        blocks = len(self) // _SUP_BLOCK
+        start = self.starts[:blocks]
+        rise = self.starts[1 : blocks + 1] - start
+        mass = self.mass[:blocks]
+        return 0, start + (mass + rise) // 2, start - (mass - rise) // 2
 
 
-def _interval_sup(walk: np.ndarray, x: int, h_min: int, extrema) -> tuple[float, int]:
+def _interval_sup(walk, x: int, h_min: int, extrema) -> tuple[float, int]:
     """max over h in [h_min, x] of |walk[x+h] - walk[x]| / h, and the smallest h
     attaining it, equal to a scan of every h.
 
-    ``extrema`` is `_block_extrema` over a range holding [x + h_min, 2x].  A
-    block starting at walk index x + h_lo has every |walk[x+h] - walk[x]| / h
-    below max(|blkmax - walk[x]|, |blkmin - walk[x]|) / h_lo, and rounded
+    ``extrema`` is (first, upper, lower), with upper[i] and lower[i] bounds
+    on the walk over the aligned block walk[b*B : (b+1)*B], b = first + i,
+    B = _SUP_BLOCK, for every such block inside a range holding
+    [x + h_min, 2x]: a `MertensWalk.envelope`, or a `_PackedWalk.block_extrema`.
+    A block starting at walk index x + h_lo has every |walk[x+h] - walk[x]| / h
+    below max(|upper - walk[x]|, |lower - walk[x]|) / h_lo, and rounded
     division is monotone, so that bound holds for the float ratios too.  The
     ragged ends and the block with the top bound are scanned first; then
     every block whose bound is >= the best value so far (ties included, so
-    the smallest maximizing h is found).  ``walk`` is a Mertens prefix (int32,
-    or a caller's int64) or a `_PackedWalk`, which is read only at the
+    the smallest maximizing h is found).  ``walk`` is read only at the
     indices scanned; a difference of two int32 walk values spans at most x
     steps, so it is exact in int32 and each ratio is the same float.
     """
@@ -392,18 +495,18 @@ def _interval_sup(walk: np.ndarray, x: int, h_min: int, extrema) -> tuple[float,
     return sup, min(h for v, h in found if v == sup)
 
 
-def short_interval_sup(prefix: MertensPrefix, x: int, tau: float) -> IntervalStat:
+def short_interval_sup(walk: MertensWalk, x: int, tau: float) -> IntervalStat:
     """Exact sup over every integer h in [ceil(x^tau), x], with the smallest
-    maximizing h; `_interval_sup` skips the blocks of h it can bound below
-    the running best."""
+    maximizing h; `_interval_sup` bounds each block of h from the walk's
+    `envelope` and reads back only the blocks it cannot bound below the
+    running best."""
     x = int(x)
     if x < 1:
         raise ParameterError("need x >= 1")
     h_min = _h_floor(x, tau)
-    if prefix.limit < 2 * x:
-        raise ParameterError(f"prefix limit {prefix.limit} below the required 2x = {2 * x}")
-    walk = prefix.prefix
-    sup, argmax_h = _interval_sup(walk, x, h_min, _block_extrema(walk, x + h_min, 2 * x))
+    if walk.limit < 2 * x:
+        raise ParameterError(f"walk limit {walk.limit} below the required 2x = {2 * x}")
+    sup, argmax_h = _interval_sup(walk, x, h_min, walk.envelope())
     return IntervalStat(x, float(tau), h_min, x, sup, argmax_h)
 
 
@@ -420,54 +523,66 @@ class SecondMoment:
         return self.value / self.h**2
 
 
-def interval_second_moment(prefix: MertensPrefix, big_x: int, h: int) -> SecondMoment:
+def interval_second_moment(walk: MertensWalk, big_x: int, h: int) -> SecondMoment:
+    """The sum of (M(y + h) - M(y))^2 over y in [X, 2X), one _SEGMENT of y
+    at a time, each difference taken between two walk spans.  The int32
+    differences are exact, and so are their squares in int32 for h <= 46340
+    (in int64 past that), since |M(y + h) - M(y)| <= h; the squares are
+    summed in int64, and the total is divided by X as an int64."""
     big_x, h = int(big_x), int(h)
     if big_x < 1 or h < 1:
         raise ParameterError(f"need X >= 1 and h >= 1, got X = {big_x}, h = {h}")
-    if prefix.limit < 2 * big_x + h:
+    if walk.limit < 2 * big_x + h:
         raise ParameterError(
-            f"prefix limit {prefix.limit} below the required 2X + h = {2 * big_x + h}"
+            f"walk limit {walk.limit} below the required 2X + h = {2 * big_x + h}"
         )
-    walk = prefix.prefix
-    # |M(x+h) - M(x)| <= h, but the sum of squares can pass 2^31: square in int64
-    deltas = np.subtract(walk[big_x + h : 2 * big_x + h], walk[big_x : 2 * big_x], dtype=np.int64)
-    return SecondMoment(big_x, h, float(np.dot(deltas, deltas) / big_x))
+    square = np.int32 if h <= 46340 else np.int64
+    total = np.int64(0)
+    for lo in range(big_x, 2 * big_x, _SEGMENT):
+        hi = min(lo + _SEGMENT, 2 * big_x)
+        deltas = walk[lo + h : hi + h] - walk[lo:hi]
+        total += np.square(deltas, dtype=square).sum(dtype=np.int64)
+    return SecondMoment(big_x, h, float(total / big_x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionResult:
     """Normalized variation of M over a partition, with the step signs.
 
-    signs[k] = sgn(M(x_{k+1}) - M(x_k)) with sgn(0) := +1.  When the
-    partition gaps strictly increase, the signed steps materialize as a
-    step-function spec in `veech`.
+    points is the partition as int64, deltas[k] = M(x_{k+1}) - M(x_k)
+    (int32) and signs[k] = sgn(deltas[k]) with sgn(0) := +1 (int8).  When
+    the partition gaps strictly increase, the signed steps materialize as a
+    step-function spec in `veech`.  As the fields hold arrays, results
+    compare (and hash) by identity; compare two field by field, the arrays
+    with `np.array_equal`.
     """
 
-    points: tuple[int, ...]
-    deltas: tuple[int, ...]
-    signs: tuple[int, ...]
+    points: np.ndarray
+    deltas: np.ndarray
+    signs: np.ndarray
     abs_sum: int
     ratio: float
     veech: VeechSpec | None
 
 
-def partition_mertens_sum(prefix: MertensPrefix, partition) -> PartitionResult:
-    points = tuple(int(p) for p in partition)
-    if len(points) < 2:
+def partition_mertens_sum(walk: MertensWalk, partition) -> PartitionResult:
+    """M at each partition point (read from the walk's checkpoints and the
+    blocks holding the points), and the variation sum |M(x_{k+1}) - M(x_k)|."""
+    points = np.asarray(partition, dtype=np.int64)
+    if points.ndim != 1 or len(points) < 2:
         raise ParameterError("need at least two partition points")
-    if points[0] < 1 or any(b <= a for a, b in zip(points, points[1:])):
+    gaps = np.diff(points)
+    if points[0] < 1 or not np.all(gaps > 0):
         raise ParameterError("partition must be strictly increasing and start at >= 1")
-    if points[-1] > prefix.limit:
-        raise ParameterError(f"partition end {points[-1]} beyond prefix limit {prefix.limit}")
-    mvals = prefix.prefix[np.asarray(points, dtype=np.int64)]
-    deltas = np.diff(mvals)
-    signs = tuple(np.where(deltas >= 0, 1, -1).tolist())
+    if points[-1] > walk.limit:
+        raise ParameterError(f"partition end {points[-1]} beyond walk limit {walk.limit}")
+    deltas = np.diff(walk[points])
+    signs = np.where(deltas >= 0, np.int8(1), np.int8(-1))
     abs_sum = int(np.abs(deltas).sum())
-    gaps = np.diff(np.asarray(points))
     veech = None
     if np.all(gaps[1:] > gaps[:-1]):
-        veech = VeechSpec(starts=points, signs=signs)
-    return PartitionResult(points, tuple(deltas.tolist()), signs, abs_sum, abs_sum / points[-1], veech)
+        veech = VeechSpec(starts=tuple(points.tolist()), signs=tuple(signs.tolist()))
+    return PartitionResult(points, deltas, signs, abs_sum, abs_sum / int(points[-1]), veech)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +650,8 @@ class _PackedWalk:
         return self.starts[j] + _OCTET_PART[self.octets[j], k & 7]
 
     def block_extrema(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """`_block_extrema` over the whole walk, from each octet's extrema,
-        one draw chunk at a time."""
+        """(0, max, min) over each whole block walk[b*B : (b+1)*B],
+        B = _SUP_BLOCK, from each octet's extrema, one draw chunk at a time."""
         blocks = len(self) // _SUP_BLOCK
         shape = (blocks, _SUP_BLOCK // 8)
         octets = self.octets[: blocks * shape[1]].reshape(shape)

@@ -35,9 +35,10 @@ import numpy as np
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match, relevance
 
-from . import __version__
+from . import __version__, arith
 from ._util import COVERING_SAMPLE, SHATTER_SAMPLE, generator
 from .arith import (
+    _KIND_RANGES,
     BFreeSpec,
     ArithmeticTable,
     _check_window,
@@ -69,6 +70,7 @@ from .dynsys import (
 from .errors import ParameterError
 from .experiments import (
     MAX_FFT,
+    MertensWalk,
     chowla_decay,
     davenport_sum,
     disjointness_sum,
@@ -116,36 +118,51 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 _QUOTED = re.compile(r'[,"\r\n]')
 
 
-def _int_text(column: np.ndarray) -> tuple:
-    """Decimal text of a 1-D integer array, right-aligned in a (rows, width)
-    uint8 matrix, and the mask of the bytes each row uses."""
+def _int_cells(column: np.ndarray) -> np.ndarray:
+    """The CSV cells of a 1-D integer array, each followed by ",", as a
+    (width, len(column)) uint8 array with one row per character position:
+    the cells are right-aligned, and each position left of a cell holds 0.
+    Digits come last to first from a floor division by 10, which NumPy does
+    without a hardware divide, and a multiply-subtract, into buffers made
+    once per call."""
     negative = column < 0
     if column.dtype.kind == "u":
         magnitude = column.astype(np.uint64)
     else:
         magnitude = np.abs(column, dtype=np.int64).view(np.uint64)  # |-2**63| is 2**63 as uint64
-    length = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1 + negative
-    width = int(length.max())
-    text = np.empty((len(column), width), dtype=np.uint8)
-    for j in range(width - 1, -1, -1):
-        magnitude, digit = np.divmod(magnitude, 10)
-        text[:, j] = digit
-    text += ord("0")
-    rows = np.flatnonzero(negative)
-    text[rows, width - length[rows]] = ord("-")
-    return text, np.arange(width) >= (width - length)[:, None]
+    top = int(magnitude.max())
+    if top < 2**32:
+        magnitude = magnitude.astype(np.uint32)
+    signed = np.flatnonzero(negative)
+    digits = len(str(top))
+    last = digits - 1 + bool(len(signed))  # the row of each cell's last digit
+    text = np.zeros((last + 2, len(column)), dtype=np.uint8)
+    text[-1] = ord(",")
+    lengths, below = np.ones(len(signed), dtype=np.intp), magnitude[signed]  # the digits of each negative cell
+    for power in _POWERS_OF_TEN[: digits - 1]:
+        lengths += below >= power
+    quotient, digit = np.empty_like(magnitude), np.empty_like(magnitude)
+    for j in range(last, last - digits, -1):
+        np.floor_divide(magnitude, 10, out=quotient)
+        np.multiply(quotient, 10, out=digit)
+        np.subtract(magnitude, digit, out=digit)
+        digit += ord("0")
+        if j < last:  # a cell with nothing left to write has no digit here
+            digit *= magnitude != 0
+        text[j] = digit
+        magnitude, quotient = quotient, magnitude
+    text.reshape(-1)[(last - lengths) * len(column) + signed] = ord("-")
+    return text
 
 
 def _write_int_rows(fh, columns) -> None:
-    """CSV rows of equal-length 1-D integer arrays, one _ROW_BLOCK at a time."""
+    """CSV rows of equal-length 1-D integer arrays, one _ROW_BLOCK at a time:
+    the `_int_cells` of every column, stacked, transposed into rows, the
+    last "," of each row made a line feed, and the zero bytes taken out."""
     for start in range(0, len(columns[0]), _ROW_BLOCK):
-        pieces, masks = [], []
-        for i, column in enumerate(columns):
-            text, used = _int_text(column[start : start + _ROW_BLOCK])
-            separator = ord("\n") if i == len(columns) - 1 else ord(",")
-            pieces += [text, np.full((len(text), 1), separator, dtype=np.uint8)]
-            masks += [used, np.ones((len(text), 1), dtype=bool)]
-        fh.write(np.hstack(pieces)[np.hstack(masks)].tobytes())
+        text = np.concatenate([_int_cells(column[start : start + _ROW_BLOCK]) for column in columns])
+        text[-1] = ord("\n")
+        fh.write(text.T.tobytes().replace(b"\0", b""))
 
 
 def _write_text_rows(fh, columns) -> None:
@@ -227,21 +244,19 @@ def cache_dir_path(override=None) -> Path:
     return Path(env) if env else Path("cache")
 
 
-def _read_entry(path: Path, length: int, count: int):
-    """The first `count` values of a cache entry, or None when the entry is
+def _entry_offset(path: Path, length: int):
+    """Where the values of a cache entry start, or None when the entry is
     missing or damaged: it must open with mmap_mode="r" as a 1-D int8 array of
-    the `length` values its name says.  The values are then read with
-    np.fromfile, not copied out of the map, so only the slice is read and no
-    mapped page counts toward the process's resident memory."""
+    the `length` values its name says.  Values are then read with np.fromfile
+    at an offset, never out of the map, so only what is read is paged in and
+    no mapped page counts toward the process's resident memory."""
     try:
         entry = np.load(path, mmap_mode="r")
     except (OSError, ValueError, EOFError):
         return None
     if not isinstance(entry, np.memmap) or entry.dtype != np.int8 or entry.shape != (length,):
         return None
-    offset = entry.offset
-    del entry
-    return np.fromfile(path, dtype=np.int8, count=count, offset=offset)
+    return entry.offset
 
 
 def _cached_limits(kind: str, cache: Path) -> list:
@@ -249,48 +264,99 @@ def _cached_limits(kind: str, cache: Path) -> list:
     return [int(m[1]) for path in cache.glob(f"{kind}-*.npy") if (m := pattern.fullmatch(path.name))]
 
 
+class CacheEntry:
+    """The sieve cache entry that serves the table of `kind` on [1, limit]:
+    ``<kind>-<limit>.npy`` when it is cached, else the smallest cached entry
+    of the same kind with a larger limit (its values on [1, limit] are the
+    table), else a new ``<kind>-<limit>.npy``, sieved on first use.
+
+    Every value is read through `segments` or `read`, which range-check what
+    they read.  An entry that is missing, or damaged (one `_entry_offset`
+    refuses, or one holding a value outside the kind's range), is sieved and
+    atomically replaced by `sieve` before anything is read from it.
+    """
+
+    def __init__(self, kind: str, limit: int, cache: Path):
+        if kind not in ("mobius", "liouville"):
+            raise ParameterError(f"unknown sieve kind {kind!r}")
+        limit = int(limit)
+        if limit < 1:
+            raise ParameterError(f"sieve limit must be >= 1, got {limit}")
+        self.kind, self.limit = kind, limit
+        self.source = min((n for n in _cached_limits(kind, cache) if n >= limit), default=limit)
+        self.path = cache / f"{kind}-{self.source}.npy"
+        self.offset = _entry_offset(self.path, self.source)
+
+    def sieve(self, keep: int) -> ArithmeticTable:
+        """Sieve [1, source] and write the entry one segment at a time, as
+        each is finished, in np.save's format; return the first `keep`
+        values, the only ones held."""
+        _check_window(1, self.source)  # before the cache dir or a temporary file exists
+        table = None
+
+        def stream(fh):
+            nonlocal table
+            np.lib.format.write_array_header_1_0(fh, {"descr": "|i1", "fortran_order": False, "shape": (self.source,)})
+            table = (sieve_mobius if self.kind == "mobius" else sieve_liouville)(self.source, keep, fh.write)
+
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(self.path, stream)
+        self.offset = _entry_offset(self.path, self.source)
+        return table
+
+    def _checked(self, start: int, stop: int):
+        """Values start + 1 .. stop of the entry, or None when the entry is
+        missing, shorter than that, or holds a value out of range there."""
+        if self.offset is None:
+            return None
+        values = np.fromfile(self.path, dtype=np.int8, count=stop - start, offset=self.offset + start)
+        low, high = _KIND_RANGES[self.kind]
+        if len(values) != stop - start or (len(values) and (values.min() < low or values.max() > high)):
+            return None
+        return values
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """The values at n = start + 1 .. stop (0 <= start <= stop <= limit),
+        as a new int8 array; a damaged entry is re-sieved first."""
+        values = self._checked(start, stop)
+        if values is None:
+            self.sieve(1)
+            values = self._checked(start, stop)
+        return values
+
+    def segments(self, stop: int | None = None):
+        """Yield (lo, values) over [1, stop] (all `limit` by default), one
+        _SEGMENT of values at a time, in order.  Each segment is a new array
+        read from the entry at its offset and range-checked; a missing entry
+        is sieved before the first read, and a damaged one when a read finds
+        the damage, after which the rest is read from the new entry."""
+        stop = self.limit if stop is None else stop
+        for lo in range(1, stop + 1, arith._SEGMENT):
+            yield lo, self.read(lo - 1, min(lo - 1 + arith._SEGMENT, stop))
+
+
 def cached_sieve(kind: str, limit: int, cache: Path, count: int | None = None) -> ArithmeticTable:
     """The first `count` values (all `limit` by default) of the sieve table
-    for [1, limit], memoized on disk as ``<kind>-<limit>.npy``.
+    for [1, limit], memoized on disk as ``<kind>-<limit>.npy`` (`CacheEntry`).
 
-    The exact entry is served when there is one.  Otherwise the smallest
-    cached entry of the same kind with a larger limit is served as a prefix
-    slice, and no file is written.  Only the `count` values served are read
-    and range-checked; damage past them is caught by the first call that
-    reads it.  Only when no entry covers the request is it sieved, and the
-    entry is then written one segment at a time as the sieve finishes each,
-    in np.save's format, while only the `count` values served are held.
-    The chosen entry is re-sieved and atomically replaced when it is
-    damaged: when _read_entry refuses it, or when the values read fall
-    outside the kind's range.
+    An entry that covers the request is read through `CacheEntry.segments`,
+    and only the `count` values served are read and range-checked; damage
+    past them is caught by the first call that reads it.  A smaller request
+    is served as a prefix slice of a larger entry, and no file is written.
+    Only when no entry covers the request is it sieved: the entry is then
+    written one segment at a time while only the `count` values served are
+    held.
     """
-    if kind not in ("mobius", "liouville"):
-        raise ParameterError(f"unknown sieve kind {kind!r}")
-    limit = int(limit)
-    if limit < 1:
-        raise ParameterError(f"sieve limit must be >= 1, got {limit}")
-    count = limit if count is None else int(count)
-    if not 1 <= count <= limit:
-        raise ParameterError(f"count {count} outside [1, {limit}]")
-    source = min((n for n in _cached_limits(kind, cache) if n >= limit), default=limit)
-    path = cache / f"{kind}-{source}.npy"
-    values = _read_entry(path, source, count)
-    if values is not None:
-        try:
-            return ArithmeticTable(kind, 1, count, values)
-        except ParameterError:  # values out of range, or the file shrank since the check
-            pass
-    _check_window(1, source)  # before the cache dir or a temporary file exists
-    table = None
-
-    def stream(fh):
-        nonlocal table
-        np.lib.format.write_array_header_1_0(fh, {"descr": "|i1", "fortran_order": False, "shape": (source,)})
-        table = (sieve_mobius if kind == "mobius" else sieve_liouville)(source, count, fh.write)
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, stream)
-    return table
+    entry = CacheEntry(kind, limit, cache)
+    count = entry.limit if count is None else int(count)
+    if not 1 <= count <= entry.limit:
+        raise ParameterError(f"count {count} outside [1, {entry.limit}]")
+    if entry.offset is None:
+        return entry.sieve(count)
+    values = np.empty(count, dtype=np.int8)
+    for lo, segment in entry.segments(count):
+        values[lo - 1 : lo - 1 + len(segment)] = segment
+    return ArithmeticTable(kind, 1, count, values)
 
 
 def _atomic_write(path: Path, write: Callable) -> None:
@@ -323,8 +389,13 @@ class RunContext:
         self.limits[kind] = max(self.limits.get(kind, 0), int(limit))
         return table
 
-    def prefix(self, limit: int):
-        return mertens_prefix(self.table("mobius", limit))
+    def walk(self, limit: int) -> MertensWalk:
+        """M(0..limit) as a `MertensWalk` over the run's mu table for
+        [1, limit], read one segment at a time; the ledger records `limit`."""
+        entry = CacheEntry("mobius", limit, self.cache)
+        walk = MertensWalk(entry.limit, entry.segments(), entry.read)
+        self.limits["mobius"] = max(self.limits.get("mobius", 0), entry.limit)
+        return walk
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +498,9 @@ def _run_admissible(p, ctx):
 
 def _run_veech(p, ctx):
     spec = VeechSpec(**p["spec"])
-    mertens = ctx.prefix(veech_last_start(p["w"], p["budget"])) if spec.sign_rule == "mertens" else None
+    mertens = None
+    if spec.sign_rule == "mertens":
+        mertens = mertens_prefix(ctx.table("mobius", veech_last_start(p["w"], p["budget"])))
     scan = veech_window_closure(spec, p["w"], p["budget"], mertens)
     samples = scan.samples
     above = sorted(scan.above_threshold.items())
@@ -575,8 +648,8 @@ def _run_disjointness(p, ctx):
 
 
 def _run_short_interval(p, ctx):
-    prefix = ctx.prefix(2 * max(p["xs"]))
-    results = [short_interval_sup(prefix, x, p["tau"]) for x in p["xs"]]
+    walk = ctx.walk(2 * max(p["xs"]))
+    results = [short_interval_sup(walk, x, p["tau"]) for x in p["xs"]]
     header = ("x", "tau", "h_min", "h_max", "sup", "argmax_h")
     return [CsvTable("intervals.csv", header, _fields(results, header))]
 
@@ -586,30 +659,29 @@ def _run_second_moment(p, ctx):
     for x, h in zip(p["xs"], hs):
         if h < 1:  # checked before any sieve work
             raise ParameterError(f"h = x^exponent must be >= 1, got h = {h} at x = {x}")
-    prefix = ctx.prefix(max(2 * x + h for x, h in zip(p["xs"], hs)))
-    results = [interval_second_moment(prefix, x, h) for x, h in zip(p["xs"], hs)]
+    walk = ctx.walk(max(2 * x + h for x, h in zip(p["xs"], hs)))
+    results = [interval_second_moment(walk, x, h) for x, h in zip(p["xs"], hs)]
     header = ("x", "h", "value", "normalized")
     return [CsvTable("moments.csv", header, _fields(results, header))]
 
 
-def _partition_points(p) -> list:
+def _partition_points(p) -> np.ndarray:
+    """The partition of a `partition` config, as int64."""
     if p["rule"] == "explicit":
         if not p["points"]:
             raise ParameterError("explicit rule needs a nonempty 'points' array")
-        return [int(v) for v in p["points"]]
+        _check_window(1, max(p["points"]))  # exit 3 here, not an OverflowError from np.array past int64
+        return np.array(p["points"], dtype=np.int64)
     top = p["top"]
     if p["rule"] == "squares":
-        return [k * k for k in range(1, math.isqrt(top) + 1)]
-    return list(range(1, top + 1))
+        return np.arange(1, math.isqrt(top) + 1, dtype=np.int64) ** 2
+    return np.arange(1, top + 1, dtype=np.int64)
 
 
 def _run_partition(p, ctx):
     points = _partition_points(p)
-    prefix = ctx.prefix(points[-1])
-    res = partition_mertens_sum(prefix, points)
-    x = np.asarray(points, dtype=np.int64)
-    steps = [np.arange(1, len(x), dtype=np.int64), x[:-1], x[1:]]
-    steps += [np.asarray(res.deltas, dtype=np.int64), np.asarray(res.signs, dtype=np.int64)]
+    res = partition_mertens_sum(ctx.walk(int(points[-1])), points)
+    steps = [np.arange(1, len(points), dtype=np.int64), points[:-1], points[1:], res.deltas, res.signs]
     summary = _one_row(len(points) - 1, res.abs_sum, res.ratio, res.veech is not None)
     return [
         CsvTable("steps.csv", ("k", "x_k", "x_k1", "delta", "sign"), steps),

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ergolab import arith, experiments
 from ergolab._util import DRAW_CHUNK, fill_signs
 from ergolab.averaging import BanachDensity, BFreeGap
 from ergolab.dynsys import (
@@ -40,6 +41,13 @@ def ref_factorization(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def value_at(table, n: int) -> int:
+    """f(n) from an ArithmeticTable, refusing an n outside its window."""
+    if not table.lo <= n <= table.hi:
+        raise ParameterError(f"n={n} outside table window [{table.lo}, {table.hi}]")
+    return int(table.values[n - table.lo])
 
 
 def ref_mobius(n: int) -> int:
@@ -280,6 +288,31 @@ def ref_interval_sup(walk, x: int, h_min: int) -> tuple[float, int]:
         if ratio > best:
             best, argmax_h = ratio, h
     return best, argmax_h
+
+
+def ref_block_extrema(walk, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(first, max, min) over the aligned blocks walk[b*B : (b+1)*B],
+    B = experiments._SUP_BLOCK, that lie inside walk[lo : hi + 1], each
+    taken whole; max[i] and min[i] belong to block first + i."""
+    block = experiments._SUP_BLOCK
+    first = -(-lo // block)
+    stop = max((hi + 1) // block, first)
+    blocks = np.asarray(walk[first * block : stop * block]).reshape(-1, block)
+    return first, blocks.max(axis=1), blocks.min(axis=1)
+
+
+def walk_of(values) -> experiments.MertensWalk:
+    """A MertensWalk over an in-memory int8 table v(1..n), fed one
+    arith._SEGMENT at a time and read back by slicing."""
+    values = np.asarray(values, dtype=np.int8)
+    segments = ((lo + 1, values[lo : lo + arith._SEGMENT]) for lo in range(0, len(values), arith._SEGMENT))
+    return experiments.MertensWalk(len(values), segments, lambda start, stop: values[start:stop])
+
+
+def walk_of_prefix(prefix) -> experiments.MertensWalk:
+    """walk_of the steps of a prefix array with prefix[0] == 0."""
+    assert prefix[0] == 0
+    return walk_of(np.diff(np.asarray(prefix, dtype=np.int64)))
 
 
 def ref_complex_window_averages(f, g, lengths) -> np.ndarray:

@@ -23,6 +23,7 @@ from ergolab import acceptance, arith, averaging, dynsys, experiments, gc_stats,
 from ergolab.harness import (
     _ROW_BLOCK,
     REGISTRY,
+    CacheEntry,
     RunContext,
     build_family,
     cached_sieve,
@@ -32,7 +33,7 @@ from ergolab.harness import (
     write_csv,
 )
 
-from helpers import ref_liouville, ref_mobius, ref_write_csv
+from helpers import ref_liouville, ref_mobius, ref_sieve_segments, ref_write_csv, walk_of
 
 ALPHA = 0.4142135623730951
 
@@ -663,6 +664,79 @@ def test_miss_keeping_a_head_holds_o_segment_memory(tmp_path):
     assert table.values.tolist() == [ref_mobius(n) for n in range(1, 11)]
     assert peak < 16 << 20
     assert (tmp_path / f"mobius-{1 << 25}.npy").stat().st_size == (1 << 25) + 128
+
+
+def _segments(entry, stop=None):
+    return [(lo, segment.copy()) for lo, segment in entry.segments(stop)]
+
+
+@pytest.mark.parametrize("limit", STREAM_LIMITS)
+@pytest.mark.parametrize("kind", ["mobius", "liouville"])
+def test_segment_reader_matches_the_reference_sieve(tmp_path, monkeypatch, kind, limit):
+    monkeypatch.setattr(arith, "_SEGMENT", SEG)
+    expect = list(ref_sieve_segments(kind, 1, limit, SEG))
+    for path in ("miss", "hit"):
+        got = _segments(CacheEntry(kind, limit, tmp_path))
+        assert [lo for lo, _ in got] == list(range(1, limit + 1, SEG)), path
+        assert all(np.array_equal(g, e) and g.dtype == np.int8 for (_, g), e in zip(got, expect)), path
+    assert _cache_files(tmp_path) == [f"{kind}-{limit}.npy"]
+    # a smaller request reads the head of the larger entry, through `stop` too
+    smaller = CacheEntry(kind, max(limit - 1, 1), tmp_path)
+    assert smaller.path.name == f"{kind}-{limit}.npy"
+    assert np.array_equal(np.concatenate([g for _, g in _segments(smaller, 1)]), expect[0][:1])
+    assert np.array_equal(smaller.read(0, smaller.limit), np.concatenate(expect)[: smaller.limit])
+
+
+@pytest.mark.parametrize("damage", ["truncated", "later-segment-out-of-range"])
+def test_segment_reader_replaces_a_damaged_entry(tmp_path, monkeypatch, damage):
+    monkeypatch.setattr(arith, "_SEGMENT", SEG)
+    limit = 3 * SEG + 5
+    full = _full_table("mobius", limit)
+    path = tmp_path / f"mobius-{limit}.npy"
+    if damage == "truncated":
+        _truncated(path, limit)
+    else:
+        bad = full.copy()
+        bad[2 * SEG + 1] = 5
+        np.save(path, bad)
+    got = _segments(CacheEntry("mobius", limit, tmp_path))
+    assert np.array_equal(np.concatenate([g for _, g in got]), full)
+    assert path.read_bytes() == _npy_bytes(full)  # replaced whole, with no temporary file left
+    assert _cache_files(tmp_path) == [path.name]
+
+
+def test_kernels_read_a_cached_walk_as_the_in_memory_one(tmp_path, monkeypatch):
+    monkeypatch.setattr(arith, "_SEGMENT", SEG)
+    monkeypatch.setattr(experiments, "_SEGMENT", SEG)
+    monkeypatch.setattr(experiments, "_SUP_BLOCK", 16)
+    monkeypatch.setattr(experiments, "_AT_BLOCKS", 2)
+    n = 5 * SEG + 9
+    ctx = RunContext(cache=tmp_path)
+    cached, in_memory = ctx.walk(n), walk_of(sieve_mobius(n).values)
+    assert ctx.limits == {"mobius": n} and _cache_files(tmp_path) == [f"mobius-{n}.npy"]
+    assert np.array_equal(cached.starts, in_memory.starts) and np.array_equal(cached.mass, in_memory.mass)
+    for x in (1, 15, 16, 17, 100, n // 2):
+        assert experiments.short_interval_sup(cached, x, 0.4) == experiments.short_interval_sup(in_memory, x, 0.4)
+    for x, h in ((1, 1), (50, 7), (100, 80)):
+        assert experiments.interval_second_moment(cached, x, h) == experiments.interval_second_moment(in_memory, x, h)
+    points = np.arange(1, math.isqrt(n) + 1) ** 2
+    got, want = experiments.partition_mertens_sum(cached, points), experiments.partition_mertens_sum(in_memory, points)
+    assert np.array_equal(got.deltas, want.deltas) and (got.abs_sum, got.veech) == (want.abs_sum, want.veech)
+
+
+def test_walk_holds_checkpoints_not_the_table(tmp_path):
+    n = 1 << 22  # 4 MiB of mu, whose int32 prefix would take 16 MiB
+    np.save(tmp_path / f"mobius-{n}.npy", sieve_mobius(n).values)
+    tracemalloc.start()
+    try:
+        walk = RunContext(cache=tmp_path).walk(n)
+        walk_bytes = tracemalloc.get_traced_memory()[0]
+        experiments.short_interval_sup(walk, n // 2, 0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert walk_bytes < 12 * n // experiments._SUP_BLOCK + (64 << 10)
+    assert peak < 4 << 20
 
 
 def test_second_moment_writes_only_its_largest_table(sandbox):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ergolab import arith, experiments
 from ergolab._util import DRAW_CHUNK, WALK, generator
-from ergolab.arith import ArithmeticTable, MertensPrefix, mertens_prefix, sieve_liouville, sieve_mobius
+from ergolab.arith import ArithmeticTable, mertens_prefix, sieve_liouville, sieve_mobius
 from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
 from ergolab.errors import ParameterError
@@ -16,7 +17,6 @@ from ergolab.experiments import (
     _SERIES_BLOCK,
     _SUP_BLOCK,
     MAX_FFT,
-    _block_extrema,
     _h_floor,
     _local_series,
     _PackedWalk,
@@ -315,8 +315,9 @@ class TestChowlaDecay:
 
 class TestShortInterval:
     def test_tau_one_single_endpoint(self):
-        prefix = mertens_prefix(sieve_mobius(200))
-        res = short_interval_sup(prefix, 100, 1.0)
+        mu = sieve_mobius(200)
+        prefix = mertens_prefix(mu)
+        res = short_interval_sup(helpers.walk_of(mu.values), 100, 1.0)
         assert res.h_min == res.h_max == 100
         assert res.argmax_h == 100
         assert res.sup == abs(prefix.m(200) - prefix.m(100)) / 100
@@ -325,8 +326,7 @@ class TestShortInterval:
         vals = np.zeros(41, dtype=np.int64)
         vals[1:11] = np.arange(1, 11)
         vals[11:] = 10
-        prefix = MertensPrefix(40, vals)
-        res = short_interval_sup(prefix, 12, 0.5)
+        res = short_interval_sup(helpers.walk_of_prefix(vals), 12, 0.5)
         assert res.sup == 0.0
         assert res.argmax_h == res.h_min
 
@@ -334,23 +334,16 @@ class TestShortInterval:
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=60, max_size=60), st.floats(0.1, 1.0))
     def test_matches_brute_force(self, steps, tau):
         vals = np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
-        prefix = MertensPrefix(60, vals)
         x = 20
-        res = short_interval_sup(prefix, x, tau)
+        res = short_interval_sup(helpers.walk_of(steps), x, tau)
         h_lo = math.ceil(x**tau)
         brute = max(abs(int(vals[x + h]) - int(vals[x])) / h for h in range(h_lo, x + 1))
         assert res.sup == pytest.approx(brute, abs=1e-15)
 
     def test_prefix_too_small(self):
-        prefix = mertens_prefix(sieve_mobius(100))
+        walk = helpers.walk_of(sieve_mobius(100).values)
         with pytest.raises(ParameterError):
-            short_interval_sup(prefix, 60, 0.5)
-
-
-def walk_prefix(steps) -> MertensPrefix:
-    vals = np.zeros(len(steps) + 1, dtype=np.int64)
-    np.cumsum(steps, out=vals[1:])
-    return MertensPrefix(len(steps), vals)
+            short_interval_sup(walk, 60, 0.5)
 
 
 # x values on both sides of block boundaries, plus the x whose h range at
@@ -372,16 +365,18 @@ class TestIntervalSupOracle:
         n = 2 * _BLOCK_XS[-1]
         rng = np.random.default_rng(17)
         if source == "mobius":
-            prefix = mertens_prefix(sieve_mobius(n))
+            steps = sieve_mobius(n).values
         elif source == "flat":
-            prefix = MertensPrefix(n, np.zeros(n + 1, dtype=np.int64))
+            steps = np.zeros(n, dtype=np.int8)
         else:
             p = {"walk": 0.5, "biased": 0.7, "ones": 1.0, "minus-ones": 0.0}[source]
-            prefix = walk_prefix(np.where(rng.random(n) < p, 1, -1))
+            steps = np.where(rng.random(n) < p, 1, -1)
+        prefix = np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+        walk = helpers.walk_of(steps)
         for tau in (0.05, 0.3, 0.5, 0.8, 1.0):
             for x in _BLOCK_XS:
-                res = short_interval_sup(prefix, x, tau)
-                expect = helpers.ref_interval_sup(prefix.prefix, x, res.h_min)
+                res = short_interval_sup(walk, x, tau)
+                expect = helpers.ref_interval_sup(prefix, x, res.h_min)
                 assert (res.sup, res.argmax_h) == expect, (source, tau, x)
 
     def test_tie_across_blocks_goes_to_smallest_h(self):
@@ -395,16 +390,14 @@ class TestIntervalSupOracle:
         vals = np.zeros(2 * x + 1, dtype=np.int64)
         vals[x + h1] = 3
         vals[x + 2 * h1] = 6
-        prefix = MertensPrefix(2 * x, vals)
-        res = short_interval_sup(prefix, x, 0.05)
+        res = short_interval_sup(helpers.walk_of_prefix(vals), x, 0.05)
         assert (res.sup, res.argmax_h) == (3 / h1, h1)
         assert (res.sup, res.argmax_h) == helpers.ref_interval_sup(vals, x, res.h_min)
 
 
 class TestSecondMoment:
     def test_all_ones_gives_h_squared(self):
-        prefix = MertensPrefix(200, np.arange(201, dtype=np.int64))
-        res = interval_second_moment(prefix, 50, 7)
+        res = interval_second_moment(helpers.walk_of(np.ones(200)), 50, 7)
         assert res.value == 49.0
         assert res.normalized == 1.0
 
@@ -412,45 +405,33 @@ class TestSecondMoment:
         # an empty interval has no second moment to normalize
         for h in (0, -3):
             with pytest.raises(ParameterError, match="h >= 1"):
-                interval_second_moment(mertens_prefix(sieve_mobius(100)), 30, h)
+                interval_second_moment(helpers.walk_of(sieve_mobius(100).values), 30, h)
 
     def test_matches_brute_force(self):
-        prefix = mertens_prefix(sieve_mobius(300))
+        mu = sieve_mobius(300)
+        prefix = mertens_prefix(mu)
         big_x, h = 80, 11
-        res = interval_second_moment(prefix, big_x, h)
+        res = interval_second_moment(helpers.walk_of(mu.values), big_x, h)
         brute = sum(
             (prefix.m(x + h) - prefix.m(x)) ** 2 for x in range(big_x, 2 * big_x)
         ) / big_x
         assert res.value == pytest.approx(brute, abs=1e-12)
 
     def test_range_exceeding_prefix(self):
-        prefix = mertens_prefix(sieve_mobius(100))
+        walk = helpers.walk_of(sieve_mobius(100).values)
         with pytest.raises(ParameterError):
-            interval_second_moment(prefix, 49, 10)
+            interval_second_moment(walk, 49, 10)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_sum_of_squares_past_int32(self, dtype):
         # the all-ones walk at X = 10^5, h = 10^3: sum of Delta^2 = 10^11 > 2^31
-        prefix = MertensPrefix(201_000, np.arange(201_001, dtype=dtype))
-        assert interval_second_moment(prefix, 10**5, 10**3).value == 1e6
-
-
-def test_kernels_read_an_int64_prefix_as_the_int32_one():
-    p32 = mertens_prefix(sieve_mobius(10**6))
-    p64 = MertensPrefix(p32.limit, p32.prefix.astype(np.int64))
-    assert p32.prefix.dtype == np.int32
-    for x in (10**3, 10**5, 5 * 10**5):
-        assert short_interval_sup(p32, x, 0.6) == short_interval_sup(p64, x, 0.6)
-    for x, h in ((10**3, 30), (4 * 10**5, 1000)):
-        assert interval_second_moment(p32, x, h) == interval_second_moment(p64, x, h)
-    squares = [k * k for k in range(1, 1001)]
-    assert partition_mertens_sum(p32, squares) == partition_mertens_sum(p64, squares)
+        walk = helpers.walk_of_prefix(np.arange(201_001, dtype=dtype))
+        assert interval_second_moment(walk, 10**5, 10**3).value == 1e6
 
 
 class TestPartition:
     def test_unit_steps_count_squarefree(self):
-        prefix = mertens_prefix(sieve_mobius(10))
-        res = partition_mertens_sum(prefix, range(1, 11))
+        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(10).values), range(1, 11))
         squarefree = sum(1 for n in range(2, 11) if helpers.ref_squarefree(n))
         assert res.ratio == squarefree / 10
         # per-step signs follow mu(k+1), with ties going to +1
@@ -458,31 +439,116 @@ class TestPartition:
         assert res.signs[2] == 1  # mu(4) = 0 -> +1
 
     def test_single_interval(self):
-        prefix = mertens_prefix(sieve_mobius(100))
-        res = partition_mertens_sum(prefix, (10, 100))
+        mu = sieve_mobius(100)
+        prefix = mertens_prefix(mu)
+        res = partition_mertens_sum(helpers.walk_of(mu.values), (10, 100))
         assert res.ratio == abs(prefix.m(100) - prefix.m(10)) / 100
 
     def test_growing_gaps_materialize_step_function(self):
-        prefix = mertens_prefix(sieve_mobius(30))
-        res = partition_mertens_sum(prefix, (1, 4, 9, 16, 25))
+        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(30).values), (1, 4, 9, 16, 25))
         assert isinstance(res.veech, VeechSpec)
         assert res.veech.starts == (1, 4, 9, 16, 25)
         assert res.veech.signs == tuple(res.signs)
 
     def test_flat_gaps_do_not_materialize(self):
-        prefix = mertens_prefix(sieve_mobius(10))
-        res = partition_mertens_sum(prefix, range(1, 11))
+        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(10).values), range(1, 11))
         assert res.veech is None
 
+    def test_results_compare_by_identity(self):
+        walk = helpers.walk_of(sieve_mobius(10).values)
+        res, again = (partition_mertens_sum(walk, range(1, 11)) for _ in range(2))
+        assert res == res and res != again and hash(res) != hash(again)
+
     def test_non_monotone_rejected(self):
-        prefix = mertens_prefix(sieve_mobius(100))
+        walk = helpers.walk_of(sieve_mobius(100).values)
         with pytest.raises(ParameterError):
-            partition_mertens_sum(prefix, (1, 5, 5, 10))
+            partition_mertens_sum(walk, (1, 5, 5, 10))
 
     def test_beyond_limit_rejected(self):
-        prefix = mertens_prefix(sieve_mobius(50))
+        walk = helpers.walk_of(sieve_mobius(50).values)
         with pytest.raises(ParameterError):
-            partition_mertens_sum(prefix, (1, 10, 60))
+            partition_mertens_sum(walk, (1, 10, 60))
+
+
+# the checkpoint walk at tiny blocks: a segment that is not a whole number of
+# blocks, so blocks straddle segments, and tables that end on and off a block
+SMALL_BLOCK, SMALL_SEGMENT = 8, 20
+WALK_LENGTHS = [1, 2, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_SEGMENT, 401]
+
+
+@pytest.fixture()
+def small_walks(monkeypatch):
+    monkeypatch.setattr(experiments, "_SUP_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(experiments, "_SEGMENT", SMALL_SEGMENT + 4)
+    monkeypatch.setattr(experiments, "_AT_BLOCKS", 3)
+    monkeypatch.setattr(arith, "_SEGMENT", SMALL_SEGMENT)
+
+
+def mu_like(n: int, seed: int) -> np.ndarray:
+    """A random table of -1, 0 and 1, with runs of each, like mu."""
+    rng = np.random.default_rng(seed)
+    return np.repeat(rng.integers(-1, 2, n), rng.integers(1, 4, n))[:n].astype(np.int8)
+
+
+def prefix_of(values) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
+
+
+class TestMertensWalk:
+    @pytest.mark.parametrize("n", WALK_LENGTHS)
+    def test_values_match_the_prefix(self, small_walks, n):
+        values = mu_like(n, n)
+        prefix = prefix_of(values)
+        walk = helpers.walk_of(values)
+        assert len(walk) == n + 1
+        assert np.array_equal(walk.starts, prefix[np.minimum(np.arange(len(walk.starts)) * SMALL_BLOCK, n)])
+        assert [walk[k] for k in range(n + 1)] == prefix.tolist()
+        for lo, hi in [(0, n + 1), (1, n), (n // 3, n // 2 + 5), (n, n + 1), (3, 3), (5, 2)]:
+            assert walk[lo:hi].dtype == np.int32 and np.array_equal(walk[lo:hi], prefix[lo:hi])
+        rng = np.random.default_rng(n)
+        for size in (1, n // 5 + 1, 3 * n):  # sparse and dense index sets
+            idx = np.sort(rng.integers(0, n + 1, size))
+            assert np.array_equal(walk[idx], prefix[idx])
+        with pytest.raises(IndexError):
+            walk[n + 1]
+
+    @pytest.mark.parametrize("n", WALK_LENGTHS)
+    def test_every_value_lies_inside_the_envelope(self, small_walks, n):
+        values = mu_like(n, 7 * n)
+        prefix = prefix_of(values)
+        first, upper, lower = helpers.walk_of(values).envelope()
+        blocks = helpers.ref_block_extrema(prefix, 0, n)
+        assert first == blocks[0] == 0 and len(upper) == len(lower) == len(blocks[1])
+        assert np.all(upper >= blocks[1]) and np.all(lower <= blocks[2])
+        # no wider than the block's count of nonzero values
+        mass = np.add.reduceat(np.abs(values), np.arange(0, n, SMALL_BLOCK))[: len(upper)] if n else []
+        assert np.all(upper - lower <= mass)
+
+    def test_kernels_match_the_oracles(self, small_walks):
+        n = 401
+        for seed in range(4):
+            values = mu_like(n, seed)
+            prefix = prefix_of(values)
+            walk = helpers.walk_of(values)
+            for x in {1, 2, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK, 101, 199, n // 2}:
+                for tau in (0.05, 0.3, 0.5, 1.0):
+                    res = short_interval_sup(walk, x, tau)
+                    assert (res.sup, res.argmax_h) == helpers.ref_interval_sup(prefix, x, res.h_min), (seed, x, tau)
+            for big_x, h in [(1, 1), (5, 3), (60, 7), (60, 23), (60, 25), (100, 200)]:  # h past _SEGMENT too
+                squares = sum(int(prefix[y + h] - prefix[y]) ** 2 for y in range(big_x, 2 * big_x))
+                assert interval_second_moment(walk, big_x, h).value == squares / big_x
+            for points in (np.arange(1, 21) ** 2, np.arange(1, n + 1), np.array([1, 7, 8, 9, 16, 400, 401])):
+                res = partition_mertens_sum(walk, points)
+                assert np.array_equal(res.deltas, np.diff(prefix[points]))
+                assert res.abs_sum == int(np.abs(np.diff(prefix[points])).sum())
+
+    def test_index_arrays_outside_the_walk_or_unsorted_are_rejected(self, small_walks):
+        walk = helpers.walk_of(mu_like(40, 5))
+        for bad in ([-1, 3], [3, 41], [5, 4], [[1, 2], [3, 4]], [0, 40, 40, 39]):
+            with pytest.raises(IndexError):
+                walk[np.array(bad)]
+        assert len(walk[np.array([], dtype=np.int64)]) == 0
+        assert np.array_equal(walk[np.array([0, 0, 40])], prefix_of(mu_like(40, 5))[[0, 0, 40]])
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +632,7 @@ class TestRandomMertens:
         idx = np.random.default_rng(n).integers(0, n + 1, size=500)
         assert walk[idx].dtype == np.int32 and np.array_equal(walk[idx], full[idx])
         first, bmax, bmin = walk.block_extrema()
-        expect = _block_extrema(full, 0, n)
+        expect = helpers.ref_block_extrema(full, 0, n)
         assert first == expect[0]
         assert np.array_equal(bmax, expect[1]) and np.array_equal(bmin, expect[2])
 
