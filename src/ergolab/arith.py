@@ -1,8 +1,9 @@
 """Exact sieves for multiplicative arithmetic functions.
 
 This module produces exact integer tables of the Mobius function mu(n),
-the Liouville function lambda(n) = (-1)^Omega(n), B-free indicators, and
-Mertens prefix sums M(x) = sum_{n<=x} mu(n).
+the Liouville function lambda(n) = (-1)^Omega(n) and B-free indicators.  The
+Mertens function M(x) = sum_{n<=x} mu(n) is read from a mu table through
+`experiments.MertensWalk`.
 
 Tables are computed by a segmented, vectorized sieve: each segment of
 one-byte values comes from a signed 4-byte accumulator whose sign is the
@@ -293,67 +294,6 @@ def brute_arith(n):
     if values.ndim == 0:
         return int(mu[0]), int(lam[0])
     return mu, lam
-
-
-# ---------------------------------------------------------------------------
-# Mertens prefix sums
-
-
-def prefix_sums(values, dtype=np.int64) -> np.ndarray:
-    """Prefix sums [0, v0, v0 + v1, ...] of a 1-D integer or bool array, in
-    ``dtype``; they are exact when every partial sum fits it.
-
-    The result is filled one segment at a time, so besides it only
-    O(segment) scratch is allocated, never a full-length wide copy of the
-    input.
-    """
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ParameterError("need a one-dimensional value sequence")
-    prefix = np.empty(len(values) + 1, dtype=dtype)
-    prefix[0] = 0
-    for lo in range(0, len(values), _SEGMENT):
-        hi = min(lo + _SEGMENT, len(values))
-        out = prefix[lo + 1 : hi + 1]
-        np.cumsum(values[lo:hi], dtype=dtype, out=out)
-        out += prefix[lo]
-    return prefix
-
-
-@dataclass(frozen=True)
-class MertensPrefix:
-    """Prefix sums M(x) for 0 <= x <= limit, prefix[0] == 0.
-
-    `mertens_prefix` builds an int32 array: |M(x)| <= x <= MAX_SIEVE_LIMIT =
-    2^31 - 1, so it is exact at half the memory of int64.  A difference
-    M(y) - M(x) is at most y - x in size and so exact in int32 too.  Every
-    kernel also accepts a caller's int64 prefix.
-    """
-
-    limit: int
-    prefix: np.ndarray
-
-    def m(self, x: int) -> int:
-        if not 0 <= x <= self.limit:
-            raise ParameterError(f"x={x} outside [0, {self.limit}]")
-        return int(self.prefix[x])
-
-    def range_sum(self, x: int, y: int) -> int:
-        """M(y) - M(x) = sum of mu over (x, y], in O(1)."""
-        if not 0 <= x <= y <= self.limit:
-            raise ParameterError(f"bad range ({x}, {y}] for limit {self.limit}")
-        return int(self.prefix[y] - self.prefix[x])
-
-
-def mertens_prefix(table: ArithmeticTable) -> MertensPrefix:
-    """Mertens prefix sums from a Mobius table on [1, hi]."""
-    if table.kind != "mobius":
-        raise ParameterError(f"need a mobius table, got kind {table.kind!r}")
-    if table.lo != 1:
-        raise ParameterError("prefix sums need a table starting at n=1")
-    if table.hi > MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(f"prefix limit {table.hi} exceeds the int32 bound {MAX_SIEVE_LIMIT}")
-    return MertensPrefix(table.hi, prefix_sums(table.values, dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------

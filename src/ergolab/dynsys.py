@@ -27,12 +27,15 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._util import generator
-from .arith import MertensPrefix
 from .errors import ParameterError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .experiments import MertensWalk
 
 _MASK = (1 << 64) - 1
 _SCALE = 1 << 64
@@ -309,11 +312,12 @@ class VeechFunction:
 
     Generated specs materialize blocks on demand; explicit specs raise a
     ParameterError when evaluated at or beyond their last start.  The
-    "mertens" sign rule reads the block increments of M from `mertens`, a
-    prefix reaching the last start read (veech_last_start, for a scan).
+    "mertens" sign rule reads the block increments M(y) - M(x) from
+    `mertens`, an `experiments.MertensWalk` (`mertens_prefix`) reaching the
+    last start read (veech_last_start, for a scan).
     """
 
-    def __init__(self, spec: VeechSpec, mertens: MertensPrefix | None = None):
+    def __init__(self, spec: VeechSpec, mertens: MertensWalk | None = None):
         self.spec = spec
         self._mertens = mertens
         if spec.generator is None:
@@ -340,8 +344,11 @@ class VeechFunction:
             return 1
         if rule == "minus":
             return -1
-        inc = self._mertens.range_sum(self._starts[index], self._starts[index + 1])
-        return -1 if inc < 0 else 1
+        x, y = self._starts[index], self._starts[index + 1]
+        m = self._mertens
+        if y > m.limit:
+            raise ParameterError(f"bad range ({x}, {y}] for limit {m.limit}")
+        return -1 if m[y] < m[x] else 1
 
     def _extend(self, blocks: int) -> None:
         for _ in range(blocks):
@@ -494,7 +501,7 @@ def veech_last_start(w: int, budget: int) -> int:
 
 
 def veech_window_closure(
-    spec: VeechSpec, w: int, budget: int, mertens: MertensPrefix | None = None
+    spec: VeechSpec, w: int, budget: int, mertens: MertensWalk | None = None
 ) -> WindowScan:
     """Sample length-(2w+1) windows of f around _scan_centers and flag the
     persistent constants: windows whose best constancy radius exceeds

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import arith
 from ._util import DRAW_CHUNK, WALK, generator, map_indexed, uniform_chunks
 from .arith import _SEGMENT, ArithmeticTable
 from .dynsys import OrbitStream, VeechSpec
@@ -343,31 +344,27 @@ class MertensWalk:
     """M(0..limit), M(n) = v(1) + ... + v(n), for a table v of int8 values
     with |v| <= 1 (mu: the Mertens function), kept as checkpoints: M at each
     block start b * _SUP_BLOCK in int64, and the sum of |v| over each block's
-    values, in int32 (12 bytes per block).  Both come from int8 block sums,
-    taken one segment at a time as ``segments`` yields (lo, values) over
-    [1, limit] in order; no segment is kept.
+    values, in int32 (12 bytes per block).  Both come from int8 block sums
+    over whole blocks of values that ``read(start, stop)`` returns
+    (v(start + 1 .. stop), int8), about one _SEGMENT at a time; no read is
+    kept.
 
     Indexing by an int, a slice or a sorted index array gives int32 values
-    (exact, as |M(n)| <= n <= MAX_SIEVE_LIMIT).  They are rebuilt from the
-    block's checkpoint and a cumulative sum of the table values that
-    ``read(start, stop)`` returns (v(start + 1 .. stop), int8), read back
+    (exact, as |M(n)| <= n <= MAX_SIEVE_LIMIT), rebuilt from the block's
+    checkpoint and a cumulative sum of the values ``read`` returns, read back
     only for the indices asked for.
     """
 
-    def __init__(self, limit: int, segments, read):
+    def __init__(self, limit: int, read):
         sums, mass = [], []
-        carry = np.empty(0, dtype=np.int8)  # the values of a block split across segments
-        for _, values in segments:
-            if len(carry):
-                values = np.concatenate([carry, values])
-            whole = len(values) - len(values) % _SUP_BLOCK
-            rows = values[:whole].reshape(-1, _SUP_BLOCK)
+        chunk = _SUP_BLOCK * max(1, _SEGMENT // _SUP_BLOCK)
+        for lo in range(0, limit, chunk):
+            values = read(lo, min(lo + chunk, limit))
+            if len(values) % _SUP_BLOCK:  # the last block, short of _SUP_BLOCK values
+                values = np.concatenate([values, np.zeros(-len(values) % _SUP_BLOCK, dtype=np.int8)])
+            rows = values.reshape(-1, _SUP_BLOCK)
             sums.append(rows.sum(axis=1, dtype=np.int32))
             mass.append(np.abs(rows).sum(axis=1, dtype=np.int32))
-            carry = values[whole:].copy()
-        if len(carry):  # the last block, short of _SUP_BLOCK values
-            sums.append(np.array([carry.sum(dtype=np.int32)]))
-            mass.append(np.array([np.abs(carry).sum(dtype=np.int32)]))
         self.limit = limit
         self.mass = np.concatenate(mass)
         self.starts = np.zeros(len(self.mass) + 1, dtype=np.int64)  # M(min(b * _SUP_BLOCK, limit))
@@ -446,6 +443,18 @@ class MertensWalk:
         rise = self.starts[1 : blocks + 1] - start
         mass = self.mass[:blocks]
         return 0, start + (mass + rise) // 2, start - (mass - rise) // 2
+
+
+def mertens_prefix(table: ArithmeticTable) -> MertensWalk:
+    """M(0..hi) as a `MertensWalk` over a Mobius table on [1, hi], read by
+    slicing its values."""
+    if table.kind != "mobius":
+        raise ParameterError(f"need a mobius table, got kind {table.kind!r}")
+    if table.lo != 1:
+        raise ParameterError("prefix sums need a table starting at n=1")
+    if table.hi > arith.MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(f"prefix limit {table.hi} exceeds the int32 bound {arith.MAX_SIEVE_LIMIT}")
+    return MertensWalk(table.hi, lambda start, stop: table.values[start:stop])
 
 
 def _interval_sup(walk, x: int, h_min: int, extrema) -> tuple[float, int]:

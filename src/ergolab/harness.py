@@ -35,7 +35,7 @@ import numpy as np
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match, relevance
 
-from . import __version__, arith
+from . import __version__
 from ._util import COVERING_SAMPLE, SHATTER_SAMPLE, generator
 from .arith import (
     _KIND_RANGES,
@@ -45,7 +45,6 @@ from .arith import (
     admissibility_report,
     bfree_indicator,
     is_admissible,
-    mertens_prefix,
     sieve_liouville,
     sieve_mobius,
 )
@@ -75,6 +74,7 @@ from .experiments import (
     davenport_sum,
     disjointness_sum,
     interval_second_moment,
+    mertens_prefix,
     partition_mertens_sum,
     random_mertens_sim,
     short_interval_sup,
@@ -270,10 +270,10 @@ class CacheEntry:
     of the same kind with a larger limit (its values on [1, limit] are the
     table), else a new ``<kind>-<limit>.npy``, sieved on first use.
 
-    Every value is read through `segments` or `read`, which range-check what
-    they read.  An entry that is missing, or damaged (one `_entry_offset`
-    refuses, or one holding a value outside the kind's range), is sieved and
-    atomically replaced by `sieve` before anything is read from it.
+    Every value is read through `read`, which range-checks what it reads.
+    An entry that is missing, or damaged (one `_entry_offset` refuses, or one
+    holding a value outside the kind's range), is sieved and atomically
+    replaced by `sieve` before anything is read from it.
     """
 
     def __init__(self, kind: str, limit: int, cache: Path):
@@ -287,22 +287,18 @@ class CacheEntry:
         self.path = cache / f"{kind}-{self.source}.npy"
         self.offset = _entry_offset(self.path, self.source)
 
-    def sieve(self, keep: int) -> ArithmeticTable:
+    def sieve(self) -> None:
         """Sieve [1, source] and write the entry one segment at a time, as
-        each is finished, in np.save's format; return the first `keep`
-        values, the only ones held."""
+        each is finished, in np.save's format; only one value is held."""
         _check_window(1, self.source)  # before the cache dir or a temporary file exists
-        table = None
 
         def stream(fh):
-            nonlocal table
             np.lib.format.write_array_header_1_0(fh, {"descr": "|i1", "fortran_order": False, "shape": (self.source,)})
-            table = (sieve_mobius if self.kind == "mobius" else sieve_liouville)(self.source, keep, fh.write)
+            (sieve_mobius if self.kind == "mobius" else sieve_liouville)(self.source, 1, fh.write)
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(self.path, stream)
         self.offset = _entry_offset(self.path, self.source)
-        return table
 
     def _checked(self, start: int, stop: int):
         """Values start + 1 .. stop of the entry, or None when the entry is
@@ -317,46 +313,29 @@ class CacheEntry:
 
     def read(self, start: int, stop: int) -> np.ndarray:
         """The values at n = start + 1 .. stop (0 <= start <= stop <= limit),
-        as a new int8 array; a damaged entry is re-sieved first."""
+        as a new int8 array; a missing or damaged entry is sieved first."""
         values = self._checked(start, stop)
         if values is None:
-            self.sieve(1)
+            self.sieve()
             values = self._checked(start, stop)
         return values
-
-    def segments(self, stop: int | None = None):
-        """Yield (lo, values) over [1, stop] (all `limit` by default), one
-        _SEGMENT of values at a time, in order.  Each segment is a new array
-        read from the entry at its offset and range-checked; a missing entry
-        is sieved before the first read, and a damaged one when a read finds
-        the damage, after which the rest is read from the new entry."""
-        stop = self.limit if stop is None else stop
-        for lo in range(1, stop + 1, arith._SEGMENT):
-            yield lo, self.read(lo - 1, min(lo - 1 + arith._SEGMENT, stop))
 
 
 def cached_sieve(kind: str, limit: int, cache: Path, count: int | None = None) -> ArithmeticTable:
     """The first `count` values (all `limit` by default) of the sieve table
     for [1, limit], memoized on disk as ``<kind>-<limit>.npy`` (`CacheEntry`).
 
-    An entry that covers the request is read through `CacheEntry.segments`,
-    and only the `count` values served are read and range-checked; damage
-    past them is caught by the first call that reads it.  A smaller request
-    is served as a prefix slice of a larger entry, and no file is written.
-    Only when no entry covers the request is it sieved: the entry is then
-    written one segment at a time while only the `count` values served are
-    held.
+    The `count` values served are read through `CacheEntry.read`, which
+    range-checks them and first sieves a missing or damaged entry (written
+    one segment at a time); damage past them is caught by the first call
+    that reads it.  A smaller request is served as a prefix slice of a
+    larger entry, and no file is written.
     """
     entry = CacheEntry(kind, limit, cache)
     count = entry.limit if count is None else int(count)
     if not 1 <= count <= entry.limit:
         raise ParameterError(f"count {count} outside [1, {entry.limit}]")
-    if entry.offset is None:
-        return entry.sieve(count)
-    values = np.empty(count, dtype=np.int8)
-    for lo, segment in entry.segments(count):
-        values[lo - 1 : lo - 1 + len(segment)] = segment
-    return ArithmeticTable(kind, 1, count, values)
+    return ArithmeticTable(kind, 1, count, entry.read(0, count))
 
 
 def _atomic_write(path: Path, write: Callable) -> None:
@@ -391,9 +370,9 @@ class RunContext:
 
     def walk(self, limit: int) -> MertensWalk:
         """M(0..limit) as a `MertensWalk` over the run's mu table for
-        [1, limit], read one segment at a time; the ledger records `limit`."""
+        [1, limit], read through its cache entry; the ledger records `limit`."""
         entry = CacheEntry("mobius", limit, self.cache)
-        walk = MertensWalk(entry.limit, entry.segments(), entry.read)
+        walk = MertensWalk(entry.limit, entry.read)
         self.limits["mobius"] = max(self.limits.get("mobius", 0), entry.limit)
         return walk
 
@@ -461,7 +440,7 @@ def _run_mertens(p, ctx):
     head = min(p["head"], p["limit"])
     # M(x) for x <= head needs mu only up to head
     prefix = mertens_prefix(ctx.table("mobius", p["limit"], head))
-    return [CsvTable("mertens.csv", ("x", "m"), [np.arange(1, head + 1), prefix.prefix[1:]])]
+    return [CsvTable("mertens.csv", ("x", "m"), [np.arange(1, head + 1), prefix[1:]])]
 
 
 def _run_bfree(p, ctx):
@@ -670,6 +649,8 @@ def _partition_points(p) -> np.ndarray:
     if p["rule"] == "explicit":
         if not p["points"]:
             raise ParameterError("explicit rule needs a nonempty 'points' array")
+        if any(a >= b for a, b in zip(p["points"], p["points"][1:])):  # before the walk sieves anything
+            raise ParameterError("partition points must be strictly increasing")
         _check_window(1, max(p["points"]))  # exit 3 here, not an OverflowError from np.array past int64
         return np.array(p["points"], dtype=np.int64)
     top = p["top"]
@@ -722,6 +703,11 @@ def _int(default, minimum=1):
 
 def _num(default):
     return {"type": "number", "default": default}
+
+
+def _exponent(default):
+    """A short-interval exponent: h = x^e with 0 < e <= 1."""
+    return {**_num(default), "exclusiveMinimum": 0, "maximum": 1}
 
 
 def _int_array(default):
@@ -927,7 +913,12 @@ _EXPERIMENTS = [
     Experiment(
         "davenport",
         "grid+refined maximum of the sign-weighted exponential sum over the circle",
-        {"xs": _int_array([1000, 10000, 100000]), "a": _num(2.0), "refine": {"type": "boolean", "default": True}},
+        {
+            # x <= MAX_FFT / 4 keeps the zero-padded transform of length >= 4x inside MAX_FFT
+            "xs": {**_int_array([1000, 10000, 100000]), "items": {"type": "integer", "minimum": 2, "maximum": MAX_FFT // 4}},
+            "a": _num(2.0),
+            "refine": {"type": "boolean", "default": True},
+        },
         _run_davenport,
     ),
     Experiment(
@@ -945,7 +936,7 @@ _EXPERIMENTS = [
     Experiment(
         "short-interval",
         "exact sup of |M(x+h)-M(x)|/h over h in [x^tau, x]",
-        {"xs": _int_array([10000]), "tau": _num(0.6)},
+        {"xs": _int_array([10000]), "tau": _exponent(0.6)},
         _run_short_interval,
     ),
     Experiment(
@@ -954,8 +945,7 @@ _EXPERIMENTS = [
         {
             "xs": _int_array([10000]),
             "h": {"type": ["integer", "null"], "minimum": 1, "default": None},
-            # short intervals h = x^exponent with 0 < exponent <= 1
-            "exponent": {**_num(0.2), "exclusiveMinimum": 0, "maximum": 1},
+            "exponent": _exponent(0.2),
         },
         _run_second_moment,
     ),
@@ -974,7 +964,7 @@ _EXPERIMENTS = [
         "short-interval sup statistics of a random +-1 walk across many paths",
         {
             "grid": _int_array([1 << 10, 1 << 12, 1 << 14]),
-            "tau": _num(0.5),
+            "tau": _exponent(0.5),
             "paths": _int(64),
             "p": _num(0.5),
         },
@@ -983,7 +973,7 @@ _EXPERIMENTS = [
     Experiment(
         "zhan",
         "double sup of short-interval exponential sums over dyadic h and a theta grid",
-        {"x": _int(10000), "tau": _num(0.7), "thetas": {**_int(64), "maximum": MAX_FFT}},
+        {"x": _int(10000), "tau": _exponent(0.7), "thetas": {**_int(64), "maximum": MAX_FFT}},
         _run_zhan,
     ),
 ]

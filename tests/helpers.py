@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ergolab import arith, experiments
+from ergolab import experiments
 from ergolab._util import DRAW_CHUNK, fill_signs
 from ergolab.averaging import BanachDensity, BFreeGap
 from ergolab.dynsys import (
@@ -302,11 +302,9 @@ def ref_block_extrema(walk, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarr
 
 
 def walk_of(values) -> experiments.MertensWalk:
-    """A MertensWalk over an in-memory int8 table v(1..n), fed one
-    arith._SEGMENT at a time and read back by slicing."""
+    """A MertensWalk over an in-memory int8 table v(1..n), read by slicing."""
     values = np.asarray(values, dtype=np.int8)
-    segments = ((lo + 1, values[lo : lo + arith._SEGMENT]) for lo in range(0, len(values), arith._SEGMENT))
-    return experiments.MertensWalk(len(values), segments, lambda start, stop: values[start:stop])
+    return experiments.MertensWalk(len(values), lambda start, stop: values[start:stop])
 
 
 def walk_of_prefix(prefix) -> experiments.MertensWalk:

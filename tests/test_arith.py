@@ -13,17 +13,15 @@ from ergolab.arith import (
     _sieve_range,
     ArithmeticTable,
     BFreeSpec,
-    MertensPrefix,
     admissibility_report,
     bfree_indicator,
     brute_arith,
     is_admissible,
-    mertens_prefix,
-    prefix_sums,
     sieve_liouville,
     sieve_mobius,
 )
 from ergolab.errors import ParameterError, ResourceLimitError
+from ergolab.experiments import mertens_prefix
 
 import helpers
 
@@ -220,33 +218,31 @@ def test_sieve_rejects_bad_limits():
 
 
 # ---------------------------------------------------------------------------
-# Mertens prefix sums
+# Mertens function (a checkpoint walk over an in-memory table)
 
 
 def test_mertens_small_values(mu_100k):
     pref = mertens_prefix(mu_100k)
-    assert pref.m(1) == 1
-    assert pref.m(2) == 0
-    assert pref.m(10) == -1
+    assert (pref[1], pref[2], pref[10]) == (1, 0, -1)
     for x in [1, 10, 100, 999, 12_345]:
-        assert pref.m(x) == helpers.ref_mertens(x)
+        assert pref[x] == helpers.ref_mertens(x)
 
 
 def test_mertens_prefix_matches_direct_summation(mu_100k):
     pref = mertens_prefix(mu_100k)
     values = mu_100k.values.astype(np.int64)
     for x in [1, 7, 100, 4096, 99_999, 100_000]:
-        assert pref.m(x) == int(values[:x].sum())
-    assert pref.prefix[0] == 0
-    assert pref.prefix.dtype == np.int32
-    assert np.array_equal(pref.prefix[1:], np.cumsum(values))
+        assert pref[x] == int(values[:x].sum())
+    assert pref[0] == 0
+    assert pref[1:].dtype == np.int32
+    assert np.array_equal(pref[1:], np.cumsum(values))
 
 
 def test_mertens_prefix_is_int32_across_segments():
     table = sieve_mobius(2 * _SEGMENT + 3)
     pref = mertens_prefix(table)
-    assert pref.prefix.dtype == np.int32
-    assert np.array_equal(pref.prefix, np.concatenate([[0], np.cumsum(table.values, dtype=np.int64)]))
+    assert pref[:].dtype == np.int32
+    assert np.array_equal(pref[:], np.concatenate([[0], np.cumsum(table.values, dtype=np.int64)]))
 
 
 def test_mertens_prefix_refuses_a_table_past_the_int32_bound(monkeypatch):
@@ -258,8 +254,8 @@ def test_mertens_prefix_refuses_a_table_past_the_int32_bound(monkeypatch):
 
 def test_mertens_prefix_of_a_sieved_table():
     pref = mertens_prefix(sieve_mobius(1000))
-    assert pref.limit == 1000
-    assert pref.m(10) == -1
+    assert pref.limit == 1000 and len(pref) == 1001
+    assert pref[10] == -1
 
 
 def test_mertens_range_sum(mu_100k):
@@ -268,30 +264,7 @@ def test_mertens_range_sum(mu_100k):
     rng = np.random.default_rng(3)
     for _ in range(50):
         x, y = sorted(int(v) for v in rng.integers(0, 100_001, size=2))
-        assert pref.range_sum(x, y) == int(values[x:y].sum())
-
-
-@pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64])
-@pytest.mark.parametrize(
-    "length", [1, _SEGMENT - 1, _SEGMENT, _SEGMENT + 1, 2 * _SEGMENT + 3],
-    ids=["1", "seg-1", "seg", "seg+1", "2seg+3"],
-)
-def test_int64_prefix_matches_concatenated_cumsum(dtype, length):
-    rng = np.random.default_rng(length)
-    if dtype is np.int64:
-        v = rng.integers(-(2**40), 2**40, size=length, dtype=np.int64)
-    else:
-        v = rng.integers(-1 if dtype is np.int8 else 0, 2, size=length).astype(dtype)
-    expected = np.concatenate([[0], np.cumsum(v.astype(np.int64))])
-    got = prefix_sums(v)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, expected)
-
-
-def test_int64_prefix_of_nothing_and_of_a_matrix():
-    assert prefix_sums(np.empty(0, dtype=np.int8)).tolist() == [0]
-    with pytest.raises(ParameterError):
-        prefix_sums(np.zeros((2, 2), dtype=np.int8))
+        assert pref[y] - pref[x] == int(values[x:y].sum())
 
 
 def test_mertens_rejects_non_mobius_table(lam_100k):

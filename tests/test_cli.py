@@ -201,6 +201,7 @@ def test_oversized_theta_grid_rejected_before_running(sandbox):
     with pytest.raises(ParameterError, match="maximum"):
         prepare_run(REGISTRY["zhan"], config, None)
     prepare_run(REGISTRY["zhan"], {**config, "thetas": MAX_FFT}, None)
+    prepare_run(REGISTRY["davenport"], {"xs": [MAX_FFT // 4]}, None)  # the largest x whose transform fits
     result = invoke(sandbox, "zhan", config)
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"] == "config"
@@ -667,7 +668,10 @@ def test_miss_keeping_a_head_holds_o_segment_memory(tmp_path):
 
 
 def _segments(entry, stop=None):
-    return [(lo, segment.copy()) for lo, segment in entry.segments(stop)]
+    """(lo, values) over [1, stop] (all `limit` by default), read through
+    `CacheEntry.read` one SEG at a time."""
+    stop = entry.limit if stop is None else stop
+    return [(lo, entry.read(lo - 1, min(lo - 1 + SEG, stop))) for lo in range(1, stop + 1, SEG)]
 
 
 @pytest.mark.parametrize("limit", STREAM_LIMITS)
@@ -748,10 +752,16 @@ def test_second_moment_writes_only_its_largest_table(sandbox):
 
 
 @pytest.mark.parametrize(
-    "config", [{"exponent": -1}, {"xs": [10**6], "exponent": 1.5}], ids=["negative", "above-one"]
+    "name, config",
+    [
+        ("second-moment", {"exponent": -1}),
+        ("second-moment", {"xs": [10**6], "exponent": 1.5}),
+        ("partition", {"rule": "explicit", "points": [3_000_000, 2_000_000]}),
+    ],
+    ids=["negative", "above-one", "decreasing-points"],
 )
-def test_second_moment_rejects_exponent_before_sieving(sandbox, config):
-    result = invoke(sandbox, "second-moment", config)
+def test_exponent_and_partition_order_rejected_before_sieving(sandbox, name, config):
+    result = invoke(sandbox, name, config)
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"] == "config"
     assert not (sandbox / "results").exists()
@@ -989,6 +999,10 @@ MALFORMED = [
     ("sieve", {"head": 10.0}, "head"),
     ("sieve", {"limit": 100.0}, "limit"),
     ("zhan", {"thetas": 8.0}, "thetas"),
+    # bounds the kernels would only find after sieving: tau in (0, 1], a Davenport transform inside MAX_FFT
+    *[(name, {"tau": tau}, "tau") for name in ("short-interval", "zhan", "random-mertens") for tau in (0, 1.5)],
+    ("davenport", {"xs": [10**7]}, "xs.0"),
+    ("davenport", {"xs": [1]}, "xs.0"),
     ("covering", {"ns": [4.0]}, "ns.0"),
     ("gc-deviation", {"family": {"type": "bernoulli", "size": 2.0}}, "family.size"),
     ("orbit", {"system": {"variant": "bernoulli", "seed": 1.0}}, "system.seed"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergolab.arith import ArithmeticTable, mertens_prefix, sieve_mobius
+from ergolab.arith import ArithmeticTable, sieve_mobius
 from ergolab.dynsys import (
     TableStream,
     VeechFunction,
@@ -22,6 +22,7 @@ from ergolab.dynsys import (
     veech_window_closure,
 )
 from ergolab.errors import ParameterError
+from ergolab.experiments import mertens_prefix
 
 import helpers
 
@@ -309,7 +310,7 @@ def test_veech_mertens_sign_rule():
     f = VeechFunction(spec, pref)
     # M(1)=1, M(3)=-1, M(6)=-1, M(10)=-1: increments -2, 0, 0 -> signs -1, +1, +1
     assert (f(1), f(3), f(6)) == (-1, 1, 1)
-    assert pref.m(3) - pref.m(1) == -2
+    assert pref[3] - pref[1] == -2
     with pytest.raises(ParameterError, match=r"bad range \(91, 105\] for limit 100"):
         f(100)  # the block [91, 105) ends past the prefix
     with pytest.raises(ParameterError, match="needs a Mertens prefix"):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergolab import arith, experiments
+from ergolab import experiments
 from ergolab._util import DRAW_CHUNK, WALK, generator
-from ergolab.arith import ArithmeticTable, mertens_prefix, sieve_liouville, sieve_mobius
+from ergolab.arith import ArithmeticTable, sieve_liouville, sieve_mobius
 from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
 from ergolab.errors import ParameterError
@@ -28,6 +28,7 @@ from ergolab.experiments import (
     davenport_sum,
     disjointness_sum,
     interval_second_moment,
+    mertens_prefix,
     partition_mertens_sum,
     random_mertens_sim,
     short_interval_sup,
@@ -110,7 +111,7 @@ class TestDavenport:
         prefix = mertens_prefix(mu)
         for x in (100, 1000):
             res = davenport_sum(mu, x, a=2.0, refine=True)
-            assert res.theta0 == abs(prefix.m(x))
+            assert res.theta0 == abs(prefix[x])
 
     def test_all_ones_peaks_at_zero(self):
         res = davenport_sum(ones_table(16), 16, a=2.0, refine=True)
@@ -320,7 +321,7 @@ class TestShortInterval:
         res = short_interval_sup(helpers.walk_of(mu.values), 100, 1.0)
         assert res.h_min == res.h_max == 100
         assert res.argmax_h == 100
-        assert res.sup == abs(prefix.m(200) - prefix.m(100)) / 100
+        assert res.sup == abs(prefix[200] - prefix[100]) / 100
 
     def test_flat_prefix_gives_zero(self):
         vals = np.zeros(41, dtype=np.int64)
@@ -413,7 +414,7 @@ class TestSecondMoment:
         big_x, h = 80, 11
         res = interval_second_moment(helpers.walk_of(mu.values), big_x, h)
         brute = sum(
-            (prefix.m(x + h) - prefix.m(x)) ** 2 for x in range(big_x, 2 * big_x)
+            (prefix[x + h] - prefix[x]) ** 2 for x in range(big_x, 2 * big_x)
         ) / big_x
         assert res.value == pytest.approx(brute, abs=1e-12)
 
@@ -442,7 +443,7 @@ class TestPartition:
         mu = sieve_mobius(100)
         prefix = mertens_prefix(mu)
         res = partition_mertens_sum(helpers.walk_of(mu.values), (10, 100))
-        assert res.ratio == abs(prefix.m(100) - prefix.m(10)) / 100
+        assert res.ratio == abs(prefix[100] - prefix[10]) / 100
 
     def test_growing_gaps_materialize_step_function(self):
         res = partition_mertens_sum(helpers.walk_of(sieve_mobius(30).values), (1, 4, 9, 16, 25))
@@ -470,8 +471,8 @@ class TestPartition:
             partition_mertens_sum(walk, (1, 10, 60))
 
 
-# the checkpoint walk at tiny blocks: a segment that is not a whole number of
-# blocks, so blocks straddle segments, and tables that end on and off a block
+# the checkpoint walk at tiny blocks, read three blocks at a time, and tables
+# that end on and off a block and a read
 SMALL_BLOCK, SMALL_SEGMENT = 8, 20
 WALK_LENGTHS = [1, 2, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_SEGMENT, 401]
 
@@ -481,7 +482,6 @@ def small_walks(monkeypatch):
     monkeypatch.setattr(experiments, "_SUP_BLOCK", SMALL_BLOCK)
     monkeypatch.setattr(experiments, "_SEGMENT", SMALL_SEGMENT + 4)
     monkeypatch.setattr(experiments, "_AT_BLOCKS", 3)
-    monkeypatch.setattr(arith, "_SEGMENT", SMALL_SEGMENT)
 
 
 def mu_like(n: int, seed: int) -> np.ndarray:
@@ -541,6 +541,26 @@ class TestMertensWalk:
                 res = partition_mertens_sum(walk, points)
                 assert np.array_equal(res.deltas, np.diff(prefix[points]))
                 assert res.abs_sum == int(np.abs(np.diff(prefix[points])).sum())
+
+    @pytest.mark.parametrize("segment, block", [(100, 16), (8, 16)])
+    def test_checkpoints_come_from_whole_blocks_read_in_chunks(self, monkeypatch, segment, block):
+        # the walk reads block * max(1, segment // block) values at a time: 96 and 16 here
+        monkeypatch.setattr(experiments, "_SEGMENT", segment)
+        monkeypatch.setattr(experiments, "_SUP_BLOCK", block)
+        chunk = block * max(1, segment // block)
+        for n in sorted({1, block - 1, block, block + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + block, 3 * chunk + 5}):
+            values = mu_like(n, n)
+            prefix = prefix_of(values)
+            reads = []
+            walk = experiments.MertensWalk(n, lambda start, stop: reads.append((start, stop)) or values[start:stop])
+            assert reads == [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)], n
+            assert np.array_equal(walk.starts, prefix[np.minimum(np.arange(len(walk.starts)) * block, n)]), n
+            assert np.array_equal(walk.mass, np.add.reduceat(np.abs(values.astype(np.int32)), np.arange(0, n, block)))
+            assert np.array_equal(walk[0 : n + 1], prefix), n
+            first, upper, lower = walk.envelope()
+            blocks = helpers.ref_block_extrema(prefix, 0, n)
+            assert first == blocks[0] == 0 and len(upper) == len(blocks[1]) == (n + 1) // block
+            assert np.all(upper >= blocks[1]) and np.all(lower <= blocks[2]), n
 
     def test_index_arrays_outside_the_walk_or_unsorted_are_rejected(self, small_walks):
         walk = helpers.walk_of(mu_like(40, 5))
@@ -658,7 +678,7 @@ class TestZhan:
         mu = sieve_mobius(200)
         prefix = mertens_prefix(mu)
         res = zhan_sup(mu, 100, 0.5, thetas=8)
-        expect = [abs(prefix.m(100 + h) - prefix.m(100)) / h for h in res.h_values]
+        expect = [abs(prefix[100 + h] - prefix[100]) / h for h in res.h_values]
         assert np.allclose(res.theta0_values, expect, atol=1e-12)
 
     def test_all_ones_sup_is_one_at_theta0(self):
