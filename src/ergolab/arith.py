@@ -6,16 +6,16 @@ Mertens function M(x) = sum_{n<=x} mu(n) is read from a mu table through
 `experiments.MertensWalk`.
 
 Tables are computed by a segmented, vectorized sieve: each segment of
-one-byte values comes from a signed 4-byte accumulator whose sign is the
-value over the primes up to sqrt(hi) and whose magnitude detects the single
-prime factor above sqrt(hi).  Each segment's accumulator starts from a
-periodic template that already holds the primes up to 13 (period
-4 * 9 * 5 * 7 * 11 * 13 = 180,180 entries), so only the larger primes and
-prime powers are sieved by strided passes.  Memory is therefore one byte per
-table entry the caller keeps plus about 10 bytes of scratch per segment
-entry and the 0.7 MiB template, allocated once per sieve; a caller that
-keeps only a head can pass every segment on (to a file, say) as it is
-finished.  The hard limit is 2^31 - 1 entries
+one-byte values comes from a 2-byte accumulator of rounded logarithms,
+w_p = 2 * floor(32 * log2(p)) + 1 per hit of a prime p; its bit 0 is the
+parity of the hits, and its size tells, with a proven margin, whether one
+prime factor above sqrt(hi) is left (`sieve_segments`).  Each segment
+starts from a periodic template that holds the primes up to 13 (period
+180,180), so only the larger primes and prime powers are sieved by strided
+passes.  Memory is one byte per table entry the caller keeps plus about 4
+bytes of scratch per segment entry and the 0.36 MiB template, allocated
+once per sieve; a caller that keeps only a head can pass every segment on
+(to a file, say) as it is finished.  The hard limit is 2^31 - 1 entries
 (about 2 GiB of output), with desk-scale use expected at 1e8 and below.
 
 All values are exact; nothing here is floating point.
@@ -38,6 +38,7 @@ _SEGMENT = 1 << 20
 # holds; their product is the template's period
 _PRESIEVED = {2: 4, 3: 9, 5: 5, 7: 7, 11: 11, 13: 13}
 _PERIOD = math.prod(_PRESIEVED.values())
+_SQUAREFUL = 0x8000  # mu's mark, in a sieve accumulator, of a multiple of a prime square
 
 _HEADER = struct.Struct("<6sHII")
 _MAGIC = b"ATBL01"
@@ -124,18 +125,22 @@ def _check_window(lo: int, hi: int) -> None:
         )
 
 
+def _weight(p: int) -> int:
+    """w_p = 2 * floor(32 * log2(p)) + 1, from 2^m <= p^32 < 2^(m + 1)."""
+    return 2 * (p**32).bit_length() - 1
+
+
 def _template(kind: str) -> np.ndarray:
-    """The accumulator of n = 0, 1, ..., _PERIOD - 1 after the passes for
-    the prime powers in _PRESIEVED: they depend only on n mod _PERIOD, so a
+    """The uint16 accumulator of n = 0, 1, ..., _PERIOD - 1 (0.36 MiB) after
+    the adds for the prime powers in _PRESIEVED, with mu's _SQUAREFUL bit
+    on the multiples of 4 and 9: they depend only on n mod _PERIOD, so a
     segment starts from this template, copied in at seg_lo % _PERIOD."""
-    template = np.ones(_PERIOD, dtype=np.int32)
+    template = np.zeros(_PERIOD, dtype=np.uint16)
     for p, top in _PRESIEVED.items():
-        q = p
-        while q <= top:
-            template[::q] *= -p
-            q *= p
+        for q in {p, top} if kind == "liouville" else {p}:
+            template[::q] += _weight(p)
         if kind == "mobius" and top > p:
-            template[:: p * p] = 0
+            template[::top] |= _SQUAREFUL
     return template
 
 
@@ -143,66 +148,72 @@ def sieve_segments(kind: str, lo: int, hi: int) -> Iterator[np.ndarray]:
     """The mu or lambda values on [lo, hi], one finished int8 segment of at
     most _SEGMENT values at a time, in order.
 
-    Per segment, a signed int32 accumulator is multiplied by -p for each
-    multiple of p (mu; multiples of p^2 are then zeroed) or for each
-    multiple of every prime power p^k <= hi (lambda), over the primes
-    p <= max(13, sqrt(hi)).  The passes for the prime powers that divide
-    _PERIOD = 4 * 9 * 5 * 7 * 11 * 13 = 180,180 are pre-sieved: acc starts
-    as a copy of the periodic _template, and the strided loop does the rest
-    (mu: the primes above 13 and the zeros at 25, 49, 121 and 169; lambda:
-    every prime power the template leaves out).  Zeroing commutes with the
-    multiplications, so the multiples of every p^2 > _SEGMENT, at most one
-    per segment, are zeroed by one fancy-index assignment.
+    Per segment, a uint16 accumulator gets w_p = 2 * floor(32 * log2(p)) + 1
+    added at each multiple of p (mu) or of every prime power p^k <= hi
+    (lambda), over the primes p <= max(13, sqrt(hi)).  The adds for the
+    prime powers that divide _PERIOD = 4 * 9 * 5 * 7 * 11 * 13 = 180,180
+    come pre-sieved: acc starts as a copy of the periodic _template, and a
+    strided add per remaining modulus does the rest.  For mu, bit 15
+    (_SQUAREFUL) then marks the multiples of each p^2 <= _SEGMENT, p >= 5,
+    by a strided assignment (the template marks 4 and 9), and those of every
+    larger p^2, at most one per segment, by one fancy-index assignment.
 
-    Afterwards sign(acc) is the value over the sieved primes and |acc| is
-    the part of n they make up; it divides n, so int32 holds it for every
-    n <= MAX_SIEVE_LIMIT.  Where |acc| != n, n has one prime factor above
-    the sieved ones and the sign flips once more, by int8 ops on the mask's
-    bytes.  The scratch (acc, n, a mask and the yielded segment: about 10
-    bytes per segment entry, plus the 0.7 MiB template) is allocated once
-    and reused for every segment, so a consumer must copy or write out a
-    segment before asking for the next.
+    Every w_p is odd and within 1 of 64 * log2(p), so bit 0 of acc is the
+    parity of the hits, and as n < 2^31 takes at most 30 hits, acc is within
+    30 of 64 * log2(s), s the part of n made of sieved primes.  The rest of
+    n is 1 or one prime q > max(13, sqrt(seg_hi)), so q >= 17.  On each
+    sub-range [2^k, 2^(k+1)) of a segment, acc >= 64 * k - 30 where there
+    is no q, and where there is one, s < 2^(k+1) / 17 makes acc <=
+    64 * (k + 1 - log2(17)) + 30 < 64 * k - 167; so acc < 64 * k - 114
+    finds q with a margin of more than 50 either side.  Hits never reach bit
+    15 (acc <= 64 * 31 + 30 = 2014).  The value is (-1)^(hits + [q]), or 0
+    where bit 15 is set.
+
+    The scratch (acc, a mask and the yielded segment: about 4 bytes per
+    segment entry, plus the template) is allocated once and reused for
+    every segment, so a consumer must copy or write out a segment before
+    asking for the next.
     """
     _check_window(lo, hi)
-    primes = [int(p) for p in primes_up_to(math.isqrt(hi))]
-    squares = np.array([p * p for p in primes if p * p > _SEGMENT], dtype=np.int64)
+    primes = primes_up_to(math.isqrt(hi))
+    passes = []  # (p, q): an add of w_p at every multiple of q, for each power q of p the template leaves out
+    for p in primes.tolist():
+        q = _PRESIEVED.get(p, 1) * p
+        while q <= hi and (q == p or kind == "liouville"):
+            passes.append((p, q))
+            q *= p
+    bases, moduli = np.array(passes, dtype=np.int64).reshape(-1, 2).T
+    weights = [_weight(p) for p in bases.tolist()]
+    squares = primes[primes >= 5] ** 2 if kind == "mobius" else primes[:0]
+    marks, squares = squares[squares <= _SEGMENT], squares[squares > _SEGMENT]
     template = _template(kind)
     width = min(_SEGMENT, hi - lo + 1)
-    acc_buf = np.empty(width, dtype=np.int32)
-    n_buf = np.arange(lo, lo + width, dtype=np.int32)
+    acc_buf = np.empty(width, dtype=np.uint16)
     mask_buf = np.empty(width, dtype=bool)
     out_buf = np.empty(width, dtype=np.int8)
     for seg_lo in range(lo, hi + 1, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
         size = seg_hi - seg_lo + 1
-        acc, n, mask, out = acc_buf[:size], n_buf[:size], mask_buf[:size], out_buf[:size]
-        if seg_lo > lo:
-            n += _SEGMENT
+        acc, mask, out = acc_buf[:size], mask_buf[:size], out_buf[:size]
         for pos in range(-(seg_lo % _PERIOD), size, _PERIOD):
             acc[max(pos, 0) : pos + _PERIOD] = template[max(-pos, 0) : size - pos]
-        for p in primes:
-            if p * p > seg_hi:
-                break
-            q = _PRESIEVED.get(p, 1) * p  # the first power of p the template leaves out
-            if kind == "mobius":
-                if q == p:
-                    acc[-seg_lo % p :: p] *= -p
-                if q <= p * p <= _SEGMENT:
-                    acc[-seg_lo % (p * p) :: p * p] = 0
-                continue
-            while q <= seg_hi:
-                acc[-seg_lo % q :: q] *= -p
-                q *= p
+        live = moduli[: np.searchsorted(bases, math.isqrt(seg_hi), side="right")]  # p * p <= seg_hi
+        for start, q, w in zip((-seg_lo % live).tolist(), live.tolist(), weights):
+            view = acc[start::q]  # += on a view writes acc once, with no copy back
+            view += w
+        for start, s in zip((-seg_lo % marks).tolist(), marks.tolist()):
+            acc[start::s] = _SQUAREFUL
+        hits = -seg_lo % squares
+        acc[hits[hits < size]] = _SQUAREFUL
+        for k in range(seg_lo.bit_length() - 1, seg_hi.bit_length()):
+            i, j = max(1 << k, seg_lo) - seg_lo, min(2 << k, seg_hi + 1) - seg_lo
+            np.less(acc[i:j], max(64 * k - 114, 0), out=mask[i:j])
+        np.bitwise_and(acc, 1, out=out, casting="unsafe")
+        out ^= mask.view(np.int8)  # 1 where the value is -1
+        np.negative(out, out=out)
+        out |= 1
         if kind == "mobius":
-            hits = -seg_lo % squares
-            acc[hits[hits < size]] = 0
-        np.sign(acc, out=out)
-        np.abs(acc, out=acc)
-        np.not_equal(acc, n, out=mask)
-        flip = mask.view(np.int8)
-        np.negative(flip, out=flip)  # 0 where |acc| == n, -1 where the sign flips
-        out ^= flip
-        out -= flip
+            out *= np.less(acc, _SQUAREFUL, out=mask)
         yield out
 
 

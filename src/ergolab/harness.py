@@ -38,7 +38,6 @@ from jsonschema.exceptions import best_match, relevance
 from . import __version__
 from ._util import COVERING_SAMPLE, SHATTER_SAMPLE, generator
 from .arith import (
-    _KIND_RANGES,
     BFreeSpec,
     ArithmeticTable,
     _check_window,
@@ -113,7 +112,7 @@ def format_cell(value) -> str:
     return str(value)  # a float's str is its repr
 
 
-_ROW_BLOCK = 1 << 16
+_ROW_BLOCK = 1 << 15  # rows per write; a text block holds every cell and row string of its rows at once
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 _QUOTED = re.compile(r'[,"\r\n]')
 
@@ -270,10 +269,11 @@ class CacheEntry:
     of the same kind with a larger limit (its values on [1, limit] are the
     table), else a new ``<kind>-<limit>.npy``, sieved on first use.
 
-    Every value is read through `read`, which range-checks what it reads.
-    An entry that is missing, or damaged (one `_entry_offset` refuses, or one
-    holding a value outside the kind's range), is sieved and atomically
-    replaced by `sieve` before anything is read from it.
+    Every value is read through `table` (or `read`, its values), which
+    range-checks what it reads, once.  An entry that is missing, or damaged
+    (one `_entry_offset` refuses, or one holding a value outside the kind's
+    range), is sieved and atomically replaced by `sieve` before anything is
+    read from it.
     """
 
     def __init__(self, kind: str, limit: int, cache: Path):
@@ -301,31 +301,35 @@ class CacheEntry:
         self.offset = _entry_offset(self.path, self.source)
 
     def _checked(self, start: int, stop: int):
-        """Values start + 1 .. stop of the entry, or None when the entry is
-        missing, shorter than that, or holds a value out of range there."""
+        """The table of n = start + 1 .. stop, or None when the entry is missing,
+        shorter, or out of range there (ArithmeticTable's one range check)."""
         if self.offset is None:
             return None
         values = np.fromfile(self.path, dtype=np.int8, count=stop - start, offset=self.offset + start)
-        low, high = _KIND_RANGES[self.kind]
-        if len(values) != stop - start or (len(values) and (values.min() < low or values.max() > high)):
+        try:
+            return ArithmeticTable(self.kind, start + 1, stop, values)
+        except ParameterError:
             return None
-        return values
+
+    def table(self, start: int, stop: int) -> ArithmeticTable:
+        """The table of n = start + 1 .. stop (0 <= start < stop <= limit),
+        holding a new int8 array; a missing or damaged entry is sieved first."""
+        table = self._checked(start, stop)
+        if table is None:
+            self.sieve()
+            table = self._checked(start, stop)
+        return table
 
     def read(self, start: int, stop: int) -> np.ndarray:
-        """The values at n = start + 1 .. stop (0 <= start <= stop <= limit),
-        as a new int8 array; a missing or damaged entry is sieved first."""
-        values = self._checked(start, stop)
-        if values is None:
-            self.sieve()
-            values = self._checked(start, stop)
-        return values
+        """The values at n = start + 1 .. stop (0 <= start <= stop <= limit)."""
+        return self.table(start, stop).values if stop > start else np.empty(0, dtype=np.int8)
 
 
 def cached_sieve(kind: str, limit: int, cache: Path, count: int | None = None) -> ArithmeticTable:
     """The first `count` values (all `limit` by default) of the sieve table
     for [1, limit], memoized on disk as ``<kind>-<limit>.npy`` (`CacheEntry`).
 
-    The `count` values served are read through `CacheEntry.read`, which
+    The `count` values served are read through `CacheEntry.table`, which
     range-checks them and first sieves a missing or damaged entry (written
     one segment at a time); damage past them is caught by the first call
     that reads it.  A smaller request is served as a prefix slice of a
@@ -335,7 +339,7 @@ def cached_sieve(kind: str, limit: int, cache: Path, count: int | None = None) -
     count = entry.limit if count is None else int(count)
     if not 1 <= count <= entry.limit:
         raise ParameterError(f"count {count} outside [1, {entry.limit}]")
-    return ArithmeticTable(kind, 1, count, entry.read(0, count))
+    return entry.table(0, count)
 
 
 def _atomic_write(path: Path, write: Callable) -> None:

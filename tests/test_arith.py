@@ -170,8 +170,9 @@ def test_window_across_a_segment_boundary_matches_full_run():
 
 
 # lo on and beside 1, 13^2 and the template period 180,180; hi below 2^2,
-# 5^2 and 13^2; windows across one and two periods
-SIEVE_WINDOWS = [(lo, hi) for lo in (1, 2) for hi in (3, 24, 168)] + [
+# 5^2, 13^2 and 17^2 (17 unsieved, where the log-sum margin is tightest);
+# windows across one and two periods
+SIEVE_WINDOWS = [(lo, hi) for lo in (1, 2) for hi in (3, 24, 168)] + [(1, 288), (150, 288)] + [
     (lo, lo + width) for lo in (169, 180179, 180180, 180181) for width in (0, 2000)
 ] + [(178_000, 182_000), (358_000, 362_500)]
 
@@ -204,6 +205,30 @@ def test_presieved_segments_match_the_strided_loop_on_3e6_values_at_the_top(kind
                                   helpers.ref_sieve_segments(kind, lo, hi, _SEGMENT))
     for got, ref in pairs:
         assert got is not None and ref is not None and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("kind", ["mobius", "liouville"])
+def test_windows_around_every_power_of_two_match_trial_division(kind):
+    # 2^k starts a sub-range of the log-sum test; Omega(2^30) = 30 is the most hits
+    for k in range(1, 31):
+        lo, hi = max(1, 2**k - 2), 2**k + 2
+        got = np.concatenate([s.copy() for s in arith.sieve_segments(kind, lo, hi)])
+        assert np.array_equal(got, brute_arith(np.arange(lo, hi + 1))[kind == "liouville"]), k
+
+
+def test_log_weights_keep_both_margins_and_stay_below_bit_15():
+    primes = arith.primes_up_to(46_341)  # every prime a window below 2^31 sieves
+    weights = np.array([arith._weight(int(p)) for p in primes])
+    assert (weights % 2 == 1).all()  # bit 0 of the accumulator is the parity of the hits
+    error = np.abs(weights - 64 * np.log2(primes)).max()
+    assert error <= 1
+    hits = 30  # Omega(n) <= 30 for n < 2^31
+    # on [2^k, 2^(k+1)): acc >= 64k - 30 without an unsieved prime q >= 17, and
+    # acc <= 64 (k + 1 - log2 17) + 30 with one; the test is acc < 64k - 114
+    assert 114 - hits * error > 50
+    assert 64 * np.log2(17) - 64 - 114 - hits * error > 50
+    assert 64 * 31 + hits * error <= 2014 < arith._SQUAREFUL
+    assert hits * arith._weight(2) < 2014  # 2^30
 
 
 def test_sieve_rejects_bad_limits():
@@ -386,6 +411,15 @@ def test_admissible_respects_K_truncation():
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+
+@pytest.mark.parametrize("kind, bad", [("mobius", 2), ("mobius", -2), ("liouville", 5), ("bfree-indicator", -1)])
+def test_table_built_by_hand_refuses_values_out_of_range(kind, bad):
+    # the one range check a whole-table cache hit makes
+    values = np.zeros(10, dtype=np.int8)
+    values[7] = bad
+    with pytest.raises(ParameterError, match="out of range"):
+        ArithmeticTable(kind, 1, 10, values)
 
 
 def test_table_roundtrip_bytes():
