@@ -1,5 +1,6 @@
 """Command-line front end: one subcommand per registered experiment, plus
-``list`` (registry overview) and ``verify`` (the acceptance suite).
+``list`` (registry overview) and ``verify`` (the acceptance suite; with
+``--json``, one JSON object per criterion, elapsed seconds included).
 
 Exit codes: 0 success, 2 configuration error, 3 resource bound exceeded,
 4 acceptance failure.  Failures print a one-line JSON error record to
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -71,16 +73,19 @@ def list_command():
 
 @main.command()
 @click.argument("suite", type=click.Choice(["quick", "full"]))
-def verify(suite):
+@click.option("--json", "as_json", is_flag=True,
+              help="Print one JSON object per criterion (cid, name, passed, detail, elapsed) and no summary.")
+def verify(suite, as_json):
     """Run the acceptance suite and print one pass/fail row per criterion."""
     from .acceptance import run_suite
 
     results = run_suite(suite)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        click.echo(f"{status}  {r.cid:>2}  {r.name}: {r.detail}")
+        click.echo(json.dumps(asdict(r)) if as_json else f"{status}  {r.cid:>2}  {r.name}: {r.detail}")
     failed = sum(1 for r in results if not r.passed)
-    click.echo(f"{len(results) - failed}/{len(results)} criteria passed")
+    if not as_json:
+        click.echo(f"{len(results) - failed}/{len(results)} criteria passed")
     if failed:
         sys.exit(EXIT_ACCEPTANCE)
 

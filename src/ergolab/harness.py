@@ -134,6 +134,7 @@ def _int_cells(column: np.ndarray) -> np.ndarray:
         magnitude = magnitude.astype(np.uint32)
     signed = np.flatnonzero(negative)
     digits = len(str(top))
+    full = int(magnitude.min()) >= 10 ** (digits - 1)  # every cell has all the digits
     last = digits - 1 + bool(len(signed))  # the row of each cell's last digit
     text = np.zeros((last + 2, len(column)), dtype=np.uint8)
     text[-1] = ord(",")
@@ -146,7 +147,7 @@ def _int_cells(column: np.ndarray) -> np.ndarray:
         np.multiply(quotient, 10, out=digit)
         np.subtract(magnitude, digit, out=digit)
         digit += ord("0")
-        if j < last:  # a cell with nothing left to write has no digit here
+        if j < last and not full:  # a cell with nothing left to write has no digit here
             digit *= magnitude != 0
         text[j] = digit
         magnitude, quotient = quotient, magnitude
@@ -154,14 +155,128 @@ def _int_cells(column: np.ndarray) -> np.ndarray:
     return text
 
 
-def _write_int_rows(fh, columns) -> None:
-    """CSV rows of equal-length 1-D integer arrays, one _ROW_BLOCK at a time:
-    the `_int_cells` of every column, stacked, transposed into rows, the
-    last "," of each row made a line feed, and the zero bytes taken out."""
+_FLOAT_BLOCK = 1 << 13  # floats per pass of _positional_cells (~40 uint64 temporaries); 2**12 and 2**15 were slower
+_FLOAT_WIDTH = 25  # bytes of a float cell with its ",": the longest repr, "-2.2250738585072014e-308", has 24
+_TENS = np.array([float(f"1e{k}") for k in range(-4, 16)])  # the doubles nearest 10**k
+_FIVES = 5 ** np.arange(21, dtype=np.uint64)
+_U64 = np.uint64
+
+
+def _positional_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Write into out (a _FLOAT_WIDTH-row slice of `_float_cells`) the repr
+    cells of the float64 values x, each with 1e-4 <= |x| < 1e16, where repr
+    is positional.
+
+    The digits are repr's, the shortest that round back to x, nearest x, ties
+    to even (D. Gay's dtoa, mode 0), by exact integer bounds (as in Ryu):
+    - |x| = m 2**E with m in [2**52, 2**53).  e = floor(log10 |x|) is the
+      count of the doubles 1e-4..1e15 at most |x|, less 5: they are 10**k for
+      k >= 0 and lie above 10**k, with no double between, for k < 0.
+    - At p = 16 - e, in [1, 20], |x| 10**p lies in [10**16, 10**17).  The
+      reals taken to round to x are those between (4m -+ 2) 2**E / 4, half a
+      gap either side; times 10**p, between (4m -+ 2) 5**p / 2**s with
+      s = 2 - E - p in [0, 48].  The products are below 2**103, held in two
+      uint64 words from 32-bit partial products, and shifting them by s gives
+      their floors: L = floor(lower end) + 1 and U = floor(upper end).
+    - Each half-gap at that scale is >= 10**16 / 2**54 > 0.55, so 17 digits always
+      suffice, and U - L <= 10**17 / 2**52 < 23.  repr drops the most trailing
+      digits j for which a multiple of 10**j lies in [L, U]; a multiple of
+      10**(j+1) is one of 10**j, so j counts the k <= 16 with
+      floor(U / 10**k) 10**k >= L.  Of those multiples it takes the nearest
+      |x| 10**p, ties to even: for j >= 2 only that floor lies in [L, U]; for
+      j = 1 the rounding moves in by 10 if it fell out; for j = 0 it is in by
+      the half-gap.  No such multiple is 10**17, nor below 10**16 unless
+      10**16 is in [L, U], so N, the result scaled, has 17 digits.
+    - Two refinements change no cell here, so they are left out.  An end is
+      an integer only if 2**s divides 2 (2m -+ 1) 5**p, so s <= 1, which
+      |x| < 10**(17 - p) allows only at p = 1 with |x| >= 2**52: there N
+      is 10 |x| at every j, and the ends, 10 |x| -+ 5, or 10 |x| -+ 10
+      with |x| even, are no multiples of 100, so whether they belong to the
+      interval (they do iff m is even) moves nothing.  Below a power of two
+      (m = 2**52) the interval is half as wide, but none of the 67 powers of
+      two in the range (each one tested) has a repr the wider interval
+      would change.
+    - Cell rows: sign; "0." and -e-1 zeros when e < 0; the digits of N by
+      `_int_cells`, blank past max(17 - j, e + 2), with "." after digit e + 1
+      when e >= 0 (so a whole number ends in ".0"); ",".  For example
+      1125899906842624.25 at p = 1 spans ...6241.25 .. ...6243.75, so L, U =
+      ...6242, ...6243 and j = 0, and the tie ...6242.5 goes to the even
+      ...6242: "1125899906842624.2"."""
+    magnitude = np.abs(x)
+    e = np.searchsorted(_TENS, magnitude, side="right") - 5
+    bits = magnitude.view(np.uint64)
+    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    p = 16 - e
+    s = (1077 - (bits >> _U64(52)).astype(np.int64) - p).astype(np.uint64)  # 2 - E - p
+    five = _FIVES[p]
+    a1, a0 = m >> _U64(30), (m << _U64(2)) & _U64(2**32 - 1)  # 4m in 32-bit halves
+    b1, b0 = five >> _U64(32), five & _U64(2**32 - 1)
+    mid, low = a0 * b1 + a1 * b0, a0 * b0
+    lo = low + (mid << _U64(32))
+    hi = a1 * b1 + (mid >> _U64(32)) + (lo < low)  # 4m 5**p = hi 2**64 + lo
+    below = lo - (five << _U64(1))
+    above = lo + (five << _U64(1))
+    left = _U64(64) - s
+    v, frac = (hi << left) | (lo >> s), lo << left  # |x| 10**p: floor, fraction as a 0.64 fixed point
+    low_bound = (((hi - (below > lo)) << left) | (below >> s)) + _U64(1)
+    high = ((hi + (above < lo)) << left) | (above >> s)
+    multiples = high // _POWERS_OF_TEN[:16, None]
+    multiples *= _POWERS_OF_TEN[:16, None]  # row k - 1: floor(U / 10**k) 10**k
+    j = (multiples >= low_bound).view(np.uint8).sum(axis=0, dtype=np.uint8).astype(np.intp)
+    n = multiples[j - 1, np.arange(len(x))]
+    unit = np.where(j == 1, _U64(10), _U64(1))
+    quotient = v // unit
+    twice = (v - quotient * unit) * _U64(2) + (frac >> _U64(63))
+    up = (twice > unit) | ((twice == unit) & ((frac << _U64(1) != 0) | (quotient & _U64(1) == 1)))
+    nearest = (quotient + up) * unit
+    nearest -= (nearest > high) * unit
+    nearest += (nearest < low_bound) * unit
+    np.copyto(n, nearest, where=j <= 1)
+    digits = _int_cells(n)[:17]
+    digits *= np.arange(17)[:, None] < np.maximum(17 - j, e + 2)
+    point = np.where(e >= 0, e + 1, 17)
+    rows = np.arange(18)[:, None]
+    out[0] = (x < 0) * ord("-")
+    out[1] = (e < 0) * ord("0")
+    out[2] = (e < 0) * ord(".")
+    out[3:6] = (e <= np.array([[-2], [-3], [-4]])) * ord("0")
+    out[6:23] = digits
+    np.copyto(out[7:24], digits, where=rows[1:] > point)
+    np.copyto(out[6:24], (e >= 0) * np.uint8(ord(".")), where=rows == point)
+    out[24] = ord(",")
+
+
+def _float_cells(column: np.ndarray) -> np.ndarray:
+    """The CSV cells of a 1-D float16/32/64 array, laid out as `_int_cells`
+    lays out integers: a (_FLOAT_WIDTH, len(column)) uint8 array, one row per
+    character position, each cell followed by "," in the last row and 0 where
+    it has no byte.  A cell is ``repr`` of its value as a Python float: NumPy
+    computes it for 1e-4 <= |x| < 1e16, _FLOAT_BLOCK values at a time
+    (`_positional_cells`), and repr itself writes the rare rest (+-0.0, nan,
+    +-inf and |x| outside that range) into their columns."""
+    x = column.astype(np.float64)
+    in_range = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e16)
+    text = np.empty((_FLOAT_WIDTH, len(x)), dtype=np.uint8)
+    for start in range(0, len(x), _FLOAT_BLOCK):
+        block = slice(start, start + _FLOAT_BLOCK)
+        _positional_cells(np.where(in_range[block], x[block], 1.0), text[:, block])
+    rare = np.flatnonzero(~in_range)
+    if len(rare):  # each repr fills its rows from the top, and the last row keeps its ","
+        cells = np.array(list(map(repr, x[rare].tolist())), dtype=f"S{_FLOAT_WIDTH - 1}")
+        text[:-1, rare] = cells.view(np.uint8).reshape(len(rare), _FLOAT_WIDTH - 1).T
+    return text
+
+
+def _write_array_rows(fh, columns) -> None:
+    """CSV rows of equal-length 1-D integer and float arrays, one _ROW_BLOCK
+    at a time: the `_int_cells` or `_float_cells` of every column, stacked,
+    transposed into rows, the last "," of each row made a line feed, and the
+    zero bytes taken out."""
     for start in range(0, len(columns[0]), _ROW_BLOCK):
-        text = np.concatenate([_int_cells(column[start : start + _ROW_BLOCK]) for column in columns])
+        block = slice(start, start + _ROW_BLOCK)
+        text = np.concatenate([(_float_cells if c.dtype.kind == "f" else _int_cells)(c[block]) for c in columns])
         text[-1] = ord("\n")
-        fh.write(text.T.tobytes().replace(b"\0", b""))
+        fh.write(text.T.tobytes().translate(None, b"\0"))
 
 
 def _write_text_rows(fh, columns) -> None:
@@ -178,10 +293,13 @@ def write_csv(path, header, *columns) -> None:
     dialect: comma, LF, one header row, floats by ``repr``, bools
     ``true``/``false``, None empty, no quoting.
 
-    A table of 1-D integer ndarrays is formatted by NumPy (_write_int_rows);
-    any other is joined as text (_write_text_rows): 1-D integer and float
-    ndarrays as the reprs of ``tolist()``, other columns by ``format_cell``.
-    Both give the same bytes.  Raises ValueError before opening the file on
+    A table of 1-D integer and float ndarrays is formatted by NumPy
+    (_write_array_rows); a float cell is ``repr`` of its value as a Python
+    float, computed by NumPy for 1e-4 <= |x| < 1e16 and by ``repr`` outside
+    it (`_float_cells`).  A table with any other column is joined as text
+    (_write_text_rows): its 1-D numeric ndarrays as the reprs of
+    ``tolist()``, other columns by ``format_cell``.  Both give the same
+    bytes.  Raises ValueError before opening the file on
     ragged columns, on a cell that ``csv`` would quote: one holding ``,``,
     ``"`` or LF (CR is refused too), or an empty one in a one-column table,
     and on a non-ASCII cell or header name, which the ASCII file cannot hold.
@@ -200,9 +318,9 @@ def write_csv(path, header, *columns) -> None:
             )
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        if columns and all(num and c.dtype.kind in "iu" for c, num in zip(columns, numeric)):
+        if columns and all(numeric):
             fh.flush()
-            _write_int_rows(fh.buffer, columns)
+            _write_array_rows(fh.buffer, columns)
         else:
             _write_text_rows(fh, columns)
 

@@ -21,6 +21,7 @@ from ergolab.experiments import MAX_FFT
 from ergolab.gc_stats import BernoulliCoordinateFamily, FiniteFamily, RotationFamily, SubshiftWindowFamily
 from ergolab import acceptance, arith, averaging, dynsys, experiments, gc_stats, harness
 from ergolab.harness import (
+    _FLOAT_BLOCK,
     _ROW_BLOCK,
     REGISTRY,
     CacheEntry,
@@ -790,6 +791,17 @@ def test_write_csv_bytes(tmp_path):
 
 _FLOATS = np.array([-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, -2.5e-300, 1.7976931348623157e308,
                     math.inf, -math.inf, math.nan, 123456789.125])
+
+
+def _around(points) -> np.ndarray:
+    """Each point, its neighbours 1 ulp either side, and their negatives."""
+    points = np.asarray(points, dtype=np.float64)
+    near = np.concatenate([np.nextafter(points, -np.inf), points, np.nextafter(points, np.inf)])
+    return np.concatenate([near, -near])
+
+
+_QUARTERS = np.concatenate([2.0**50 + np.arange(0, 2**22, 1021) * 0.25, 2.0**51 - np.arange(1, 800) * 0.25])
+_DECIMALS = np.concatenate([np.arange(1, 1200) / 10.0**j for j in range(0, 9)])
 WRITE_CSV_COLUMNS = {
     "int8": [np.array([-128, -1, 0, 1, 127], dtype=np.int8)],
     "int64": [np.array([-(2**63), -1, 0, 2**53 + 1, 2**63 - 1], dtype=np.int64)],
@@ -833,6 +845,21 @@ WRITE_CSV_COLUMNS = {
         for delta in (-1, 0, 1)
     },
     "int-and-bool": [np.array([1, -2, 30], dtype=np.int8), np.array([True, False, True])],
+    # one case per branch of _float_cells: the bounds of e (powers of ten),
+    # every power of two in the range (below one, the code takes the wider
+    # interval of the gap above), ties to even (the quarter-integers, whose
+    # 17th digit is a 5), trailing digits dropped (short decimals), the rare
+    # cells repr writes, and the range's edges
+    "float-around-2**k": [_around(2.0 ** np.arange(-20, 61))],
+    "float-around-10**k": [_around([float(f"1e{k}") for k in range(-6, 20)])],
+    "float-quarter-integers": [np.arange(len(_QUARTERS)), _QUARTERS],
+    "float-decimals": [_DECIMALS, -_DECIMALS[::-1]],
+    "float-specials": [np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324])],
+    "float-range-edges": [_around([1e-4, 1e16])],
+    "float16-float32": [np.linspace(-65504, 65504, 4099).astype(np.float16),
+                        np.geomspace(1e-7, 3e38, 4099).astype(np.float32)],
+    "float-two-row-blocks": [np.arange(2 * _ROW_BLOCK + _FLOAT_BLOCK + 5, dtype=np.int64),
+                             np.cos(np.arange(2 * _ROW_BLOCK + _FLOAT_BLOCK + 5) * 0.7)],
 }
 
 
@@ -854,31 +881,52 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
         write_csv(tmp_path / "t.csv", ("a", "b"), np.arange(3), np.arange(2, dtype=np.int8))
 
 
+def test_write_csv_floats_match_repr_on_random_bit_patterns(tmp_path):
+    # 2**20 finite doubles from random bits: half keep their exponent (most
+    # lie outside [1e-4, 1e16) and take repr), half get one where repr is
+    # positional and NumPy writes the digits
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 2**64, 2**20, dtype=np.uint64)
+    bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)  # no inf or nan
+    half = len(bits) // 2
+    exponents = rng.integers(1009, 1077, half, dtype=np.uint64) << np.uint64(52)
+    bits[half:] = (bits[half:] & ~np.uint64(0x7FF << 52)) | exponents
+    values = bits.view(np.float64)
+    assert np.isfinite(values).all()
+    assert ((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)).mean() > 0.5
+    write_csv(tmp_path / "x.csv", ("x",), values)
+    with open(tmp_path / "x.csv") as fh:
+        assert fh.readline() == "x\n"
+        mismatches = [(line, v) for line, v in zip(fh, map(float, values)) if line != f"{v!r}\n"]
+        assert fh.read() == ""
+    assert mismatches == []
+
+
 @pytest.mark.parametrize("case", sorted(WRITE_CSV_COLUMNS))
 def test_write_csv_formats_only_integer_arrays_with_numpy(tmp_path, monkeypatch, case):
+    # every table of 1-D integer and float ndarrays takes the NumPy path, and
+    # no other table does
     columns = WRITE_CSV_COLUMNS[case]
     calls = []
-    monkeypatch.setattr(harness, "_write_int_rows", lambda fh, cols: calls.append(len(cols)))
+    monkeypatch.setattr(harness, "_write_array_rows", lambda fh, cols: calls.append(len(cols)))
     write_csv(tmp_path / "t.csv", tuple(f"c{i}" for i in range(len(columns))), *columns)
-    integer = all(isinstance(c, np.ndarray) and c.dtype.kind in "iu" for c in columns)
-    assert calls == ([len(columns)] if integer else [])
+    numeric = all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns)
+    assert calls == ([len(columns)] if numeric else [])
 
 
 @pytest.mark.parametrize("case", sorted(WRITE_CSV_COLUMNS))
 def test_write_csv_joins_reprs_only_for_numeric_arrays_with_a_float(tmp_path, monkeypatch, case):
-    # the routing test of the two body paths: every table but an all-integer
-    # ndarray one is joined as text, its 1-D numeric ndarrays by repr and
-    # every other column through format_cell
+    # the routing test of the two body paths: a table of numeric ndarrays,
+    # floats or not, is formatted by NumPy; any other column (a list, a bool
+    # array) sends the table to the text path, which joins its 1-D numeric
+    # ndarrays by repr and every other column through format_cell
     columns = WRITE_CSV_COLUMNS[case]
     calls = []
-    monkeypatch.setattr(harness, "_write_int_rows", lambda fh, cols: calls.append(("int", cols)))
+    monkeypatch.setattr(harness, "_write_array_rows", lambda fh, cols: calls.append(("array", cols)))
     monkeypatch.setattr(harness, "_write_text_rows", lambda fh, cols: calls.append(("text", cols)))
     write_csv(tmp_path / "t.csv", tuple(f"c{i}" for i in range(len(columns))), *columns)
     numeric = [isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns]
-    if all(numeric) and not any(c.dtype.kind == "f" for c in columns):
-        assert [path for path, _ in calls] == ["int"]
-        return
-    assert [path for path, _ in calls] == ["text"]
+    assert [path for path, _ in calls] == ["array" if all(numeric) else "text"]
     for column, is_numeric, passed in zip(columns, numeric, calls[0][1], strict=True):
         assert passed is column if is_numeric else passed == [format_cell(v) for v in column]
 
@@ -1129,6 +1177,25 @@ def test_verify_quick_passes(sandbox, monkeypatch):
     # working directory (./cache, ./results) or under $ERGOLAB_CACHE_DIR
     assert list(sandbox.rglob("*")) == []
     assert not Path(os.environ["ERGOLAB_CACHE_DIR"]).exists()
+
+
+def test_verify_json_prints_one_object_per_criterion(monkeypatch):
+    results = [acceptance.CriterionResult(1, "one", True, "ok", 0.25),
+               acceptance.CriterionResult(7, "seven", False, "x = 2", 1.5)]
+    monkeypatch.setattr(acceptance, "run_suite", lambda suite: results[: 1 if suite == "quick" else 2])
+    quick = CliRunner().invoke(main, ["verify", "quick", "--json"])
+    assert quick.exit_code == 0, quick.output
+    assert [json.loads(line) for line in quick.output.splitlines()] == [
+        {"cid": 1, "name": "one", "passed": True, "detail": "ok", "elapsed": 0.25}
+    ]
+    full = CliRunner().invoke(main, ["verify", "full", "--json"])
+    assert full.exit_code == 4
+    assert [json.loads(line) for line in full.output.splitlines()][1] == {
+        "cid": 7, "name": "seven", "passed": False, "detail": "x = 2", "elapsed": 1.5
+    }
+    rows = CliRunner().invoke(main, ["verify", "full"])  # without the flag: rows and a summary, as before
+    assert rows.exit_code == 4
+    assert rows.output == "PASS   1  one: ok\nFAIL   7  seven: x = 2\n1/2 criteria passed\n"
 
 
 def test_verify_rejects_unknown_suite():
