@@ -135,8 +135,8 @@ def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
     limit = 10**6
     table = _table("mobius", limit)
-    prefix = mertens_prefix(table)
-    step_bad = int(np.count_nonzero(np.diff(prefix[0 : limit + 1]) != table.values.astype(np.int64)))
+    prefix = mertens_prefix(table.values)
+    step_bad = int(np.count_nonzero(np.diff(prefix[0 : limit + 1]) != table.values))
     m10 = int(prefix[10])
     passed = step_bad == 0 and m10 == -1
     detail = f"{step_bad} increment mismatches up to {limit}; M(10)={m10}"
@@ -149,9 +149,9 @@ def criterion_3() -> CriterionResult:
     n = 1 << 12
     bad = {}
     for kind in ("mobius", "liouville"):
-        table = _table(kind, 2 * n)
-        fft = correlations(table, n, method="fft")
-        bad[kind] = int(np.count_nonzero(fft != correlations(table, n, method="direct")))
+        values = _table(kind, 2 * n).values
+        fft = correlations(values, n, method="fft")
+        bad[kind] = int(np.count_nonzero(fft != correlations(values, n, method="direct")))
     passed = all(v == 0 for v in bad.values())
     detail = ", ".join(f"{kind}: {v} lag mismatches" for kind, v in bad.items())
     return CriterionResult(3, "correlation-fft-vs-direct", passed, detail, time.perf_counter() - t0)

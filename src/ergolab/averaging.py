@@ -6,9 +6,10 @@ window averages of |g|; since the defining limsup cannot be observed at
 finite scale, the reported estimate is the maximum over the last r
 windows.
 
-Everything operates on materialized value arrays; orbit streams and
-arithmetic tables are read through their first N entries, so g(t) for
-t = 1..N is values[t-1].
+Everything operates on materialized value arrays; an orbit stream or a
+value array is read through its first N entries (`_materialize`, which
+the number-theory kernels in `experiments` share), so g(t) for t = 1..N
+is values[t-1].
 """
 
 from __future__ import annotations

@@ -313,8 +313,9 @@ class VeechFunction:
     Generated specs materialize blocks on demand; explicit specs raise a
     ParameterError when evaluated at or beyond their last start.  The
     "mertens" sign rule reads the block increments M(y) - M(x) from
-    `mertens`, an `experiments.MertensWalk` (`mertens_prefix`) reaching the
-    last start read (veech_last_start, for a scan).
+    `mertens`, an `experiments.MertensWalk` reaching the last start read
+    (veech_last_start, for a scan): `mertens_prefix` of the int8 mu values
+    v(1..n), or `RunContext.walk`.
     """
 
     def __init__(self, spec: VeechSpec, mertens: MertensWalk | None = None):
@@ -326,7 +327,7 @@ class VeechFunction:
             self._growable = False
         else:
             if spec.sign_rule == "mertens" and mertens is None:
-                raise ParameterError("the mertens sign rule needs a Mertens prefix")
+                raise ParameterError("the mertens sign rule needs a MertensWalk")
             self._starts = [1]
             self._signs = []
             self._growable = True

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith
 from ._util import DRAW_CHUNK, WALK, generator, map_indexed, uniform_chunks
-from .arith import _SEGMENT, ArithmeticTable
+from .arith import _SEGMENT
+from .averaging import _materialize
 from .dynsys import OrbitStream, VeechSpec
 from .errors import ParameterError, ResourceLimitError
 
@@ -30,16 +30,6 @@ _SERIES_BLOCK = 1 << 16  # indices of v per block of _local_series
 _SUP_BLOCK = 1024  # walk indices per block bounded at once by _interval_sup
 _AT_BLOCKS = 64  # blocks of indices a MertensWalk rebuilds at once
 MAX_WALK = (1 << 31) - 1  # longest random walk: its int32 values |W(k)| <= k stay exact
-
-
-def _table_head(table: ArithmeticTable, n: int) -> np.ndarray:
-    """Values v(1..n) from a table, validating coverage."""
-    if table.lo > 1 or table.hi < n:
-        raise ParameterError(
-            f"table covers [{table.lo}, {table.hi}] but values on [1, {n}] are needed"
-        )
-    start = 1 - table.lo
-    return np.asarray(table.values)[start : start + n]
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +48,9 @@ class DisjointnessResult:
         return self.path[-1].item()
 
 
-def disjointness_sum(nu: ArithmeticTable, orbit: OrbitStream, n: int) -> DisjointnessResult:
-    """(1/N) sum_{n=1}^{N} nu(n) f(T^n x), with the full partial-sum path.
+def disjointness_sum(nu, orbit: OrbitStream, n: int) -> DisjointnessResult:
+    """(1/N) sum_{n=1}^{N} nu(n) f(T^n x), with the full partial-sum path,
+    from int8 weights nu(1..N), the first N entries of ``nu``.
 
     The stream's start point is x; the sum pairs nu(n) with the n-th
     iterate, so the first observable used is f(Tx).
@@ -67,7 +58,7 @@ def disjointness_sum(nu: ArithmeticTable, orbit: OrbitStream, n: int) -> Disjoin
     n = int(n)
     if n < 1:
         raise ParameterError("need n >= 1")
-    weights = _table_head(nu, n).astype(np.float64)
+    weights = _materialize(nu, n).astype(np.float64)
     observed = orbit.take(n + 1)[1:]
     terms = weights * np.asarray(observed)
     path = np.cumsum(terms) / np.arange(1, n + 1)
@@ -145,8 +136,9 @@ def _local_series(v: np.ndarray, center: float, step: float) -> list[complex]:
     return [complex(re, im) * 1j**m / math.factorial(m) for m, (re, im) in enumerate(sums)]
 
 
-def davenport_sum(table: ArithmeticTable, x: int, a: float, refine: bool) -> DavenportResult:
-    """Maximum over theta of |S(theta)| = |sum_{k<=x} v(k) e^(ik theta)|.
+def davenport_sum(values, x: int, a: float, refine: bool) -> DavenportResult:
+    """Maximum over theta of |S(theta)| = |sum_{k<=x} v(k) e^(ik theta)|, for
+    int8 values v(1..x), the first x entries of ``values``.
 
     A zero-padded real FFT of length pad >= 4x evaluates |S| on the grid
     theta_j = 2 pi j / pad, j <= pad/2 (|S| is even in theta for real v, so
@@ -172,7 +164,7 @@ def davenport_sum(table: ArithmeticTable, x: int, a: float, refine: bool) -> Dav
     pad = 1 << (4 * x - 1).bit_length()
     if pad > MAX_FFT:
         raise ParameterError(f"transform length {pad} exceeds the memory cap {MAX_FFT}")
-    v = _table_head(table, x)  # exact integers; each float use converts them as it reads
+    v = _materialize(values, x)  # exact integers; each float use converts them as it reads
     buf = np.zeros(pad)
     buf[1 : x + 1] = v
     spectrum = np.fft.rfft(buf)
@@ -223,38 +215,33 @@ def davenport_sum(table: ArithmeticTable, x: int, a: float, refine: bool) -> Dav
 # pair correlations
 
 
-def _correlation_input(values, n: int) -> np.ndarray:
-    """v(1..2n) as integers, without a copy of an integer table or array."""
-    if isinstance(values, ArithmeticTable):
-        return _table_head(values, 2 * n)
-    arr = np.asarray(values)
-    if arr.ndim != 1 or len(arr) < 2 * n:
-        raise ParameterError(f"need at least {2 * n} values, have {arr.size}")
-    head = arr[: 2 * n]
-    return head if head.dtype.kind in "biu" else head.astype(np.int64)
-
-
 def correlations(values, n: int, method: str = "fft") -> np.ndarray:
-    """c(m) = sum_{k=1}^{n} v(k) v(k+m) for m = 1..n, as exact integers.
+    """c(m) = sum_{k=1}^{n} v(k) v(k+m) for m = 1..n, as exact integers, for
+    int8 values v(1..2n), the first 2n entries of ``values`` (a non-integer
+    array is cast to int64).
 
     The FFT route computes all lags at once and rounds to integers; the
     direct route is the O(n^2) reference summation.  The FFT's circular
     correlation of v(1..2n) with v(1..n), zero-padded to length pad, reads
     index k + m at lag m; for k < n and 1 <= m <= n that index is below
     2n <= pad, so no term wraps and a transform of length >= 2n is exact
-    after rounding.
+    after rounding.  A pad past MAX_FFT is refused before anything is read.
     """
     n = int(n)
     if n < 1:
         raise ParameterError("need n >= 1")
     if method not in ("fft", "direct"):
         raise ParameterError(f"unknown method {method!r}; use 'fft' or 'direct'")
-    v = _correlation_input(values, n)
+    pad = 1 << (2 * n - 1).bit_length()
+    if pad > MAX_FFT:
+        raise ParameterError(f"transform length {pad} exceeds the memory cap {MAX_FFT}")
+    v = _materialize(values, 2 * n)
     if method == "direct":
         v = v.astype(np.int64)
         head = v[:n]
         return np.array([head @ v[m : m + n] for m in range(1, n + 1)], dtype=np.int64)
-    pad = 1 << (2 * n - 1).bit_length()
+    if v.dtype.kind not in "biu":
+        v = v.astype(np.int64)
     fa = np.fft.rfft(v, pad)
     fb = np.fft.rfft(v[:n], pad)
     fa *= np.conj(fb, out=fb)
@@ -306,9 +293,8 @@ def _fit_decay(ns: tuple[int, ...], ds: np.ndarray) -> DecaySeries:
 
 
 def chowla_decay(values, schedule) -> DecaySeries:
-    """D(N) of a weight sequence (array or table, at least 2*max(schedule)
-    values from n = 1) across a strictly increasing schedule, with the decay
-    fit."""
+    """D(N) of int8 weights v(1..n), n >= 2*max(schedule), across a strictly
+    increasing schedule, with the decay fit."""
     ns = tuple(int(n) for n in schedule)
     if len(ns) < 2:
         raise ParameterError("need at least two schedule points")
@@ -431,8 +417,8 @@ class MertensWalk:
             out[i:j] = sums.reshape(-1)[at]
         return out
 
-    def envelope(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(0, upper, lower): bounds on M over each whole block
+    def envelope(self) -> tuple[np.ndarray, np.ndarray]:
+        """(upper, lower): bounds on M over each whole block
         [b * _SUP_BLOCK, (b + 1) * _SUP_BLOCK - 1] <= limit, for `_interval_sup`.
         From the block's start M, sum s and sum of |v| a: every M in the
         block lies in [M - (a - s) / 2, M + (a + s) / 2], since a partial sum
@@ -442,29 +428,26 @@ class MertensWalk:
         start = self.starts[:blocks]
         rise = self.starts[1 : blocks + 1] - start
         mass = self.mass[:blocks]
-        return 0, start + (mass + rise) // 2, start - (mass - rise) // 2
+        return start + (mass + rise) // 2, start - (mass - rise) // 2
 
 
-def mertens_prefix(table: ArithmeticTable) -> MertensWalk:
-    """M(0..hi) as a `MertensWalk` over a Mobius table on [1, hi], read by
-    slicing its values."""
-    if table.kind != "mobius":
-        raise ParameterError(f"need a mobius table, got kind {table.kind!r}")
-    if table.lo != 1:
-        raise ParameterError("prefix sums need a table starting at n=1")
-    if table.hi > arith.MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(f"prefix limit {table.hi} exceeds the int32 bound {arith.MAX_SIEVE_LIMIT}")
-    return MertensWalk(table.hi, lambda start, stop: table.values[start:stop])
+def mertens_prefix(values) -> MertensWalk:
+    """M(0..n) as a `MertensWalk` over int8 Mobius values v(1..n), read by
+    slicing them."""
+    v = np.asarray(values)
+    if len(v) > MAX_WALK:
+        raise ResourceLimitError(f"prefix limit {len(v)} exceeds the int32 bound {MAX_WALK}")
+    return MertensWalk(len(v), lambda start, stop: v[start:stop])
 
 
 def _interval_sup(walk, x: int, h_min: int, extrema) -> tuple[float, int]:
     """max over h in [h_min, x] of |walk[x+h] - walk[x]| / h, and the smallest h
     attaining it, equal to a scan of every h.
 
-    ``extrema`` is (first, upper, lower), with upper[i] and lower[i] bounds
-    on the walk over the aligned block walk[b*B : (b+1)*B], b = first + i,
-    B = _SUP_BLOCK, for every such block inside a range holding
-    [x + h_min, 2x]: a `MertensWalk.envelope`, or a `_PackedWalk.block_extrema`.
+    ``extrema`` is (upper, lower), with upper[b] and lower[b] bounds on the
+    walk over the aligned block walk[b*B : (b+1)*B], B = _SUP_BLOCK, for
+    every such block from b = 0 up to the last one ending at or before
+    walk[2x]: a `MertensWalk.envelope`, or a `_PackedWalk.block_extrema`.
     A block starting at walk index x + h_lo has every |walk[x+h] - walk[x]| / h
     below max(|upper - walk[x]|, |lower - walk[x]|) / h_lo, and rounded
     division is monotone, so that bound holds for the float ratios too.  The
@@ -474,7 +457,7 @@ def _interval_sup(walk, x: int, h_min: int, extrema) -> tuple[float, int]:
     indices scanned; a difference of two int32 walk values spans at most x
     steps, so it is exact in int32 and each ratio is the same float.
     """
-    first, bmax, bmin = extrema
+    bmax, bmin = extrema
     b_lo = -(-(x + h_min) // _SUP_BLOCK)
     b_hi = max((2 * x + 1) // _SUP_BLOCK, b_lo)
     base = walk[x]
@@ -488,7 +471,7 @@ def _interval_sup(walk, x: int, h_min: int, extrema) -> tuple[float, int]:
 
     found = [scan(x + h_min, min(b_lo * _SUP_BLOCK, 2 * x + 1)), scan(b_hi * _SUP_BLOCK, 2 * x + 1)]
     if b_hi > b_lo:
-        span = slice(b_lo - first, b_hi - first)
+        span = slice(b_lo, b_hi)
         reach = np.maximum(np.abs(bmax[span] - base), np.abs(bmin[span] - base))
         bounds = reach / (np.arange(b_lo, b_hi, dtype=np.int64) * _SUP_BLOCK - x)
         top = int(np.argmax(bounds))
@@ -658,8 +641,8 @@ class _PackedWalk:
         j = k >> 3
         return self.starts[j] + _OCTET_PART[self.octets[j], k & 7]
 
-    def block_extrema(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(0, max, min) over each whole block walk[b*B : (b+1)*B],
+    def block_extrema(self) -> tuple[np.ndarray, np.ndarray]:
+        """(max, min) over each whole block walk[b*B : (b+1)*B],
         B = _SUP_BLOCK, from each octet's extrema, one draw chunk at a time."""
         blocks = len(self) // _SUP_BLOCK
         shape = (blocks, _SUP_BLOCK // 8)
@@ -670,7 +653,7 @@ class _PackedWalk:
             rows = slice(lo, lo + DRAW_CHUNK // _SUP_BLOCK)
             np.max(np.take(_OCTET_MAX, octets[rows]) + starts[rows], axis=1, out=bmax[rows])
             np.min(np.take(_OCTET_MIN, octets[rows]) + starts[rows], axis=1, out=bmin[rows])
-        return 0, bmax, bmin
+        return bmax, bmin
 
 
 def random_mertens_sim(
@@ -730,8 +713,9 @@ class ZhanResult:
     argmax_theta: float
 
 
-def zhan_sup(table: ArithmeticTable, x: int, tau: float, thetas: int) -> ZhanResult:
-    """Double sup over h and theta of |(1/h) sum_{x<n<=x+h} v(n) e^(in theta)|.
+def zhan_sup(values, x: int, tau: float, thetas: int) -> ZhanResult:
+    """Double sup over h and theta of |(1/h) sum_{x<n<=x+h} v(n) e^(in theta)|,
+    for int8 values v(1..2x), the first 2x entries of ``values``.
 
     h runs over the ladder ceil(x^tau), doubling, capped at x; theta over the
     grid theta_j = 2 pi j / T, T = ``thetas`` <= MAX_FFT.  On that grid
@@ -755,7 +739,7 @@ def zhan_sup(table: ArithmeticTable, x: int, tau: float, thetas: int) -> ZhanRes
     h_values = [h_min]
     while h_values[-1] < x:
         h_values.append(min(2 * h_values[-1], x))
-    window = _table_head(table, 2 * x)[x:]
+    window = _materialize(values, 2 * x)[x:]
     residues = np.arange(x + 1, 2 * x + 1, dtype=np.int64) % thetas
     per_h, theta0_vals = [], []
     sup, argmax_h, argmax_theta = -1.0, h_values[0], 0.0

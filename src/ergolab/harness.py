@@ -517,8 +517,7 @@ def build_family(doc, ctx: RunContext):
     if kind == "bernoulli":
         return BernoulliCoordinateFamily(doc["size"], doc["p"])
     if kind == "subshift":
-        table = ctx.table(doc["kind"], doc["length"])
-        return SubshiftWindowFamily(table.values.astype(np.float64), doc["size"])
+        return SubshiftWindowFamily(ctx.table(doc["kind"], doc["length"]).values, doc["size"])
     return FiniteFamily(doc["matrix"])
 
 
@@ -561,7 +560,7 @@ def _run_sieve(p, ctx):
 def _run_mertens(p, ctx):
     head = min(p["head"], p["limit"])
     # M(x) for x <= head needs mu only up to head
-    prefix = mertens_prefix(ctx.table("mobius", p["limit"], head))
+    prefix = mertens_prefix(ctx.table("mobius", p["limit"], head).values)
     return [CsvTable("mertens.csv", ("x", "m"), [np.arange(1, head + 1), prefix[1:]])]
 
 
@@ -601,7 +600,7 @@ def _run_veech(p, ctx):
     spec = VeechSpec(**p["spec"])
     mertens = None
     if spec.sign_rule == "mertens":
-        mertens = mertens_prefix(ctx.table("mobius", veech_last_start(p["w"], p["budget"])))
+        mertens = mertens_prefix(ctx.table("mobius", veech_last_start(p["w"], p["budget"])).values)
     scan = veech_window_closure(spec, p["w"], p["budget"], mertens)
     samples = scan.samples
     above = sorted(scan.above_threshold.items())
@@ -712,8 +711,8 @@ def _run_shatter_prob(p, ctx):
 
 
 def _run_davenport(p, ctx):
-    table = ctx.table("mobius", max(p["xs"]))
-    results = [davenport_sum(table, x, a=p["a"], refine=p["refine"]) for x in p["xs"]]
+    values = ctx.table("mobius", max(p["xs"])).values
+    results = [davenport_sum(values, x, a=p["a"], refine=p["refine"]) for x in p["xs"]]
     header = ("x", "theta0", "grid_size", "grid_max", "max_value", "argmax_theta", "ratio")
     return [CsvTable("davenport.csv", header, _fields(results, header))]
 
@@ -733,12 +732,12 @@ def _run_chowla(p, ctx):
 
 
 def _run_disjointness(p, ctx):
-    table = ctx.table(p["kind"], p["n"])
-    res = disjointness_sum(table, build_system(p["system"]), p["n"])
+    values = ctx.table(p["kind"], p["n"]).values
+    res = disjointness_sum(values, build_system(p["system"]), p["n"])
     path = np.asarray(res.path, dtype=np.complex128)
     ks = _geometric_checkpoints(p["n"])
     points = path[np.asarray(ks) - 1]
-    bound = folner_average(np.abs(table.values[: p["n"]]), p["n"])
+    bound = folner_average(np.abs(values), p["n"])
     value = complex(res.value)
     summary = _one_row(p["n"], value.real, value.imag, abs(value), bound)
     return [
@@ -805,8 +804,8 @@ def _run_random_mertens(p, ctx):
 
 
 def _run_zhan(p, ctx):
-    table = ctx.table("mobius", 2 * p["x"])
-    res = zhan_sup(table, p["x"], p["tau"], thetas=p["thetas"])
+    values = ctx.table("mobius", 2 * p["x"]).values
+    res = zhan_sup(values, p["x"], p["tau"], thetas=p["thetas"])
     summary = ("x", "tau", "thetas", "sup", "argmax_h", "argmax_theta")
     return [
         CsvTable("zhan.csv", ("h", "max_value", "theta0_value"),
@@ -1046,7 +1045,11 @@ _EXPERIMENTS = [
     Experiment(
         "chowla",
         "averaged pair-correlation decay D(N) over a schedule, with a power-law fit",
-        {"kind": {"enum": ["mobius", "liouville", "ones"], "default": "liouville"}, "schedule": _int_array([4096, 16384, 65536])},
+        {
+            "kind": {"enum": ["mobius", "liouville", "ones"], "default": "liouville"},
+            # N <= MAX_FFT / 2 keeps the correlation transform of length >= 2N inside MAX_FFT
+            "schedule": {**_int_array([4096, 16384, 65536]), "items": {"type": "integer", "minimum": 1, "maximum": MAX_FFT // 2}},
+        },
         _run_chowla,
     ),
     Experiment(
@@ -1118,6 +1121,8 @@ def load_config(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParameterError("config must be a JSON object")
     return doc

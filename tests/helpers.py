@@ -302,9 +302,8 @@ def ref_block_extrema(walk, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarr
 
 
 def walk_of(values) -> experiments.MertensWalk:
-    """A MertensWalk over an in-memory int8 table v(1..n), read by slicing."""
-    values = np.asarray(values, dtype=np.int8)
-    return experiments.MertensWalk(len(values), lambda start, stop: values[start:stop])
+    """`mertens_prefix` of values v(1..n), cast to int8."""
+    return experiments.mertens_prefix(np.asarray(values, dtype=np.int8))
 
 
 def walk_of_prefix(prefix) -> experiments.MertensWalk:

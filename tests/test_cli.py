@@ -186,6 +186,25 @@ def test_missing_config_file_rejected(sandbox):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])
+def test_unreadable_config_rejected(sandbox, unreadable):
+    path = sandbox / "bad.json"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    result = CliRunner().invoke(main, ["mertens", "--config", str(path), "--out", str(sandbox / "r")])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "config"
+
+
+def test_out_beneath_a_file_still_exits_3(sandbox):
+    (sandbox / "file").write_text("")
+    result = CliRunner().invoke(main, ["mertens", "--out", str(sandbox / "file" / "r")])
+    assert result.exit_code == 3
+    assert json.loads(result.stderr)["error"] == "io"
+
+
 def test_missing_required_key_named(sandbox):
     result = invoke(sandbox, "admissible", {"members": [4, 9]})
     assert result.exit_code == 2
@@ -204,6 +223,19 @@ def test_oversized_theta_grid_rejected_before_running(sandbox):
     prepare_run(REGISTRY["zhan"], {**config, "thetas": MAX_FFT}, None)
     prepare_run(REGISTRY["davenport"], {"xs": [MAX_FFT // 4]}, None)  # the largest x whose transform fits
     result = invoke(sandbox, "zhan", config)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "config"
+    assert not (sandbox / "results").exists()
+    assert not (sandbox / "cache").exists()
+
+
+def test_chowla_schedule_past_the_transform_cap_rejected_before_sieving(sandbox):
+    # N = MAX_FFT / 2 transforms at exactly MAX_FFT; one more doubles the pad
+    config = {"schedule": [4096, MAX_FFT // 2 + 1]}
+    with pytest.raises(ParameterError, match="maximum"):
+        prepare_run(REGISTRY["chowla"], config, None)
+    prepare_run(REGISTRY["chowla"], {"schedule": [4096, MAX_FFT // 2]}, None)
+    result = invoke(sandbox, "chowla", config)
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"] == "config"
     assert not (sandbox / "results").exists()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ergolab import experiments
 from ergolab._util import DRAW_CHUNK, WALK, generator
-from ergolab.arith import ArithmeticTable, sieve_liouville, sieve_mobius
+from ergolab.arith import sieve_liouville, sieve_mobius
 from ergolab.averaging import folner_average
 from ergolab.dynsys import TableStream, VeechSpec, rotation_orbit
 from ergolab.errors import ParameterError
@@ -40,11 +40,11 @@ import helpers
 SQRT2M1 = math.sqrt(2) - 1
 
 
-def ones_table(hi, lo=1):
-    return ArithmeticTable("mobius", lo, hi, np.ones(hi - lo + 1, dtype=np.int8))
-
-
-KIND_TABLES = {"mobius": sieve_mobius(20_000), "liouville": sieve_liouville(20_000), "ones": ones_table(20_000)}
+KIND_VALUES = {
+    "mobius": sieve_mobius(20_000).values,
+    "liouville": sieve_liouville(20_000).values,
+    "ones": np.ones(20_000, dtype=np.int8),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -53,44 +53,43 @@ KIND_TABLES = {"mobius": sieve_mobius(20_000), "liouville": sieve_liouville(20_0
 
 class TestDisjointness:
     def test_constant_observable_gives_mertens_average(self):
-        mu = sieve_mobius(10)
+        mu = sieve_mobius(10).values
         res = disjointness_sum(mu, TableStream(np.ones(11)), 10)
         assert res.value == pytest.approx(-0.1, abs=1e-15)
         assert len(res.path) == 10
         assert res.path[0] == pytest.approx(1.0)  # mu(1) * 1
 
     def test_zero_weights_give_zero(self):
-        table = ArithmeticTable("mobius", 1, 10, np.zeros(10, dtype=np.int8))
-        res = disjointness_sum(table, TableStream(np.ones(11)), 10)
+        res = disjointness_sum(np.zeros(10, dtype=np.int8), TableStream(np.ones(11)), 10)
         assert res.value == 0
 
     def test_partial_sum_path_matches_direct(self):
-        mu = sieve_mobius(50)
+        mu = sieve_mobius(50).values
         vals = np.arange(51, dtype=np.float64)
         res = disjointness_sum(mu, TableStream(vals), 50)
         # n-th term pairs mu(n) with the n-th iterate of the stream start
-        direct = np.cumsum(mu.values[:50] * vals[1:51]) / np.arange(1, 51)
+        direct = np.cumsum(mu[:50] * vals[1:51]) / np.arange(1, 51)
         assert np.allclose(res.path, direct, atol=1e-12)
 
     def test_bounded_by_folner_average(self):
         n = 4096
-        mu = sieve_mobius(n)
+        mu = sieve_mobius(n).values
         res = disjointness_sum(mu, rotation_orbit(SQRT2M1, x0=0.0, check=True), n)
-        assert abs(res.value) <= folner_average(np.abs(mu.values), n) + 1e-12
+        assert abs(res.value) <= folner_average(np.abs(mu), n) + 1e-12
 
     def test_rotation_average_is_small(self):
         n = 10_000
-        mu = sieve_mobius(n)
+        mu = sieve_mobius(n).values
         res = disjointness_sum(mu, rotation_orbit(SQRT2M1, x0=0.0, check=True), n)
         assert abs(res.value) <= 10 / math.log(n) ** 2
 
     def test_short_table_rejected(self):
-        mu = sieve_mobius(5)
+        mu = sieve_mobius(5).values
         with pytest.raises(ParameterError):
             disjointness_sum(mu, TableStream(np.ones(11)), 10)
 
     def test_short_stream_rejected(self):
-        mu = sieve_mobius(10)
+        mu = sieve_mobius(10).values
         with pytest.raises(ParameterError):
             disjointness_sum(mu, TableStream(np.ones(5)), 10)
 
@@ -101,70 +100,70 @@ class TestDisjointness:
 
 class TestDavenport:
     def test_theta0_is_exact_mertens_magnitude(self):
-        mu = sieve_mobius(10)
+        mu = sieve_mobius(10).values
         res = davenport_sum(mu, 10, a=2.0, refine=True)
         assert res.theta0 == 1
         assert isinstance(res.theta0, int)
 
     def test_theta0_matches_prefix_for_larger_x(self):
-        mu = sieve_mobius(1000)
+        mu = sieve_mobius(1000).values
         prefix = mertens_prefix(mu)
         for x in (100, 1000):
             res = davenport_sum(mu, x, a=2.0, refine=True)
             assert res.theta0 == abs(prefix[x])
 
     def test_all_ones_peaks_at_zero(self):
-        res = davenport_sum(ones_table(16), 16, a=2.0, refine=True)
+        res = davenport_sum(np.ones(16, dtype=np.int8), 16, a=2.0, refine=True)
         assert res.max_value == pytest.approx(16.0, rel=1e-12)
         tau = 2 * math.pi
         assert min(res.argmax_theta, tau - res.argmax_theta) < 1e-6
 
     def test_refinement_never_loses_to_grid(self):
-        mu = sieve_mobius(500)
+        mu = sieve_mobius(500).values
         res = davenport_sum(mu, 500, a=2.0, refine=True)
         assert res.max_value >= res.grid_max - 1e-12
 
     def test_grid_is_dense_power_of_two(self):
-        mu = sieve_mobius(100)
+        mu = sieve_mobius(100).values
         res = davenport_sum(mu, 100, a=2.0, refine=True)
         assert res.grid_size >= 4 * 100
         assert res.grid_size & (res.grid_size - 1) == 0
 
     def test_ratio_definition(self):
-        mu = sieve_mobius(200)
+        mu = sieve_mobius(200).values
         res = davenport_sum(mu, 200, a=2.0, refine=True)
         assert res.ratio == pytest.approx(res.max_value / (200 / math.log(200) ** 2))
 
     def test_max_value_lower_bounds_column_sum(self):
         # the reported max is a lower bound for the true sup, which is at
         # most the l1 mass of the coefficient vector
-        mu = sieve_mobius(300)
+        mu = sieve_mobius(300).values
         res = davenport_sum(mu, 300, a=2.0, refine=True)
-        assert res.max_value <= np.abs(mu.values[:300].astype(np.int64)).sum() + 1e-9
+        assert res.max_value <= np.abs(mu[:300].astype(np.int64)).sum() + 1e-9
 
     def test_oversized_transform_rejected(self):
-        mu = sieve_mobius(10)
+        mu = sieve_mobius(10).values
         with pytest.raises(ParameterError):
             davenport_sum(mu, 1 << 24, a=2.0, refine=True)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(sorted(KIND_TABLES)), st.integers(2, 400))
+    @given(st.sampled_from(sorted(KIND_VALUES)), st.integers(2, 400))
     @example("mobius", 20_000)
     @example("liouville", 20_000)
     def test_matches_golden_section_oracle(self, kind, x):
-        ref = helpers.ref_davenport(KIND_TABLES[kind].values, x)
-        res = davenport_sum(KIND_TABLES[kind], x, a=2.0, refine=True)
+        ref = helpers.ref_davenport(KIND_VALUES[kind], x)
+        res = davenport_sum(KIND_VALUES[kind], x, a=2.0, refine=True)
         assert (res.grid_size, res.theta0, res.grid_max) == (ref["grid_size"], ref["theta0"], ref["grid_max"])
         assert res.max_value == pytest.approx(max(ref["grid_max"], ref["value_r"]), rel=1e-8)
         assert res.max_value >= res.grid_max >= res.theta0
         offset = (res.argmax_theta - ref["center"] + math.pi) % (2 * math.pi) - math.pi
         assert abs(offset) <= ref["step"] * (1 + 1e-9)
 
-    @pytest.mark.parametrize("kind", sorted(KIND_TABLES))
+    @pytest.mark.parametrize("kind", sorted(KIND_VALUES))
     @pytest.mark.parametrize("x", [2, 3, 17, 300, 20_000])
     def test_unrefined_result_is_the_grid(self, kind, x):
-        ref = helpers.ref_davenport(KIND_TABLES[kind].values, x)
-        res = davenport_sum(KIND_TABLES[kind], x, a=2.0, refine=False)
+        ref = helpers.ref_davenport(KIND_VALUES[kind], x)
+        res = davenport_sum(KIND_VALUES[kind], x, a=2.0, refine=False)
         grid_max = ref["grid_max"]
         assert res == DavenportResult(
             x, 2.0, ref["grid_size"], ref["theta0"], grid_max, grid_max, ref["center"],
@@ -189,7 +188,7 @@ class TestDavenport:
             assert series == pytest.approx(direct, abs=1e-12 * np.abs(v).sum())
 
     def test_uncovered_x_rejected(self):
-        mu = sieve_mobius(10)
+        mu = sieve_mobius(10).values
         with pytest.raises(ParameterError):
             davenport_sum(mu, 20, a=2.0, refine=True)
 
@@ -217,9 +216,9 @@ class TestCorrelations:
     @pytest.mark.parametrize("sieve", [sieve_mobius, sieve_liouville])
     def test_fft_equals_direct_at_4096(self, sieve):
         n = 1 << 12
-        table = sieve(2 * n)
+        values = sieve(2 * n).values
         assert np.array_equal(
-            correlations(table, n, method="fft"), correlations(table, n, method="direct")
+            correlations(values, n, method="fft"), correlations(values, n, method="direct")
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096, 4097])
@@ -227,7 +226,7 @@ class TestCorrelations:
     def test_fft_equals_direct_at_transform_edges(self, kind, n):
         # 2n at, just below and just past a power of two (the length-2n
         # transform's tightest fits); all ones gives the largest |c(m)| = n
-        values = KIND_TABLES[kind].values[: 2 * n]
+        values = KIND_VALUES[kind][: 2 * n]
         fft = correlations(values, n)
         assert np.array_equal(fft, correlations(values, n, method="direct"))
         if kind == "ones":
@@ -240,6 +239,13 @@ class TestCorrelations:
     def test_short_input_rejected(self):
         with pytest.raises(ParameterError):
             correlations(np.ones(7), 4)
+
+    def test_transform_past_the_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_FFT", 16)
+        assert np.array_equal(correlations(np.ones(16, dtype=np.int8), 8), np.full(8, 8))  # pad 16
+        for method in ("fft", "direct"):
+            with pytest.raises(ParameterError, match="exceeds the memory cap 16"):
+                correlations(np.ones(18, dtype=np.int8), 9, method=method)  # pad 32
 
 
 class TestAverageChowla:
@@ -265,15 +271,9 @@ class TestAverageChowla:
         target = math.sqrt(2 / (math.pi * n))
         assert target / 3 < res.value < 3 * target
 
-    def test_accepts_arithmetic_table(self):
-        n = 256
-        table = sieve_mobius(2 * n)
-        direct = average_chowla(table.values, n)
-        assert average_chowla(table, n).numerator == direct.numerator
-
     def test_short_table_rejected(self):
         with pytest.raises(ParameterError):
-            average_chowla(sieve_mobius(100), 64)
+            average_chowla(sieve_mobius(100).values, 64)
 
 
 class TestChowlaDecay:
@@ -285,7 +285,7 @@ class TestChowlaDecay:
         assert not series.strictly_decreasing
 
     def test_liouville_values_positive_with_positive_kappa(self):
-        series = chowla_decay(sieve_liouville(1 << 15), (1 << 10, 1 << 12, 1 << 14))
+        series = chowla_decay(sieve_liouville(1 << 15).values, (1 << 10, 1 << 12, 1 << 14))
         assert np.all(series.values > 0)
         assert series.kappa > 0
         diffs = np.diff(series.values)
@@ -303,7 +303,7 @@ class TestChowlaDecay:
 
     def test_schedule_must_increase(self):
         with pytest.raises(ParameterError):
-            chowla_decay(sieve_mobius(512), (256, 128))
+            chowla_decay(sieve_mobius(512).values, (256, 128))
 
     def test_short_values_rejected(self):
         with pytest.raises(ParameterError):
@@ -316,9 +316,9 @@ class TestChowlaDecay:
 
 class TestShortInterval:
     def test_tau_one_single_endpoint(self):
-        mu = sieve_mobius(200)
+        mu = sieve_mobius(200).values
         prefix = mertens_prefix(mu)
-        res = short_interval_sup(helpers.walk_of(mu.values), 100, 1.0)
+        res = short_interval_sup(helpers.walk_of(mu), 100, 1.0)
         assert res.h_min == res.h_max == 100
         assert res.argmax_h == 100
         assert res.sup == abs(prefix[200] - prefix[100]) / 100
@@ -409,10 +409,10 @@ class TestSecondMoment:
                 interval_second_moment(helpers.walk_of(sieve_mobius(100).values), 30, h)
 
     def test_matches_brute_force(self):
-        mu = sieve_mobius(300)
+        mu = sieve_mobius(300).values
         prefix = mertens_prefix(mu)
         big_x, h = 80, 11
-        res = interval_second_moment(helpers.walk_of(mu.values), big_x, h)
+        res = interval_second_moment(helpers.walk_of(mu), big_x, h)
         brute = sum(
             (prefix[x + h] - prefix[x]) ** 2 for x in range(big_x, 2 * big_x)
         ) / big_x
@@ -440,9 +440,9 @@ class TestPartition:
         assert res.signs[2] == 1  # mu(4) = 0 -> +1
 
     def test_single_interval(self):
-        mu = sieve_mobius(100)
+        mu = sieve_mobius(100).values
         prefix = mertens_prefix(mu)
-        res = partition_mertens_sum(helpers.walk_of(mu.values), (10, 100))
+        res = partition_mertens_sum(helpers.walk_of(mu), (10, 100))
         assert res.ratio == abs(prefix[100] - prefix[10]) / 100
 
     def test_growing_gaps_materialize_step_function(self):
@@ -516,9 +516,9 @@ class TestMertensWalk:
     def test_every_value_lies_inside_the_envelope(self, small_walks, n):
         values = mu_like(n, 7 * n)
         prefix = prefix_of(values)
-        first, upper, lower = helpers.walk_of(values).envelope()
+        upper, lower = helpers.walk_of(values).envelope()
         blocks = helpers.ref_block_extrema(prefix, 0, n)
-        assert first == blocks[0] == 0 and len(upper) == len(lower) == len(blocks[1])
+        assert blocks[0] == 0 and len(upper) == len(lower) == len(blocks[1])
         assert np.all(upper >= blocks[1]) and np.all(lower <= blocks[2])
         # no wider than the block's count of nonzero values
         mass = np.add.reduceat(np.abs(values), np.arange(0, n, SMALL_BLOCK))[: len(upper)] if n else []
@@ -557,9 +557,9 @@ class TestMertensWalk:
             assert np.array_equal(walk.starts, prefix[np.minimum(np.arange(len(walk.starts)) * block, n)]), n
             assert np.array_equal(walk.mass, np.add.reduceat(np.abs(values.astype(np.int32)), np.arange(0, n, block)))
             assert np.array_equal(walk[0 : n + 1], prefix), n
-            first, upper, lower = walk.envelope()
+            upper, lower = walk.envelope()
             blocks = helpers.ref_block_extrema(prefix, 0, n)
-            assert first == blocks[0] == 0 and len(upper) == len(blocks[1]) == (n + 1) // block
+            assert blocks[0] == 0 and len(upper) == len(blocks[1]) == (n + 1) // block
             assert np.all(upper >= blocks[1]) and np.all(lower <= blocks[2]), n
 
     def test_index_arrays_outside_the_walk_or_unsorted_are_rejected(self, small_walks):
@@ -651,9 +651,9 @@ class TestRandomMertens:
         assert np.array_equal(walk[1::3], full[1::3]) and np.array_equal(walk[::-5], full[::-5])
         idx = np.random.default_rng(n).integers(0, n + 1, size=500)
         assert walk[idx].dtype == np.int32 and np.array_equal(walk[idx], full[idx])
-        first, bmax, bmin = walk.block_extrema()
+        bmax, bmin = walk.block_extrema()
         expect = helpers.ref_block_extrema(full, 0, n)
-        assert first == expect[0]
+        assert expect[0] == 0
         assert np.array_equal(bmax, expect[1]) and np.array_equal(bmin, expect[2])
 
     def test_one_path_holds_under_two_bytes_per_step(self):
@@ -675,58 +675,58 @@ class TestRandomMertens:
 
 class TestZhan:
     def test_theta0_slice_matches_interval_statistic(self):
-        mu = sieve_mobius(200)
+        mu = sieve_mobius(200).values
         prefix = mertens_prefix(mu)
         res = zhan_sup(mu, 100, 0.5, thetas=8)
         expect = [abs(prefix[100 + h] - prefix[100]) / h for h in res.h_values]
         assert np.allclose(res.theta0_values, expect, atol=1e-12)
 
     def test_all_ones_sup_is_one_at_theta0(self):
-        res = zhan_sup(ones_table(64), 32, 0.5, thetas=16)
+        res = zhan_sup(np.ones(64, dtype=np.int8), 32, 0.5, thetas=16)
         assert res.sup == pytest.approx(1.0, abs=1e-12)
         assert res.argmax_theta == 0.0
 
     def test_h_values_double_up_to_x(self):
-        res = zhan_sup(ones_table(256), 128, 0.5, thetas=4)
+        res = zhan_sup(np.ones(256, dtype=np.int8), 128, 0.5, thetas=4)
         assert res.h_values[0] == math.ceil(128**0.5)
         for a, b in zip(res.h_values, res.h_values[1:]):
             assert b == min(2 * a, 128)
         assert res.h_values[-1] == 128
 
     def test_sup_is_max_over_h(self):
-        mu = sieve_mobius(200)
+        mu = sieve_mobius(200).values
         res = zhan_sup(mu, 100, 0.5, thetas=8)
         assert res.sup == pytest.approx(max(res.per_h), abs=1e-15)
 
     def test_table_must_cover_2x(self):
         with pytest.raises(ParameterError):
-            zhan_sup(sieve_mobius(150), 100, 0.5, thetas=64)
+            zhan_sup(sieve_mobius(150).values, 100, 0.5, thetas=64)
 
     @pytest.mark.parametrize("thetas", [0, MAX_FFT + 1])
     def test_theta_grid_size_bounded(self, thetas):
         with pytest.raises(ParameterError):
-            zhan_sup(ones_table(4), 2, 0.5, thetas=thetas)
+            zhan_sup(np.ones(4, dtype=np.int8), 2, 0.5, thetas=thetas)
 
     def test_mirror_tie_reports_the_smaller_theta(self):
         # |S(theta_16)| = |S(theta_48)| exactly for real weights
-        res = zhan_sup(sieve_mobius(10_000), 5000, 0.5, thetas=64)
+        res = zhan_sup(sieve_mobius(10_000).values, 5000, 0.5, thetas=64)
         assert res.argmax_theta == 2 * math.pi * 16 / 64
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from(sorted(KIND_TABLES)),
+        st.sampled_from(sorted(KIND_VALUES)),
         st.integers(1, 200),
         st.floats(0.05, 1.0),
         st.sampled_from([1, 2, 3, 8, 64]),
     )
     def test_matches_double_loop_oracle(self, kind, x, tau, thetas):
-        table = KIND_TABLES[kind]
-        res = zhan_sup(table, x, tau, thetas=thetas)
+        values = KIND_VALUES[kind]
+        res = zhan_sup(values, x, tau, thetas=thetas)
         ladder = [min(max(1, math.ceil(x**tau)), x)]
         while ladder[-1] < x:
             ladder.append(min(2 * ladder[-1], x))
         assert res.h_values == tuple(ladder)
-        ref = helpers.ref_zhan(table.values, x, ladder, thetas)
+        ref = helpers.ref_zhan(values, x, ladder, thetas)
         assert res.theta0_values.tolist() == ref["theta0_values"]
         # |v| <= 1, so every value is at most 1; the absolute term covers
         # values that vanish in exact arithmetic, where the oracle's own
