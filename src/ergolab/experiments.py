@@ -434,7 +434,7 @@ class MertensWalk:
 def mertens_prefix(values) -> MertensWalk:
     """M(0..n) as a `MertensWalk` over int8 Mobius values v(1..n), read by
     slicing them."""
-    v = np.asarray(values)
+    v = _materialize(values, np.size(values))  # all of them, checked one-dimensional
     if len(v) > MAX_WALK:
         raise ResourceLimitError(f"prefix limit {len(v)} exceeds the int32 bound {MAX_WALK}")
     return MertensWalk(len(v), lambda start, stop: v[start:stop])

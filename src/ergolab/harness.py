@@ -15,8 +15,8 @@ as ``<kind>-<limit>.npy`` under ``./cache`` or ``$ERGOLAB_CACHE_DIR``.
 CSV dialect: comma separators, LF line endings, one header row, ``.`` decimal
 point; floats by ``repr`` (shortest round-trip form), bools ``true``/``false``,
 None empty.  Nothing is quoted and files are ASCII: ``write_csv`` refuses a
-cell or header name holding ``,``, ``"``, CR, LF or a non-ASCII character,
-and an empty cell in a one-column table, before it opens the file.
+cell or header name holding ``,``, ``"``, CR, LF, NUL or a non-ASCII
+character, and an empty cell in a one-column table, before it opens the file.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ def format_cell(value) -> str:
     return str(value)  # a float's str is its repr
 
 
-_ROW_BLOCK = 1 << 15  # rows per write; a text block holds every cell and row string of its rows at once
+_ROW_BLOCK = 1 << 15  # rows per write; a block holds the cell matrices of every column of its rows at once
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
-_QUOTED = re.compile(r'[,"\r\n]')
+_QUOTED = re.compile(r'[,"\r\n\0]')
 
 
 def _int_cells(column: np.ndarray) -> np.ndarray:
@@ -261,31 +261,23 @@ def _float_cells(column: np.ndarray) -> np.ndarray:
         block = slice(start, start + _FLOAT_BLOCK)
         _positional_cells(np.where(in_range[block], x[block], 1.0), text[:, block])
     rare = np.flatnonzero(~in_range)
-    if len(rare):  # each repr fills its rows from the top, and the last row keeps its ","
-        cells = np.array(list(map(repr, x[rare].tolist())), dtype=f"S{_FLOAT_WIDTH - 1}")
-        text[:-1, rare] = cells.view(np.uint8).reshape(len(rare), _FLOAT_WIDTH - 1).T
+    if len(rare):  # repr's cells fill the bottom rows, and the rows above them hold 0
+        cells = _text_cells(list(map(repr, x[rare].tolist())))
+        text[:, rare] = 0
+        text[-len(cells) :, rare] = cells
     return text
 
 
-def _write_array_rows(fh, columns) -> None:
-    """CSV rows of equal-length 1-D integer and float arrays, one _ROW_BLOCK
-    at a time: the `_int_cells` or `_float_cells` of every column, stacked,
-    transposed into rows, the last "," of each row made a line feed, and the
-    zero bytes taken out."""
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        text = np.concatenate([(_float_cells if c.dtype.kind == "f" else _int_cells)(c[block]) for c in columns])
-        text[-1] = ord("\n")
-        fh.write(text.T.tobytes().translate(None, b"\0"))
-
-
-def _write_text_rows(fh, columns) -> None:
-    """CSV rows of equal-length columns, one _ROW_BLOCK at a time: the reprs
-    of an ndarray's ``tolist()`` values, or a list's formatted cells."""
-    for start in range(0, len(columns[0]) if columns else 0, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        cells = [map(repr, c[block].tolist()) if isinstance(c, np.ndarray) else c[block] for c in columns]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+def _text_cells(cells) -> np.ndarray:
+    """The CSV cells of a sequence of ASCII strings without NUL, laid out as
+    `_int_cells` lays out integers but left-aligned: a (width, len(cells))
+    uint8 array, one row per character position, 0 past a cell's last byte
+    and "," in the last row."""
+    packed = np.array(cells, dtype="S")
+    text = np.empty((packed.itemsize + 1, len(packed)), dtype=np.uint8)
+    text[:-1] = packed.view(np.uint8).reshape(len(packed), packed.itemsize).T
+    text[-1] = ord(",")
+    return text
 
 
 def write_csv(path, header, *columns) -> None:
@@ -293,16 +285,16 @@ def write_csv(path, header, *columns) -> None:
     dialect: comma, LF, one header row, floats by ``repr``, bools
     ``true``/``false``, None empty, no quoting.
 
-    A table of 1-D integer and float ndarrays is formatted by NumPy
-    (_write_array_rows); a float cell is ``repr`` of its value as a Python
-    float, computed by NumPy for 1e-4 <= |x| < 1e16 and by ``repr`` outside
-    it (`_float_cells`).  A table with any other column is joined as text
-    (_write_text_rows): its 1-D numeric ndarrays as the reprs of
-    ``tolist()``, other columns by ``format_cell``.  Both give the same
-    bytes.  Raises ValueError before opening the file on
+    One _ROW_BLOCK of rows at a time, every column becomes a cell matrix: a
+    1-D integer ndarray by `_int_cells`, a 1-D float ndarray by `_float_cells`
+    (``repr`` of each value as a Python float), any other column by
+    `_text_cells` of its ``format_cell`` strings.  The matrices are stacked
+    and transposed into rows, the last "," of each row made a line feed, and
+    the zero bytes taken out.  Raises ValueError before opening the file on
     ragged columns, on a cell that ``csv`` would quote: one holding ``,``,
     ``"`` or LF (CR is refused too), or an empty one in a one-column table,
-    and on a non-ASCII cell or header name, which the ASCII file cannot hold.
+    and on a cell or header name holding NUL or a non-ASCII character, which
+    the ASCII file cannot hold.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
@@ -314,15 +306,17 @@ def write_csv(path, header, *columns) -> None:
         text = "" if num else "".join(cells)
         if not num and (_QUOTED.search(text) or not text.isascii() or (len(header) == 1 and "" in cells)):
             raise ValueError(
-                f"{name}: a cell holds ',', '\"', CR, LF or a non-ASCII character, or is empty in a one-column table"
+                f"{name}: a cell holds ',', '\"', CR, LF, NUL or a non-ASCII character, or is empty in a one-column table"
             )
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        if columns and all(numeric):
-            fh.flush()
-            _write_array_rows(fh.buffer, columns)
-        else:
-            _write_text_rows(fh, columns)
+    rules = [(_float_cells if c.dtype.kind == "f" else _int_cells) if num else _text_cells
+             for c, num in zip(columns, numeric)]
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for start in range(0, len(columns[0]) if columns else 0, _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            text = np.concatenate([cells(c[block]) for cells, c in zip(rules, columns)])
+            text[-1] = ord("\n")
+            fh.write(text.T.tobytes().translate(None, b"\0"))
 
 
 @dataclass(frozen=True)

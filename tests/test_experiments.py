@@ -570,6 +570,11 @@ class TestMertensWalk:
         assert len(walk[np.array([], dtype=np.int64)]) == 0
         assert np.array_equal(walk[np.array([0, 0, 40])], prefix_of(mu_like(40, 5))[[0, 0, 40]])
 
+    def test_mertens_prefix_refuses_values_that_are_not_one_dimensional(self):
+        for bad in (np.ones((2, 3), dtype=np.int8), np.int8(1)):
+            with pytest.raises(ParameterError, match="one-dimensional"):
+                mertens_prefix(bad)
+
 
 # ---------------------------------------------------------------------------
 # random walk analogue
