@@ -24,7 +24,7 @@ import numpy as np
 
 from . import harness
 from ._util import generator
-from .arith import ArithmeticTable, BFreeSpec, bfree_indicator, brute_arith
+from .arith import BFreeSpec, bfree_indicator, brute_arith, table_from_bytes
 from .averaging import FolnerSchedule, bfree_approximation_gap
 from .errors import ParameterError
 from .experiments import correlations, mertens_prefix
@@ -76,7 +76,7 @@ def _scratch() -> tempfile.TemporaryDirectory:
     return tempfile.TemporaryDirectory(prefix="ergolab-verify-")
 
 
-def _table(kind: str, limit: int) -> ArithmeticTable:
+def _table(kind: str, limit: int) -> np.ndarray:
     # looked up on the harness module, like the registry runners' tables
     return harness.cached_sieve(kind, limit, Path(_scratch().name) / "cache")
 
@@ -112,7 +112,7 @@ def criterion_1() -> CriterionResult:
     lio = _table("liouville", limit)
     points = np.concatenate([generator(0).integers(1, limit + 1, size=10**4), np.arange(1, small + 1)])
     mu, lam = brute_arith(points)
-    bad = int(np.count_nonzero((mob.values[points - 1] != mu) | (lio.values[points - 1] != lam)))
+    bad = int(np.count_nonzero((mob[points - 1] != mu) | (lio[points - 1] != lam)))
     # acc[n] = sum of mu(d) over the divisors d of n: one weight mu(d) on each
     # multiple d * j <= small, binned at once; the float sums are of at most
     # 10^4 terms of size 1, so exact
@@ -120,7 +120,7 @@ def criterion_1() -> CriterionResult:
     counts = small // ds
     divisors = np.repeat(ds, counts)
     j = np.arange(len(divisors)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    acc = np.bincount(divisors * j, weights=mob.values[divisors - 1], minlength=small + 1)
+    acc = np.bincount(divisors * j, weights=mob[divisors - 1], minlength=small + 1)
     identity_bad = int(acc[1] != 1) + int(np.count_nonzero(acc[2:]))
     passed = bad == 0 and identity_bad == 0
     detail = (
@@ -134,9 +134,9 @@ def criterion_2() -> CriterionResult:
     """Mertens prefix increments reproduce mu pointwise; M(10) = -1."""
     t0 = time.perf_counter()
     limit = 10**6
-    table = _table("mobius", limit)
-    prefix = mertens_prefix(table.values)
-    step_bad = int(np.count_nonzero(np.diff(prefix[0 : limit + 1]) != table.values))
+    mob = _table("mobius", limit)
+    prefix = mertens_prefix(mob)
+    step_bad = int(np.count_nonzero(np.diff(prefix[0 : limit + 1]) != mob))
     m10 = int(prefix[10])
     passed = step_bad == 0 and m10 == -1
     detail = f"{step_bad} increment mismatches up to {limit}; M(10)={m10}"
@@ -149,7 +149,7 @@ def criterion_3() -> CriterionResult:
     n = 1 << 12
     bad = {}
     for kind in ("mobius", "liouville"):
-        values = _table(kind, 2 * n).values
+        values = _table(kind, 2 * n)
         fft = correlations(values, n, method="fft")
         bad[kind] = int(np.count_nonzero(fft != correlations(values, n, method="direct")))
     passed = all(v == 0 for v in bad.values())
@@ -212,8 +212,8 @@ def criterion_7() -> CriterionResult:
     drop = 1.0 - ratios[10**6] / ratios[top]
     unit = _rows(f"partition linear top={top}", "summary.csv")[0]
     abs_sum = int(unit["abs_sum"])
-    table = ArithmeticTable.from_bytes(_outputs(f"sieve mobius head={top}", 1)["table.bin"])
-    squarefree = int(np.count_nonzero(table.values[1:top]))
+    mob = table_from_bytes("mobius", _outputs(f"sieve mobius head={top}", 1)["table.bin"])
+    squarefree = int(np.count_nonzero(mob[1:top]))
     exact = abs_sum == squarefree and float(unit["ratio"]) == squarefree / top
     passed = drop >= 0.25 and exact
     detail = (
@@ -298,7 +298,7 @@ def criterion_11() -> CriterionResult:
     bounded = g <= spec.tail_sum(1) + 2.0 / math.sqrt(n)
     mob = _table("mobius", n)
     free = bfree_indicator(BFreeSpec.prime_squares(n), n)
-    chi_bad = int(np.count_nonzero(free.values.astype(np.int64) != mob.values.astype(np.int64) ** 2))
+    chi_bad = int(np.count_nonzero(free.astype(np.int64) != mob.astype(np.int64) ** 2))
     passed = near and bounded and chi_bad == 0
     detail = (
         f"gap {g:.6f} vs 1/6 (|diff|={abs(g - 1 / 6):.2e}, bound ok={bounded}); "

@@ -1,9 +1,11 @@
 """Exact sieves for multiplicative arithmetic functions.
 
-This module produces exact integer tables of the Mobius function mu(n),
-the Liouville function lambda(n) = (-1)^Omega(n) and B-free indicators.  The
-Mertens function M(x) = sum_{n<=x} mu(n) is read from a mu table through
-`experiments.MertensWalk`.
+This module produces exact tables of the Mobius function mu(n), the
+Liouville function lambda(n) = (-1)^Omega(n) and B-free indicators, each an
+int8 array v whose v[i] is the value at n = i + 1.  The Mertens function
+M(x) = sum_{n<=x} mu(n) is read from a mu table through
+`experiments.MertensWalk`.  `table_bytes` and `table_from_bytes` write and
+read a mu or lambda table in the ATBL01 format of a `sieve` run's table.bin.
 
 Tables are computed by a segmented, vectorized sieve: each segment of
 one-byte values comes from a 2-byte accumulator of rounded logarithms,
@@ -42,66 +44,33 @@ _SQUAREFUL = 0x8000  # mu's mark, in a sieve accumulator, of a multiple of a pri
 
 _HEADER = struct.Struct("<6sHII")
 _MAGIC = b"ATBL01"
-_KIND_CODES = {"mobius": 1, "liouville": 2, "bfree-indicator": 3}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-_KIND_RANGES = {
-    "mobius": (-1, 1),
-    "liouville": (-1, 1),
-    "bfree-indicator": (0, 1),
-}
+_KIND_CODES = {"mobius": 1, "liouville": 2}
 
 
-@dataclass(frozen=True)
-class ArithmeticTable:
-    """Exact values of an arithmetic function on the integer window [lo, hi].
+def _in_range(values: np.ndarray) -> bool:
+    """True when every value is -1, 0 or 1, the range of mu and lambda."""
+    return not values.size or (values.min() >= -1 and values.max() <= 1)
 
-    Attributes:
-        kind: one of "mobius", "liouville", "bfree-indicator".
-        lo, hi: inclusive window bounds, 1 <= lo <= hi.
-        values: int8 array of length hi - lo + 1; values[i] is f(lo + i).
-    """
 
-    kind: str
-    lo: int
-    hi: int
-    values: np.ndarray
+def table_bytes(kind: str, values: np.ndarray) -> bytes:
+    """The ATBL01 form of the mu or lambda table v(1..n): a little-endian
+    header (magic, kind code, lo = 1, hi = n) and then the n int8 values."""
+    return _HEADER.pack(_MAGIC, _KIND_CODES[kind], 1, len(values)) + np.asarray(values, np.int8).tobytes()
 
-    def __post_init__(self):
-        if self.kind not in _KIND_CODES:
-            raise ParameterError(f"unknown table kind {self.kind!r}")
-        if not (1 <= self.lo <= self.hi):
-            raise ParameterError(f"bad window [{self.lo}, {self.hi}]")
-        if self.values.dtype != np.int8:
-            raise ParameterError("table values must be int8")
-        if len(self.values) != self.hi - self.lo + 1:
-            raise ParameterError("value array does not match window size")
-        low, high = _KIND_RANGES[self.kind]
-        if self.values.size and (self.values.min() < low or self.values.max() > high):
-            raise ParameterError(f"values out of range for kind {self.kind!r}")
 
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    def to_bytes(self) -> bytes:
-        header = _HEADER.pack(_MAGIC, _KIND_CODES[self.kind], self.lo, self.hi)
-        return header + self.values.tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "ArithmeticTable":
-        if len(blob) < _HEADER.size:
-            raise ParameterError("table blob shorter than header")
-        magic, code, lo, hi = _HEADER.unpack_from(blob)
-        if magic != _MAGIC:
-            raise ParameterError("bad magic in table blob")
-        if code not in _CODE_KINDS:
-            raise ParameterError(f"unknown kind code {code}")
-        if hi < lo:
-            raise ParameterError("corrupt header: hi < lo")
-        body = blob[_HEADER.size :]
-        if len(body) != hi - lo + 1:
-            raise ParameterError("table blob length does not match header window")
-        values = np.frombuffer(body, dtype=np.int8).copy()
-        return cls(_CODE_KINDS[code], lo, hi, values)
+def table_from_bytes(kind: str, blob: bytes) -> np.ndarray:
+    """The values of a `table_bytes(kind, ...)` blob, as a new int8 array;
+    raises ParameterError for another magic, kind or window than [1, hi],
+    a body of another length, or a value out of range."""
+    if len(blob) < _HEADER.size:
+        raise ParameterError("table blob shorter than header")
+    magic, code, lo, hi = _HEADER.unpack_from(blob)
+    if (magic, code, lo) != (_MAGIC, _KIND_CODES[kind], 1) or hi < 1:
+        raise ParameterError(f"not an ATBL01 {kind} table on [1, hi]: magic {magic!r}, kind code {code}, [{lo}, {hi}]")
+    values = np.frombuffer(blob, dtype=np.int8, offset=_HEADER.size).copy()
+    if len(values) != hi or not _in_range(values):
+        raise ParameterError(f"table blob body is not {hi} values in [-1, 1]")
+    return values
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -217,9 +186,9 @@ def sieve_segments(kind: str, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield out
 
 
-def _sieve_range(kind: str, lo: int, hi: int, keep: int | None = None, sink=None) -> ArithmeticTable:
-    """The table of the first `keep` values (all by default) of mu or lambda
-    on [lo, hi], filled from sieve_segments.  When `sink` is given, every
+def _sieve_range(kind: str, lo: int, hi: int, keep: int | None = None, sink=None) -> np.ndarray:
+    """The first `keep` values (all by default) of mu or lambda on [lo, hi],
+    as an int8 array filled from sieve_segments.  When `sink` is given, every
     segment of the whole window is passed to sink(segment) in order, so a
     caller can write out the full table while only `keep` values are held.
     """
@@ -233,16 +202,16 @@ def _sieve_range(kind: str, lo: int, hi: int, keep: int | None = None, sink=None
             sink(segment)
         if start < keep:
             values[start : start + len(segment)] = segment[: keep - start]
-    return ArithmeticTable(kind, lo, lo + keep - 1, values)
+    return values
 
 
-def sieve_mobius(limit: int, keep: int | None = None, sink=None) -> ArithmeticTable:
+def sieve_mobius(limit: int, keep: int | None = None, sink=None) -> np.ndarray:
     """Exact mu(n) for 1 <= n <= keep (default: limit), sieved up to limit;
     every segment of [1, limit] goes to sink(segment) when a sink is given."""
     return _sieve_range("mobius", 1, limit, keep, sink) if limit >= 1 else _bad_limit(limit)
 
 
-def sieve_liouville(limit: int, keep: int | None = None, sink=None) -> ArithmeticTable:
+def sieve_liouville(limit: int, keep: int | None = None, sink=None) -> np.ndarray:
     """Exact lambda(n) for 1 <= n <= keep (default: limit), sieved up to
     limit; every segment of [1, limit] goes to sink(segment) when a sink is
     given."""
@@ -365,15 +334,15 @@ def multiples_mask(members, lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-def bfree_indicator(spec: BFreeSpec, limit: int) -> ArithmeticTable:
-    """The indicator table of chi_Bfree on [1, limit]; 1 - values is the
-    indicator of the multiple set {n : some member divides n}.  The table
-    is the multiples mask, inverted in place and viewed as int8, so it
-    takes limit bytes and no second copy."""
+def bfree_indicator(spec: BFreeSpec, limit: int) -> np.ndarray:
+    """chi_Bfree(1..limit) as an int8 array; 1 - chi is the indicator of the
+    multiple set {n : some member divides n}.  The array is the multiples
+    mask, inverted in place and viewed as int8, so it takes limit bytes and
+    no second copy."""
     _check_window(1, limit)
     free = multiples_mask(spec.members, 0, limit)
     np.logical_not(free, out=free)
-    return ArithmeticTable("bfree-indicator", 1, limit, free.view(np.int8))
+    return free.view(np.int8)
 
 
 # ---------------------------------------------------------------------------

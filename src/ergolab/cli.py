@@ -48,7 +48,7 @@ def _make_command(experiment):
         try:
             config = load_config(config_path) if config_path else None
             run_dir = run_experiment(experiment.name, config, seed, out, threads)
-        except (FileNotFoundError, ParameterError) as exc:
+        except ParameterError as exc:
             _fail("config", EXIT_CONFIG, str(exc))
         except ResourceLimitError as exc:
             _fail("resource", EXIT_RESOURCE, str(exc))

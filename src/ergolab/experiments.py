@@ -295,13 +295,19 @@ def _fit_decay(ns: tuple[int, ...], ds: np.ndarray) -> DecaySeries:
 def chowla_decay(values, schedule) -> DecaySeries:
     """D(N) of int8 weights v(1..n), n >= 2*max(schedule), across a strictly
     increasing schedule, with the decay fit."""
+    ns = _decay_schedule(schedule)
+    ds = np.array([average_chowla(values, n).value for n in ns])
+    return _fit_decay(ns, ds)
+
+
+def _decay_schedule(schedule) -> tuple[int, ...]:
+    """A chowla_decay schedule: two or more strictly increasing positive ints."""
     ns = tuple(int(n) for n in schedule)
     if len(ns) < 2:
         raise ParameterError("need at least two schedule points")
     if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ParameterError("schedule must be strictly increasing and positive")
-    ds = np.array([average_chowla(values, n).value for n in ns])
-    return _fit_decay(ns, ds)
+    return ns
 
 
 # ---------------------------------------------------------------------------

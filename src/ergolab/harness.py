@@ -39,13 +39,14 @@ from . import __version__
 from ._util import COVERING_SAMPLE, SHATTER_SAMPLE, generator
 from .arith import (
     BFreeSpec,
-    ArithmeticTable,
     _check_window,
+    _in_range,
     admissibility_report,
     bfree_indicator,
     is_admissible,
     sieve_liouville,
     sieve_mobius,
+    table_bytes,
 )
 from .averaging import (
     FolnerSchedule,
@@ -69,6 +70,7 @@ from .errors import ParameterError
 from .experiments import (
     MAX_FFT,
     MertensWalk,
+    _decay_schedule,
     chowla_decay,
     davenport_sum,
     disjointness_sum,
@@ -381,11 +383,11 @@ class CacheEntry:
     of the same kind with a larger limit (its values on [1, limit] are the
     table), else a new ``<kind>-<limit>.npy``, sieved on first use.
 
-    Every value is read through `table` (or `read`, its values), which
-    range-checks what it reads, once.  An entry that is missing, or damaged
-    (one `_entry_offset` refuses, or one holding a value outside the kind's
-    range), is sieved and atomically replaced by `sieve` before anything is
-    read from it.
+    Every value leaves the entry through `read`, the one place that
+    range-checks cache values.  An entry that is missing or damaged (one
+    `_entry_offset` refuses, or one that is short or out of range where it
+    is read) is sieved and atomically replaced by `sieve`, and the values
+    are read again from it.
     """
 
     def __init__(self, kind: str, limit: int, cache: Path):
@@ -412,36 +414,26 @@ class CacheEntry:
         _atomic_write(self.path, stream)
         self.offset = _entry_offset(self.path, self.source)
 
-    def _checked(self, start: int, stop: int):
-        """The table of n = start + 1 .. stop, or None when the entry is missing,
-        shorter, or out of range there (ArithmeticTable's one range check)."""
-        if self.offset is None:
-            return None
-        values = np.fromfile(self.path, dtype=np.int8, count=stop - start, offset=self.offset + start)
-        try:
-            return ArithmeticTable(self.kind, start + 1, stop, values)
-        except ParameterError:
-            return None
-
-    def table(self, start: int, stop: int) -> ArithmeticTable:
-        """The table of n = start + 1 .. stop (0 <= start < stop <= limit),
-        holding a new int8 array; a missing or damaged entry is sieved first."""
-        table = self._checked(start, stop)
-        if table is None:
-            self.sieve()
-            table = self._checked(start, stop)
-        return table
-
     def read(self, start: int, stop: int) -> np.ndarray:
-        """The values at n = start + 1 .. stop (0 <= start <= stop <= limit)."""
-        return self.table(start, stop).values if stop > start else np.empty(0, dtype=np.int8)
+        """The values at n = start + 1 .. stop (0 <= start <= stop <= limit)
+        as a new int8 array, each in [-1, 1]; a missing or damaged entry is
+        sieved first."""
+        if stop <= start:
+            return np.empty(0, dtype=np.int8)
+        if self.offset is not None:
+            values = np.fromfile(self.path, dtype=np.int8, count=stop - start, offset=self.offset + start)
+            if len(values) == stop - start and _in_range(values):
+                return values
+        self.sieve()
+        return np.fromfile(self.path, dtype=np.int8, count=stop - start, offset=self.offset + start)
 
 
-def cached_sieve(kind: str, limit: int, cache: Path, count: int | None = None) -> ArithmeticTable:
+def cached_sieve(kind: str, limit: int, cache: Path, count: int | None = None) -> np.ndarray:
     """The first `count` values (all `limit` by default) of the sieve table
-    for [1, limit], memoized on disk as ``<kind>-<limit>.npy`` (`CacheEntry`).
+    for [1, limit], as an int8 array, memoized on disk as
+    ``<kind>-<limit>.npy`` (`CacheEntry`).
 
-    The `count` values served are read through `CacheEntry.table`, which
+    The `count` values served are read through `CacheEntry.read`, which
     range-checks them and first sieves a missing or damaged entry (written
     one segment at a time); damage past them is caught by the first call
     that reads it.  A smaller request is served as a prefix slice of a
@@ -451,7 +443,7 @@ def cached_sieve(kind: str, limit: int, cache: Path, count: int | None = None) -
     count = entry.limit if count is None else int(count)
     if not 1 <= count <= entry.limit:
         raise ParameterError(f"count {count} outside [1, {entry.limit}]")
-    return entry.table(0, count)
+    return entry.read(0, count)
 
 
 def _atomic_write(path: Path, write: Callable) -> None:
@@ -477,12 +469,12 @@ class RunContext:
     cache: Path = field(default_factory=cache_dir_path)
     limits: dict = field(default_factory=dict)
 
-    def table(self, kind: str, limit: int, count: int | None = None) -> ArithmeticTable:
+    def table(self, kind: str, limit: int, count: int | None = None) -> np.ndarray:
         """The first `count` values (all by default) of the run's table for
-        [1, limit]; the ledger records `limit`."""
-        table = cached_sieve(kind, limit, self.cache, count)
+        [1, limit], as an int8 array; the ledger records `limit`."""
+        values = cached_sieve(kind, limit, self.cache, count)
         self.limits[kind] = max(self.limits.get(kind, 0), int(limit))
-        return table
+        return values
 
     def walk(self, limit: int) -> MertensWalk:
         """M(0..limit) as a `MertensWalk` over the run's mu table for
@@ -511,7 +503,9 @@ def build_family(doc, ctx: RunContext):
     if kind == "bernoulli":
         return BernoulliCoordinateFamily(doc["size"], doc["p"])
     if kind == "subshift":
-        return SubshiftWindowFamily(ctx.table(doc["kind"], doc["length"]).values, doc["size"])
+        if doc["length"] < doc["size"]:  # before the table is sieved
+            raise ParameterError(f"subshift length {doc['length']} is below the window size {doc['size']}")
+        return SubshiftWindowFamily(ctx.table(doc["kind"], doc["length"]), doc["size"])
     return FiniteFamily(doc["matrix"])
 
 
@@ -544,29 +538,30 @@ def _geometric_checkpoints(n: int) -> list:
 
 def _run_sieve(p, ctx):
     head = min(p["head"], p["limit"])
-    head_table = ctx.table(p["kind"], p["limit"], head)
+    values = ctx.table(p["kind"], p["limit"], head)
     return [
-        CsvTable("table.csv", ("n", "value"), [np.arange(1, head + 1), head_table.values]),
-        BinaryBlob("table.bin", head_table.to_bytes()),
+        CsvTable("table.csv", ("n", "value"), [np.arange(1, head + 1), values]),
+        BinaryBlob("table.bin", table_bytes(p["kind"], values)),
     ]
 
 
 def _run_mertens(p, ctx):
     head = min(p["head"], p["limit"])
     # M(x) for x <= head needs mu only up to head
-    prefix = mertens_prefix(ctx.table("mobius", p["limit"], head).values)
+    prefix = mertens_prefix(ctx.table("mobius", p["limit"], head))
     return [CsvTable("mertens.csv", ("x", "m"), [np.arange(1, head + 1), prefix[1:]])]
 
 
 def _run_bfree(p, ctx):
     spec = BFreeSpec(tuple(p["members"]))
     limit = p["limit"]
-    free = bfree_indicator(spec, limit).values
+    # a bad k or a limit below the first window is refused before the indicator is built
+    gap = bfree_approximation_gap(spec, p["k"], FolnerSchedule.geometric(cap=limit))
+    free = bfree_indicator(spec, limit)
     head = min(p["head"], limit)
     indicator = [np.arange(1, head + 1), free[:head], 1 - free[:head]]
     density = float(free.mean())
     banach = upper_banach_density(free, min(p["window"], limit))
-    gap = bfree_approximation_gap(spec, p["k"], FolnerSchedule.geometric(cap=limit))
     return [
         CsvTable("indicator.csv", ("n", "free", "multiple"), indicator),
         CsvTable(
@@ -594,7 +589,7 @@ def _run_veech(p, ctx):
     spec = VeechSpec(**p["spec"])
     mertens = None
     if spec.sign_rule == "mertens":
-        mertens = mertens_prefix(ctx.table("mobius", veech_last_start(p["w"], p["budget"])).values)
+        mertens = mertens_prefix(ctx.table("mobius", veech_last_start(p["w"], p["budget"])))
     scan = veech_window_closure(spec, p["w"], p["budget"], mertens)
     samples = scan.samples
     above = sorted(scan.above_threshold.items())
@@ -621,10 +616,10 @@ def _run_orbit(p, ctx):
 
 
 def _run_besicovitch(p, ctx):
-    values = ctx.table(p["kind"], p["limit"]).values
-    schedule = FolnerSchedule.geometric(cap=p["limit"])
+    schedule = FolnerSchedule.geometric(cap=p["limit"])  # refused before any sieve work
+    values = ctx.table(p["kind"], p["limit"])
     if p["other"] is not None:
-        other = ctx.table(p["other"], p["limit"]).values
+        other = ctx.table(p["other"], p["limit"])
         est = besicovitch_distance(values, other, schedule, p["r"])
     else:
         est = besicovitch_seminorm(values, schedule, p["r"])
@@ -705,19 +700,20 @@ def _run_shatter_prob(p, ctx):
 
 
 def _run_davenport(p, ctx):
-    values = ctx.table("mobius", max(p["xs"])).values
+    values = ctx.table("mobius", max(p["xs"]))
     results = [davenport_sum(values, x, a=p["a"], refine=p["refine"]) for x in p["xs"]]
     header = ("x", "theta0", "grid_size", "grid_max", "max_value", "argmax_theta", "ratio")
     return [CsvTable("davenport.csv", header, _fields(results, header))]
 
 
 def _run_chowla(p, ctx):
-    top = 2 * max(p["schedule"])
+    schedule = _decay_schedule(p["schedule"])  # refused before any sieve work
+    top = 2 * max(schedule)
     if p["kind"] == "ones":
         values = np.ones(top, dtype=np.int8)
     else:
-        values = ctx.table(p["kind"], top).values
-    series = chowla_decay(values, p["schedule"])
+        values = ctx.table(p["kind"], top)
+    series = chowla_decay(values, schedule)
     fit = ("c", "kappa", "residual", "strictly_decreasing")
     return [
         CsvTable("decay.csv", ("n", "value"), [series.abscissae, series.values]),
@@ -726,8 +722,9 @@ def _run_chowla(p, ctx):
 
 
 def _run_disjointness(p, ctx):
-    values = ctx.table(p["kind"], p["n"]).values
-    res = disjointness_sum(values, build_system(p["system"]), p["n"])
+    system = build_system(p["system"])  # refused before any sieve work
+    values = ctx.table(p["kind"], p["n"])
+    res = disjointness_sum(values, system, p["n"])
     path = np.asarray(res.path, dtype=np.complex128)
     ks = _geometric_checkpoints(p["n"])
     points = path[np.asarray(ks) - 1]
@@ -798,7 +795,7 @@ def _run_random_mertens(p, ctx):
 
 
 def _run_zhan(p, ctx):
-    values = ctx.table("mobius", 2 * p["x"]).values
+    values = ctx.table("mobius", 2 * p["x"])
     res = zhan_sup(values, p["x"], p["tau"], thetas=p["thetas"])
     summary = ("x", "tau", "thetas", "sup", "argmax_h", "argmax_theta")
     return [

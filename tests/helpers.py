@@ -43,13 +43,6 @@ def ref_factorization(n: int) -> dict[int, int]:
     return out
 
 
-def value_at(table, n: int) -> int:
-    """f(n) from an ArithmeticTable, refusing an n outside its window."""
-    if not table.lo <= n <= table.hi:
-        raise ParameterError(f"n={n} outside table window [{table.lo}, {table.hi}]")
-    return int(table.values[n - table.lo])
-
-
 def ref_mobius(n: int) -> int:
     fs = ref_factorization(n)
     if any(e > 1 for e in fs.values()):

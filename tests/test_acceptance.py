@@ -76,7 +76,7 @@ def test_corrupting_one_sieve_value_is_caught(monkeypatch):
     def corrupted(kind, limit, cache):
         table = cached_sieve(kind, limit, cache)
         if kind == "mobius":
-            table.values[5] = 0  # overwrite the entry for n=6
+            table[5] = 0  # overwrite the entry for n=6
         return table
 
     monkeypatch.setattr(harness, "cached_sieve", corrupted)

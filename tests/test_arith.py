@@ -1,17 +1,17 @@
 import functools
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import arith, experiments
+from ergolab import arith, experiments, harness
 from ergolab.arith import (
     _SEGMENT,
     _sieve_range,
-    ArithmeticTable,
     BFreeSpec,
     admissibility_report,
     bfree_indicator,
@@ -19,6 +19,8 @@ from ergolab.arith import (
     is_admissible,
     sieve_liouville,
     sieve_mobius,
+    table_bytes,
+    table_from_bytes,
 )
 from ergolab.errors import ParameterError, ResourceLimitError
 from ergolab.experiments import mertens_prefix
@@ -41,11 +43,11 @@ def lam_100k():
 
 
 def test_mobius_first_ten(mu_100k):
-    assert list(mu_100k.values[:10]) == MU_FIRST_TEN
+    assert list(mu_100k[:10]) == MU_FIRST_TEN
 
 
 def test_liouville_first_ten(lam_100k):
-    assert list(lam_100k.values[:10]) == LAMBDA_FIRST_TEN
+    assert list(lam_100k[:10]) == LAMBDA_FIRST_TEN
 
 
 def test_sieve_matches_reference_on_sample(mu_100k, lam_100k):
@@ -54,15 +56,15 @@ def test_sieve_matches_reference_on_sample(mu_100k, lam_100k):
     sample.update(int(n) for n in rng.integers(1, 100_001, size=150))
     sample.update([99_991, 2**16, 3**10, 99_991 - 1, 65_537])
     for n in sorted(sample):
-        assert helpers.value_at(mu_100k, n) == helpers.ref_mobius(n), n
-        assert helpers.value_at(lam_100k, n) == helpers.ref_liouville(n), n
+        assert int(mu_100k[n - 1]) == helpers.ref_mobius(n), n
+        assert int(lam_100k[n - 1]) == helpers.ref_liouville(n), n
 
 
 def test_brute_matches_sieve(mu_100k, lam_100k):
     for n in [1, 2, 4, 360, 1024, 99_991, 100_000, 65_536, 30_030]:
         mu, lam = brute_arith(n)
-        assert mu == helpers.value_at(mu_100k, n)
-        assert lam == helpers.value_at(lam_100k, n)
+        assert mu == int(mu_100k[n - 1])
+        assert lam == int(lam_100k[n - 1])
 
 
 # 1, 2, 4, prime squares (those below 10^4, the largest below 2^31 and
@@ -117,7 +119,7 @@ def test_multiplicative_on_coprime_pairs(m, n):
 def test_mobius_divisor_sum_identity(mu_100k):
     # sum_{d | n} mu(d) == 1 iff n == 1, else 0
     limit = 20_000
-    mu = mu_100k.values[:limit].astype(np.int64)
+    mu = mu_100k[:limit].astype(np.int64)
     acc = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, limit + 1):
         acc[d::d] += mu[d - 1]
@@ -126,24 +128,24 @@ def test_mobius_divisor_sum_identity(mu_100k):
 
 
 def test_mobius_is_liouville_times_mu_squared(mu_100k, lam_100k):
-    mu = mu_100k.values.astype(np.int64)
-    lam = lam_100k.values.astype(np.int64)
+    mu = mu_100k.astype(np.int64)
+    lam = lam_100k.astype(np.int64)
     assert np.array_equal(mu, lam * mu * mu)
 
 
 def test_liouville_never_zero(lam_100k):
-    assert set(np.unique(lam_100k.values)) == {-1, 1}
+    assert set(np.unique(lam_100k)) == {-1, 1}
 
 
 def test_segment_window_matches_full_run():
     lo, hi = 1_000_000, 1_010_000
     full_mu = sieve_mobius(hi)
     window_mu = _sieve_range("mobius", lo, hi)
-    assert window_mu.lo == lo and window_mu.hi == hi
-    assert np.array_equal(window_mu.values, full_mu.values[lo - 1 :])
+    assert len(window_mu) == hi - lo + 1
+    assert np.array_equal(window_mu, full_mu[lo - 1 :])
     full_lam = sieve_liouville(hi)
     window_lam = _sieve_range("liouville", lo, hi)
-    assert np.array_equal(window_lam.values, full_lam.values[lo - 1 :])
+    assert np.array_equal(window_lam, full_lam[lo - 1 :])
 
 
 @pytest.mark.parametrize(
@@ -151,8 +153,8 @@ def test_segment_window_matches_full_run():
 )
 def test_sieve_window_matches_trial_division(lo, hi):
     # at the top of the range an accumulator too narrow for n would overflow
-    mu = _sieve_range("mobius", lo, hi).values
-    lam = _sieve_range("liouville", lo, hi).values
+    mu = _sieve_range("mobius", lo, hi)
+    lam = _sieve_range("liouville", lo, hi)
     brute_mu, brute_lam = brute_arith(np.arange(lo, hi + 1))
     assert np.array_equal(mu, brute_mu)
     assert np.array_equal(lam, brute_lam)
@@ -161,12 +163,12 @@ def test_sieve_window_matches_trial_division(lo, hi):
 def test_window_across_a_segment_boundary_matches_full_run():
     lo, hi = _SEGMENT - 1000, 2 * _SEGMENT + 1000
     full_mu, full_lam = sieve_mobius(hi), sieve_liouville(hi)
-    assert np.array_equal(_sieve_range("mobius", lo, hi).values, full_mu.values[lo - 1 :])
-    assert np.array_equal(_sieve_range("liouville", lo, hi).values, full_lam.values[lo - 1 :])
+    assert np.array_equal(_sieve_range("mobius", lo, hi), full_mu[lo - 1 :])
+    assert np.array_equal(_sieve_range("liouville", lo, hi), full_lam[lo - 1 :])
     points = np.array([lo, lo + _SEGMENT - 1, lo + _SEGMENT, hi])
     brute_mu, brute_lam = brute_arith(points)
-    assert np.array_equal(brute_mu, full_mu.values[points - 1])
-    assert np.array_equal(brute_lam, full_lam.values[points - 1])
+    assert np.array_equal(brute_mu, full_mu[points - 1])
+    assert np.array_equal(brute_lam, full_lam[points - 1])
 
 
 # lo on and beside 1, 13^2 and the template period 180,180; hi below 2^2,
@@ -247,15 +249,15 @@ def test_sieve_rejects_bad_limits():
 
 
 def test_mertens_small_values(mu_100k):
-    pref = mertens_prefix(mu_100k.values)
+    pref = mertens_prefix(mu_100k)
     assert (pref[1], pref[2], pref[10]) == (1, 0, -1)
     for x in [1, 10, 100, 999, 12_345]:
         assert pref[x] == helpers.ref_mertens(x)
 
 
 def test_mertens_prefix_matches_direct_summation(mu_100k):
-    pref = mertens_prefix(mu_100k.values)
-    values = mu_100k.values.astype(np.int64)
+    pref = mertens_prefix(mu_100k)
+    values = mu_100k.astype(np.int64)
     for x in [1, 7, 100, 4096, 99_999, 100_000]:
         assert pref[x] == int(values[:x].sum())
     assert pref[0] == 0
@@ -265,27 +267,27 @@ def test_mertens_prefix_matches_direct_summation(mu_100k):
 
 def test_mertens_prefix_is_int32_across_segments():
     table = sieve_mobius(2 * _SEGMENT + 3)
-    pref = mertens_prefix(table.values)
+    pref = mertens_prefix(table)
     assert pref[:].dtype == np.int32
-    assert np.array_equal(pref[:], np.concatenate([[0], np.cumsum(table.values, dtype=np.int64)]))
+    assert np.array_equal(pref[:], np.concatenate([[0], np.cumsum(table, dtype=np.int64)]))
 
 
 def test_mertens_prefix_refuses_a_table_past_the_int32_bound(monkeypatch):
-    values = sieve_mobius(100).values
+    values = sieve_mobius(100)
     monkeypatch.setattr(experiments, "MAX_WALK", 99)
     with pytest.raises(ResourceLimitError, match="int32 bound 99"):
         mertens_prefix(values)
 
 
 def test_mertens_prefix_of_a_sieved_table():
-    pref = mertens_prefix(sieve_mobius(1000).values)
+    pref = mertens_prefix(sieve_mobius(1000))
     assert pref.limit == 1000 and len(pref) == 1001
     assert pref[10] == -1
 
 
 def test_mertens_range_sum(mu_100k):
-    pref = mertens_prefix(mu_100k.values)
-    values = mu_100k.values.astype(np.int64)
+    pref = mertens_prefix(mu_100k)
+    values = mu_100k.astype(np.int64)
     rng = np.random.default_rng(3)
     for _ in range(50):
         x, y = sorted(int(v) for v in rng.integers(0, 100_001, size=2))
@@ -298,34 +300,34 @@ def test_mertens_range_sum(mu_100k):
 
 def test_bfree_single_even_modulus():
     free = bfree_indicator(BFreeSpec((2,)), 10)
-    assert list(free.values) == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
+    assert list(free) == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
 
 
 def test_bfree_two_three():
     free = bfree_indicator(BFreeSpec((2, 3)), 12)
-    assert list(free.values) == [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0]
-    assert free.values.dtype == np.int8
+    assert list(free) == [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0]
+    assert free.dtype == np.int8
 
 
 def test_bfree_matches_reference():
     spec = BFreeSpec((4, 7, 9, 25))
     free = bfree_indicator(spec, 2000)
     for n in range(1, 2001):
-        assert helpers.value_at(free, n) == int(helpers.ref_is_bfree(n, spec.members)), n
+        assert int(free[n - 1]) == int(helpers.ref_is_bfree(n, spec.members)), n
 
 
 def test_bfree_prime_squares_equals_squarefree_indicator(mu_100k):
     spec = BFreeSpec.prime_squares(10_000)
     free = bfree_indicator(spec, 10_000)
-    musq = (mu_100k.values[:10_000] != 0).astype(np.int8)
-    assert np.array_equal(free.values, musq)
+    musq = (mu_100k[:10_000] != 0).astype(np.int8)
+    assert np.array_equal(free, musq)
 
 
 def test_bfree_periodic_with_lcm_period():
     spec = BFreeSpec((4, 5, 9))
     period = math.lcm(*spec.members)
     free = bfree_indicator(spec, 3 * period)
-    vals = free.values
+    vals = free
     assert np.array_equal(vals[:period], vals[period : 2 * period])
     assert np.array_equal(vals[:period], vals[2 * period : 3 * period])
 
@@ -349,7 +351,7 @@ def test_bfree_spec_truncate():
 
 def test_bfree_empty_spec_is_all_free():
     free = bfree_indicator(BFreeSpec(()), 5)
-    assert list(free.values) == [1] * 5
+    assert list(free) == [1] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -403,57 +405,53 @@ def test_admissible_respects_K_truncation():
 # Serialization
 
 
-@pytest.mark.parametrize("kind, bad", [("mobius", 2), ("mobius", -2), ("liouville", 5), ("bfree-indicator", -1)])
-def test_table_built_by_hand_refuses_values_out_of_range(kind, bad):
-    # the one range check a whole-table cache hit makes
-    values = np.zeros(10, dtype=np.int8)
+SIEVES = {"mobius": sieve_mobius, "liouville": sieve_liouville}
+
+
+@pytest.mark.parametrize("kind, bad", [("mobius", 2), ("mobius", -2), ("liouville", 5)])
+def test_table_built_by_hand_refuses_values_out_of_range(tmp_path, kind, bad):
+    values = SIEVES[kind](10)
     values[7] = bad
-    with pytest.raises(ParameterError, match="out of range"):
-        ArithmeticTable(kind, 1, 10, values)
+    with pytest.raises(ParameterError, match=r"not 10 values in \[-1, 1\]"):
+        table_from_bytes(kind, table_bytes(kind, values))
+    # a hand-written cache entry opens, but CacheEntry.read refuses its
+    # values and serves them from a new sieve
+    np.save(tmp_path / f"{kind}-10.npy", values)
+    entry = harness.CacheEntry(kind, 10, tmp_path)
+    assert entry.offset is not None
+    assert np.array_equal(entry.read(0, 10), SIEVES[kind](10))
+    assert np.array_equal(np.load(tmp_path / f"{kind}-10.npy"), SIEVES[kind](10))
 
 
 def test_table_roundtrip_bytes():
-    table = sieve_mobius(1000)
-    blob = table.to_bytes()
-    back = ArithmeticTable.from_bytes(blob)
-    assert back.kind == table.kind
-    assert back.lo == table.lo and back.hi == table.hi
-    assert np.array_equal(back.values, table.values)
-
-
-def test_window_table_roundtrip_bytes():
-    table = _sieve_range("liouville", 500, 600)
-    back = ArithmeticTable.from_bytes(table.to_bytes())
-    assert back.kind == "liouville"
-    assert back.lo == 500 and back.hi == 600
-    assert np.array_equal(back.values, table.values)
+    for code, (kind, sieve) in enumerate(SIEVES.items(), start=1):
+        values = sieve(1000)
+        blob = table_bytes(kind, values)
+        assert blob == struct.pack("<6sHII", b"ATBL01", code, 1, 1000) + values.tobytes()
+        assert np.array_equal(table_from_bytes(kind, blob), values)
 
 
 def test_from_bytes_rejects_garbage():
-    with pytest.raises(ParameterError):
-        ArithmeticTable.from_bytes(b"nope")
-    table = sieve_mobius(10)
-    blob = bytearray(table.to_bytes())
-    blob[0] ^= 0xFF
-    with pytest.raises(ParameterError):
-        ArithmeticTable.from_bytes(bytes(blob))
-    with pytest.raises(ParameterError):
-        ArithmeticTable.from_bytes(table.to_bytes()[:-1])
+    values = sieve_mobius(10)
+    blob = table_bytes("mobius", values)
+    header = struct.Struct("<6sHII")
+    bad = [
+        ("shorter than header", b"nope"),
+        (r"magic b'\\xbeTBL01'", bytes([blob[0] ^ 0xFF]) + blob[1:]),
+        ("body is not 10 values", blob[:-1]),
+        ("body is not 10 values", blob + b"\0"),
+        ("kind code 2", table_bytes("liouville", sieve_liouville(10))),
+        ("kind code 3", header.pack(b"ATBL01", 3, 1, 10) + values.tobytes()),  # no bfree-indicator tables
+        (r"\[2, 11\]", header.pack(b"ATBL01", 1, 2, 11) + values.tobytes()),  # nor windows off 1
+        (r"\[1, 0\]", header.pack(b"ATBL01", 1, 1, 0)),
+    ]
+    for match, garbage in bad:
+        with pytest.raises(ParameterError, match=match):
+            table_from_bytes("mobius", garbage)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=80))
-def test_roundtrip_arbitrary_windows(lo, width):
-    table = _sieve_range("mobius", lo, lo + width)
-    back = ArithmeticTable.from_bytes(table.to_bytes())
-    assert np.array_equal(back.values, table.values)
-    assert (back.lo, back.hi) == (lo, lo + width)
-
-
-def test_value_at_bounds():
-    table = _sieve_range("mobius", 100, 110)
-    assert helpers.value_at(table, 100) == helpers.ref_mobius(100)
-    with pytest.raises(ParameterError):
-        helpers.value_at(table, 99)
-    with pytest.raises(ParameterError):
-        helpers.value_at(table, 111)
+@given(st.sampled_from(sorted(SIEVES)), st.integers(min_value=1, max_value=2000))
+def test_roundtrip_arbitrary_heads(kind, head):
+    values = SIEVES[kind](head)
+    assert np.array_equal(table_from_bytes(kind, table_bytes(kind, values)), values)

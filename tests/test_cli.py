@@ -19,7 +19,7 @@ from ergolab.cli import main
 from ergolab.errors import ParameterError, ResourceLimitError
 from ergolab.experiments import MAX_FFT
 from ergolab.gc_stats import BernoulliCoordinateFamily, FiniteFamily, RotationFamily, SubshiftWindowFamily
-from ergolab import acceptance, arith, averaging, dynsys, experiments, gc_stats, harness
+from ergolab import acceptance, arith, averaging, cli, dynsys, experiments, gc_stats, harness
 from ergolab.harness import (
     _FLOAT_BLOCK,
     _ROW_BLOCK,
@@ -203,6 +203,18 @@ def test_out_beneath_a_file_still_exits_3(sandbox):
     result = CliRunner().invoke(main, ["mertens", "--out", str(sandbox / "file" / "r")])
     assert result.exit_code == 3
     assert json.loads(result.stderr)["error"] == "io"
+
+
+def test_file_not_found_inside_a_run_exits_3(sandbox, monkeypatch):
+    # load_config turns every OSError into a config error, so one raised by
+    # the run itself is an I/O failure
+    def missing(*args):
+        raise FileNotFoundError("gone mid-run")
+
+    monkeypatch.setattr(cli, "run_experiment", missing)
+    result = CliRunner().invoke(main, ["mertens", "--out", str(sandbox / "r")])
+    assert result.exit_code == 3
+    assert json.loads(result.stderr) == {"error": "io", "exit": 3, "message": "gone mid-run"}
 
 
 def test_missing_required_key_named(sandbox):
@@ -526,8 +538,8 @@ def test_cached_sieve_roundtrip(tmp_path):
 
     first = cached_sieve("liouville", 300, tmp_path)
     again = cached_sieve("liouville", 300, tmp_path)
-    assert np.array_equal(first.values, sieve_liouville(300).values)
-    assert np.array_equal(first.values, again.values)
+    assert np.array_equal(first, sieve_liouville(300))
+    assert np.array_equal(first, again)
 
 
 def _cache_files(cache):
@@ -538,15 +550,15 @@ def test_cached_sieve_serves_smaller_requests_as_prefix_slices(tmp_path):
     cached_sieve("mobius", 1000, tmp_path)
     stamp = (tmp_path / "mobius-1000.npy").stat().st_mtime_ns
     half = cached_sieve("mobius", 500, tmp_path)
-    assert (half.lo, half.hi) == (1, 500)
-    assert np.array_equal(half.values, sieve_mobius(500).values)
+    assert half.dtype == np.int8
+    assert np.array_equal(half, sieve_mobius(500))
     assert _cache_files(tmp_path) == ["mobius-1000.npy"]
     assert (tmp_path / "mobius-1000.npy").stat().st_mtime_ns == stamp
     double = cached_sieve("mobius", 2000, tmp_path)
-    assert np.array_equal(double.values, sieve_mobius(2000).values)
+    assert np.array_equal(double, sieve_mobius(2000))
     assert _cache_files(tmp_path) == ["mobius-1000.npy", "mobius-2000.npy"]
     # the smallest covering entry serves; another kind is never a source
-    assert np.array_equal(cached_sieve("mobius", 1500, tmp_path).values, sieve_mobius(1500).values)
+    assert np.array_equal(cached_sieve("mobius", 1500, tmp_path), sieve_mobius(1500))
     cached_sieve("liouville", 700, tmp_path)
     assert "liouville-700.npy" in _cache_files(tmp_path)
     with pytest.raises(ParameterError):
@@ -560,7 +572,7 @@ def _truncated(path, limit):
 
 
 def _short(path, limit):
-    np.save(path, sieve_mobius(limit - 100).values)
+    np.save(path, sieve_mobius(limit - 100))
 
 
 def _int64_zeros(path, limit):
@@ -585,11 +597,11 @@ def test_damaged_cache_entry_is_rebuilt(tmp_path, damage, request_limit):
     path = tmp_path / "mobius-500.npy"
     DAMAGE[damage](path, 500)
     table = cached_sieve("mobius", request_limit, tmp_path)
-    assert np.array_equal(table.values, sieve_mobius(request_limit).values)
+    assert np.array_equal(table, sieve_mobius(request_limit))
     assert _cache_files(tmp_path) == ["mobius-500.npy"]
     rebuilt = np.load(path)
     assert rebuilt.dtype == np.int8
-    assert np.array_equal(rebuilt, sieve_mobius(500).values)
+    assert np.array_equal(rebuilt, sieve_mobius(500))
 
 
 def test_damaged_cache_entry_through_the_cli(sandbox):
@@ -621,8 +633,7 @@ def test_streamed_cache_entry_has_the_bytes_of_np_save(tmp_path, monkeypatch, ki
     monkeypatch.setattr(arith, "_SEGMENT", SEG)
     full = _full_table(kind, limit)
     head = cached_sieve(kind, limit, tmp_path, 1)
-    assert (head.lo, head.hi) == (1, 1)
-    assert head.values.tolist() == [1]
+    assert head.dtype == np.int8 and head.tolist() == [1]
     assert (tmp_path / f"{kind}-{limit}.npy").read_bytes() == _npy_bytes(full)
     assert _cache_files(tmp_path) == [f"{kind}-{limit}.npy"]
 
@@ -637,14 +648,12 @@ def test_head_reads_are_slices_of_the_full_table(tmp_path, monkeypatch, kind):
         cache = tmp_path / f"miss-{count}"
         for path in ("miss", "hit"):
             table = cached_sieve(kind, limit, cache, count)
-            assert (table.lo, table.hi, path) == (1, count, path)
-            assert np.array_equal(table.values, full[:count])
+            assert np.array_equal(table, full[:count]), path
         assert _cache_files(cache) == [f"{kind}-{limit}.npy"]
     cache = tmp_path / f"miss-{limit}"
     for smaller, count in [(1, 1), (SEG, 1), (SEG, SEG), (SEG + 1, SEG - 1), (limit - 1, limit - 1)]:
         table = cached_sieve(kind, smaller, cache, count)  # a prefix slice of the larger entry
-        assert (table.lo, table.hi) == (1, count)
-        assert np.array_equal(table.values, full[:count])
+        assert np.array_equal(table, full[:count])
     assert _cache_files(cache) == [f"{kind}-{limit}.npy"]
     with pytest.raises(ParameterError, match="count"):
         cached_sieve(kind, limit, tmp_path, 0)
@@ -653,12 +662,12 @@ def test_head_reads_are_slices_of_the_full_table(tmp_path, monkeypatch, kind):
 
 
 def test_head_read_range_checks_only_the_values_it_serves(tmp_path):
-    values = sieve_mobius(500).values.copy()
+    values = sieve_mobius(500)
     values[400] = 5  # out of range, past the head a run reads
     np.save(tmp_path / "mobius-500.npy", values)
-    assert np.array_equal(cached_sieve("mobius", 500, tmp_path, 300).values, values[:300])
-    assert np.array_equal(cached_sieve("mobius", 500, tmp_path).values, sieve_mobius(500).values)
-    assert np.array_equal(np.load(tmp_path / "mobius-500.npy"), sieve_mobius(500).values)
+    assert np.array_equal(cached_sieve("mobius", 500, tmp_path, 300), values[:300])
+    assert np.array_equal(cached_sieve("mobius", 500, tmp_path), sieve_mobius(500))
+    assert np.array_equal(np.load(tmp_path / "mobius-500.npy"), sieve_mobius(500))
 
 
 def test_exception_mid_stream_leaves_no_entry(tmp_path, monkeypatch):
@@ -695,7 +704,7 @@ def test_miss_keeping_a_head_holds_o_segment_memory(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.values.tolist() == [ref_mobius(n) for n in range(1, 11)]
+    assert table.tolist() == [ref_mobius(n) for n in range(1, 11)]
     assert peak < 16 << 20
     assert (tmp_path / f"mobius-{1 << 25}.npy").stat().st_size == (1 << 25) + 128
 
@@ -749,7 +758,7 @@ def test_kernels_read_a_cached_walk_as_the_in_memory_one(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_AT_BLOCKS", 2)
     n = 5 * SEG + 9
     ctx = RunContext(cache=tmp_path)
-    cached, in_memory = ctx.walk(n), walk_of(sieve_mobius(n).values)
+    cached, in_memory = ctx.walk(n), walk_of(sieve_mobius(n))
     assert ctx.limits == {"mobius": n} and _cache_files(tmp_path) == [f"mobius-{n}.npy"]
     assert np.array_equal(cached.starts, in_memory.starts) and np.array_equal(cached.mass, in_memory.mass)
     for x in (1, 15, 16, 17, 100, n // 2):
@@ -763,7 +772,7 @@ def test_kernels_read_a_cached_walk_as_the_in_memory_one(tmp_path, monkeypatch):
 
 def test_walk_holds_checkpoints_not_the_table(tmp_path):
     n = 1 << 22  # 4 MiB of mu, whose int32 prefix would take 16 MiB
-    np.save(tmp_path / f"mobius-{n}.npy", sieve_mobius(n).values)
+    np.save(tmp_path / f"mobius-{n}.npy", sieve_mobius(n))
     tracemalloc.start()
     try:
         walk = RunContext(cache=tmp_path).walk(n)
@@ -790,10 +799,23 @@ def test_second_moment_writes_only_its_largest_table(sandbox):
         ("second-moment", {"exponent": -1}),
         ("second-moment", {"xs": [10**6], "exponent": 1.5}),
         ("partition", {"rule": "explicit", "points": [3_000_000, 2_000_000]}),
+        ("besicovitch", {"limit": 100}),
+        ("chowla", {"schedule": [4096]}),
+        ("chowla", {"schedule": [8192, 4096]}),
+        ("disjointness", {"system": {"variant": "rotation", "alpha": 0.25}}),
+        ("gc-deviation", {"family": {"type": "subshift", "length": 100, "size": 101}}),
+        ("bfree", {"limit": 100}),
+        ("bfree", {"members": [4, 9], "k": 3}),
     ],
-    ids=["negative", "above-one", "decreasing-points"],
+    ids=["negative", "above-one", "decreasing-points", "besicovitch-below-first-window", "chowla-one-point",
+         "chowla-decreasing", "disjointness-rational-alpha", "subshift-shorter-than-size",
+         "bfree-below-first-window", "bfree-k-past-members"],
 )
-def test_exponent_and_partition_order_rejected_before_sieving(sandbox, name, config):
+def test_exponent_and_partition_order_rejected_before_sieving(sandbox, monkeypatch, name, config):
+    def built(*args):
+        raise AssertionError("the B-free indicator is built before the config is refused")
+
+    monkeypatch.setattr(harness, "bfree_indicator", built)
     result = invoke(sandbox, name, config)
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"] == "config"

@@ -262,8 +262,8 @@ def test_bernoulli_degenerate_bias():
 
 def test_table_stream_reads_table():
     table = sieve_mobius(100)
-    stream = TableStream(table.values)
-    assert np.array_equal(stream.take(10), table.values[:10])
+    stream = TableStream(table)
+    assert np.array_equal(stream.take(10), table[:10])
     with pytest.raises(ParameterError):
         stream.take(101)
 
@@ -305,7 +305,7 @@ def test_veech_triangular_generator_extends():
 
 
 def test_veech_mertens_sign_rule():
-    pref = mertens_prefix(sieve_mobius(100).values)
+    pref = mertens_prefix(sieve_mobius(100))
     spec = VeechSpec(generator="triangular", sign_rule="mertens")
     f = VeechFunction(spec, pref)
     # M(1)=1, M(3)=-1, M(6)=-1, M(10)=-1: increments -2, 0, 0 -> signs -1, +1, +1
@@ -322,7 +322,7 @@ def test_veech_last_start_is_the_prefix_a_mertens_scan_reads(w, budget):
     # a prefix of exactly the last start gives the scan a longer one gives; one shorter fails
     limit = veech_last_start(w, budget)
     spec = VeechSpec(generator="triangular", sign_rule="mertens")
-    mu = sieve_mobius(100_000).values
+    mu = sieve_mobius(100_000)
 
     exact = veech_window_closure(spec, w, budget, mertens_prefix(mu[:limit]))
     assert exact == veech_window_closure(spec, w, budget, mertens_prefix(mu))
@@ -379,7 +379,7 @@ def test_window_closure_explicit_spec_limited_blocks():
 
 
 def _grown(rule: str, top: int) -> VeechFunction:
-    mertens = mertens_prefix(sieve_mobius(20_000).values) if rule == "mertens" else None
+    mertens = mertens_prefix(sieve_mobius(20_000)) if rule == "mertens" else None
     f = VeechFunction(VeechSpec(generator="triangular", sign_rule=rule), mertens)
     f.values_range(0, top)
     return f
@@ -406,7 +406,7 @@ def test_values_range_matches_the_block_lookup():
 @pytest.mark.parametrize("w, budget", [(8, 200), (3, 1000), (0, 64)])
 def test_window_closure_matches_the_per_centre_scan(rule, w, budget):
     # runs rebuilt and searched linearly after every window, as the scan once did
-    mertens = mertens_prefix(sieve_mobius(veech_last_start(w, budget)).values) if rule == "mertens" else None
+    mertens = mertens_prefix(sieve_mobius(veech_last_start(w, budget))) if rule == "mertens" else None
     spec = VeechSpec(generator="triangular", sign_rule=rule)
     f = VeechFunction(spec, mertens)
     centers, _ = _scan_centers(f, w, budget)

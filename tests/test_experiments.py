@@ -41,8 +41,8 @@ SQRT2M1 = math.sqrt(2) - 1
 
 
 KIND_VALUES = {
-    "mobius": sieve_mobius(20_000).values,
-    "liouville": sieve_liouville(20_000).values,
+    "mobius": sieve_mobius(20_000),
+    "liouville": sieve_liouville(20_000),
     "ones": np.ones(20_000, dtype=np.int8),
 }
 
@@ -53,7 +53,7 @@ KIND_VALUES = {
 
 class TestDisjointness:
     def test_constant_observable_gives_mertens_average(self):
-        mu = sieve_mobius(10).values
+        mu = sieve_mobius(10)
         res = disjointness_sum(mu, TableStream(np.ones(11)), 10)
         assert res.value == pytest.approx(-0.1, abs=1e-15)
         assert len(res.path) == 10
@@ -64,7 +64,7 @@ class TestDisjointness:
         assert res.value == 0
 
     def test_partial_sum_path_matches_direct(self):
-        mu = sieve_mobius(50).values
+        mu = sieve_mobius(50)
         vals = np.arange(51, dtype=np.float64)
         res = disjointness_sum(mu, TableStream(vals), 50)
         # n-th term pairs mu(n) with the n-th iterate of the stream start
@@ -73,23 +73,23 @@ class TestDisjointness:
 
     def test_bounded_by_folner_average(self):
         n = 4096
-        mu = sieve_mobius(n).values
+        mu = sieve_mobius(n)
         res = disjointness_sum(mu, rotation_orbit(SQRT2M1, x0=0.0, check=True), n)
         assert abs(res.value) <= folner_average(np.abs(mu), n) + 1e-12
 
     def test_rotation_average_is_small(self):
         n = 10_000
-        mu = sieve_mobius(n).values
+        mu = sieve_mobius(n)
         res = disjointness_sum(mu, rotation_orbit(SQRT2M1, x0=0.0, check=True), n)
         assert abs(res.value) <= 10 / math.log(n) ** 2
 
     def test_short_table_rejected(self):
-        mu = sieve_mobius(5).values
+        mu = sieve_mobius(5)
         with pytest.raises(ParameterError):
             disjointness_sum(mu, TableStream(np.ones(11)), 10)
 
     def test_short_stream_rejected(self):
-        mu = sieve_mobius(10).values
+        mu = sieve_mobius(10)
         with pytest.raises(ParameterError):
             disjointness_sum(mu, TableStream(np.ones(5)), 10)
 
@@ -100,13 +100,13 @@ class TestDisjointness:
 
 class TestDavenport:
     def test_theta0_is_exact_mertens_magnitude(self):
-        mu = sieve_mobius(10).values
+        mu = sieve_mobius(10)
         res = davenport_sum(mu, 10, a=2.0, refine=True)
         assert res.theta0 == 1
         assert isinstance(res.theta0, int)
 
     def test_theta0_matches_prefix_for_larger_x(self):
-        mu = sieve_mobius(1000).values
+        mu = sieve_mobius(1000)
         prefix = mertens_prefix(mu)
         for x in (100, 1000):
             res = davenport_sum(mu, x, a=2.0, refine=True)
@@ -119,30 +119,30 @@ class TestDavenport:
         assert min(res.argmax_theta, tau - res.argmax_theta) < 1e-6
 
     def test_refinement_never_loses_to_grid(self):
-        mu = sieve_mobius(500).values
+        mu = sieve_mobius(500)
         res = davenport_sum(mu, 500, a=2.0, refine=True)
         assert res.max_value >= res.grid_max - 1e-12
 
     def test_grid_is_dense_power_of_two(self):
-        mu = sieve_mobius(100).values
+        mu = sieve_mobius(100)
         res = davenport_sum(mu, 100, a=2.0, refine=True)
         assert res.grid_size >= 4 * 100
         assert res.grid_size & (res.grid_size - 1) == 0
 
     def test_ratio_definition(self):
-        mu = sieve_mobius(200).values
+        mu = sieve_mobius(200)
         res = davenport_sum(mu, 200, a=2.0, refine=True)
         assert res.ratio == pytest.approx(res.max_value / (200 / math.log(200) ** 2))
 
     def test_max_value_lower_bounds_column_sum(self):
         # the reported max is a lower bound for the true sup, which is at
         # most the l1 mass of the coefficient vector
-        mu = sieve_mobius(300).values
+        mu = sieve_mobius(300)
         res = davenport_sum(mu, 300, a=2.0, refine=True)
         assert res.max_value <= np.abs(mu[:300].astype(np.int64)).sum() + 1e-9
 
     def test_oversized_transform_rejected(self):
-        mu = sieve_mobius(10).values
+        mu = sieve_mobius(10)
         with pytest.raises(ParameterError):
             davenport_sum(mu, 1 << 24, a=2.0, refine=True)
 
@@ -177,18 +177,18 @@ class TestDavenport:
         # 4e-21 sum|v|; the direct sums round k*theta ~ 1e3 to ~1e-13)
         x = 2 * _SERIES_BLOCK + 12_345
         table = sieve_mobius(x) if kind == "mobius" else sieve_liouville(x)
-        v = table.values.astype(np.float64)
+        v = table.astype(np.float64)
         ks = np.arange(1, x + 1, dtype=np.float64)
         step = 2 * math.pi / (1 << (4 * x - 1).bit_length())
         center = 1234 * step
-        coeffs = _local_series(table.values, center, step)
+        coeffs = _local_series(table, center, step)
         for t in (-1.0, -0.37, 0.0, 0.5, 1.0):
             series = abs(sum(c * t**m for m, c in enumerate(coeffs)))
             direct = abs(np.sum(v * np.exp(1j * (center + t * step) * ks)))
             assert series == pytest.approx(direct, abs=1e-12 * np.abs(v).sum())
 
     def test_uncovered_x_rejected(self):
-        mu = sieve_mobius(10).values
+        mu = sieve_mobius(10)
         with pytest.raises(ParameterError):
             davenport_sum(mu, 20, a=2.0, refine=True)
 
@@ -216,7 +216,7 @@ class TestCorrelations:
     @pytest.mark.parametrize("sieve", [sieve_mobius, sieve_liouville])
     def test_fft_equals_direct_at_4096(self, sieve):
         n = 1 << 12
-        values = sieve(2 * n).values
+        values = sieve(2 * n)
         assert np.array_equal(
             correlations(values, n, method="fft"), correlations(values, n, method="direct")
         )
@@ -273,7 +273,7 @@ class TestAverageChowla:
 
     def test_short_table_rejected(self):
         with pytest.raises(ParameterError):
-            average_chowla(sieve_mobius(100).values, 64)
+            average_chowla(sieve_mobius(100), 64)
 
 
 class TestChowlaDecay:
@@ -285,7 +285,7 @@ class TestChowlaDecay:
         assert not series.strictly_decreasing
 
     def test_liouville_values_positive_with_positive_kappa(self):
-        series = chowla_decay(sieve_liouville(1 << 15).values, (1 << 10, 1 << 12, 1 << 14))
+        series = chowla_decay(sieve_liouville(1 << 15), (1 << 10, 1 << 12, 1 << 14))
         assert np.all(series.values > 0)
         assert series.kappa > 0
         diffs = np.diff(series.values)
@@ -303,7 +303,7 @@ class TestChowlaDecay:
 
     def test_schedule_must_increase(self):
         with pytest.raises(ParameterError):
-            chowla_decay(sieve_mobius(512).values, (256, 128))
+            chowla_decay(sieve_mobius(512), (256, 128))
 
     def test_short_values_rejected(self):
         with pytest.raises(ParameterError):
@@ -316,7 +316,7 @@ class TestChowlaDecay:
 
 class TestShortInterval:
     def test_tau_one_single_endpoint(self):
-        mu = sieve_mobius(200).values
+        mu = sieve_mobius(200)
         prefix = mertens_prefix(mu)
         res = short_interval_sup(helpers.walk_of(mu), 100, 1.0)
         assert res.h_min == res.h_max == 100
@@ -342,7 +342,7 @@ class TestShortInterval:
         assert res.sup == pytest.approx(brute, abs=1e-15)
 
     def test_prefix_too_small(self):
-        walk = helpers.walk_of(sieve_mobius(100).values)
+        walk = helpers.walk_of(sieve_mobius(100))
         with pytest.raises(ParameterError):
             short_interval_sup(walk, 60, 0.5)
 
@@ -366,7 +366,7 @@ class TestIntervalSupOracle:
         n = 2 * _BLOCK_XS[-1]
         rng = np.random.default_rng(17)
         if source == "mobius":
-            steps = sieve_mobius(n).values
+            steps = sieve_mobius(n)
         elif source == "flat":
             steps = np.zeros(n, dtype=np.int8)
         else:
@@ -406,10 +406,10 @@ class TestSecondMoment:
         # an empty interval has no second moment to normalize
         for h in (0, -3):
             with pytest.raises(ParameterError, match="h >= 1"):
-                interval_second_moment(helpers.walk_of(sieve_mobius(100).values), 30, h)
+                interval_second_moment(helpers.walk_of(sieve_mobius(100)), 30, h)
 
     def test_matches_brute_force(self):
-        mu = sieve_mobius(300).values
+        mu = sieve_mobius(300)
         prefix = mertens_prefix(mu)
         big_x, h = 80, 11
         res = interval_second_moment(helpers.walk_of(mu), big_x, h)
@@ -419,7 +419,7 @@ class TestSecondMoment:
         assert res.value == pytest.approx(brute, abs=1e-12)
 
     def test_range_exceeding_prefix(self):
-        walk = helpers.walk_of(sieve_mobius(100).values)
+        walk = helpers.walk_of(sieve_mobius(100))
         with pytest.raises(ParameterError):
             interval_second_moment(walk, 49, 10)
 
@@ -432,7 +432,7 @@ class TestSecondMoment:
 
 class TestPartition:
     def test_unit_steps_count_squarefree(self):
-        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(10).values), range(1, 11))
+        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(10)), range(1, 11))
         squarefree = sum(1 for n in range(2, 11) if helpers.ref_squarefree(n))
         assert res.ratio == squarefree / 10
         # per-step signs follow mu(k+1), with ties going to +1
@@ -440,33 +440,33 @@ class TestPartition:
         assert res.signs[2] == 1  # mu(4) = 0 -> +1
 
     def test_single_interval(self):
-        mu = sieve_mobius(100).values
+        mu = sieve_mobius(100)
         prefix = mertens_prefix(mu)
         res = partition_mertens_sum(helpers.walk_of(mu), (10, 100))
         assert res.ratio == abs(prefix[100] - prefix[10]) / 100
 
     def test_growing_gaps_materialize_step_function(self):
-        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(30).values), (1, 4, 9, 16, 25))
+        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(30)), (1, 4, 9, 16, 25))
         assert isinstance(res.veech, VeechSpec)
         assert res.veech.starts == (1, 4, 9, 16, 25)
         assert res.veech.signs == tuple(res.signs)
 
     def test_flat_gaps_do_not_materialize(self):
-        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(10).values), range(1, 11))
+        res = partition_mertens_sum(helpers.walk_of(sieve_mobius(10)), range(1, 11))
         assert res.veech is None
 
     def test_results_compare_by_identity(self):
-        walk = helpers.walk_of(sieve_mobius(10).values)
+        walk = helpers.walk_of(sieve_mobius(10))
         res, again = (partition_mertens_sum(walk, range(1, 11)) for _ in range(2))
         assert res == res and res != again and hash(res) != hash(again)
 
     def test_non_monotone_rejected(self):
-        walk = helpers.walk_of(sieve_mobius(100).values)
+        walk = helpers.walk_of(sieve_mobius(100))
         with pytest.raises(ParameterError):
             partition_mertens_sum(walk, (1, 5, 5, 10))
 
     def test_beyond_limit_rejected(self):
-        walk = helpers.walk_of(sieve_mobius(50).values)
+        walk = helpers.walk_of(sieve_mobius(50))
         with pytest.raises(ParameterError):
             partition_mertens_sum(walk, (1, 10, 60))
 
@@ -680,7 +680,7 @@ class TestRandomMertens:
 
 class TestZhan:
     def test_theta0_slice_matches_interval_statistic(self):
-        mu = sieve_mobius(200).values
+        mu = sieve_mobius(200)
         prefix = mertens_prefix(mu)
         res = zhan_sup(mu, 100, 0.5, thetas=8)
         expect = [abs(prefix[100 + h] - prefix[100]) / h for h in res.h_values]
@@ -699,13 +699,13 @@ class TestZhan:
         assert res.h_values[-1] == 128
 
     def test_sup_is_max_over_h(self):
-        mu = sieve_mobius(200).values
+        mu = sieve_mobius(200)
         res = zhan_sup(mu, 100, 0.5, thetas=8)
         assert res.sup == pytest.approx(max(res.per_h), abs=1e-15)
 
     def test_table_must_cover_2x(self):
         with pytest.raises(ParameterError):
-            zhan_sup(sieve_mobius(150).values, 100, 0.5, thetas=64)
+            zhan_sup(sieve_mobius(150), 100, 0.5, thetas=64)
 
     @pytest.mark.parametrize("thetas", [0, MAX_FFT + 1])
     def test_theta_grid_size_bounded(self, thetas):
@@ -714,7 +714,7 @@ class TestZhan:
 
     def test_mirror_tie_reports_the_smaller_theta(self):
         # |S(theta_16)| = |S(theta_48)| exactly for real weights
-        res = zhan_sup(sieve_mobius(10_000).values, 5000, 0.5, thetas=64)
+        res = zhan_sup(sieve_mobius(10_000), 5000, 0.5, thetas=64)
         assert res.argmax_theta == 2 * math.pi * 16 / 64
 
     @settings(max_examples=60, deadline=None)
