@@ -301,12 +301,13 @@ def chowla_decay(values, schedule) -> DecaySeries:
 
 
 def _decay_schedule(schedule) -> tuple[int, ...]:
-    """A chowla_decay schedule: two or more strictly increasing positive ints."""
+    """A chowla_decay schedule: two or more strictly increasing ints, each
+    >= 2, so that the fit's log log N is finite."""
     ns = tuple(int(n) for n in schedule)
     if len(ns) < 2:
         raise ParameterError("need at least two schedule points")
-    if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-        raise ParameterError("schedule must be strictly increasing and positive")
+    if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 2:
+        raise ParameterError("schedule must be strictly increasing and start at >= 2")
     return ns
 
 

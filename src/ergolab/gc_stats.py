@@ -360,6 +360,13 @@ def entropy_rate(
 # shattering
 
 
+def _check_thresholds(alpha: float, beta: float) -> None:
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ParameterError(f"thresholds must be finite, got alpha={alpha}, beta={beta}")
+    if not alpha < beta:
+        raise ParameterError(f"need alpha < beta, got {alpha} >= {beta}")
+
+
 def is_shattered(values, alpha: float, beta: float, *, return_witnesses: bool = False):
     """Whether every dichotomy of the sample columns is realized.
 
@@ -376,10 +383,7 @@ def is_shattered(values, alpha: float, beta: float, *, return_witnesses: bool = 
     are the below-alpha bits packed little-endian into 1-, 2- or 4-byte
     words, so no 8-byte copy of the matrix is made.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ParameterError(f"thresholds must be finite, got alpha={alpha}, beta={beta}")
-    if not alpha < beta:
-        raise ParameterError(f"need alpha < beta, got {alpha} >= {beta}")
+    _check_thresholds(alpha, beta)
     matrix = np.asarray(values)
     if matrix.dtype.kind not in "biu":
         matrix = matrix.astype(np.float64, copy=False)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import os
 import re
 import tempfile
@@ -32,8 +34,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from jsonschema import Draft202012Validator, validators
-from jsonschema.exceptions import best_match, relevance
 
 from . import __version__
 from ._util import COVERING_SAMPLE, SHATTER_SAMPLE, generator
@@ -86,6 +86,7 @@ from .gc_stats import (
     FiniteFamily,
     RotationFamily,
     SubshiftWindowFamily,
+    _check_thresholds,
     covering_number,
     empirical_sample,
     empirical_sup_deviation,
@@ -670,6 +671,7 @@ def _run_covering(p, ctx):
 
 
 def _run_shatter(p, ctx):
+    _check_thresholds(p["alpha"], p["beta"])  # before the family reads a table
     family = build_family(p["family"], ctx)
     sample = empirical_sample(family, p["n"], generator(ctx.seed, SHATTER_SAMPLE))
     shattered, witnesses = is_shattered(
@@ -690,6 +692,7 @@ def _run_shatter(p, ctx):
 
 
 def _run_shatter_prob(p, ctx):
+    _check_thresholds(p["alpha"], p["beta"])  # before the family reads a table
     family = build_family(p["family"], ctx)
     res = shattering_probability(
         family, p["n"], p["alpha"], p["beta"], reps=p["reps"],
@@ -773,6 +776,8 @@ def _partition_points(p) -> np.ndarray:
 
 def _run_partition(p, ctx):
     points = _partition_points(p)
+    if len(points) < 2:  # before the walk reads a table
+        raise ParameterError("need at least two partition points")
     res = partition_mertens_sum(ctx.walk(int(points[-1])), points)
     steps = [np.arange(1, len(points), dtype=np.int64), points[:-1], points[1:], res.deltas, res.signs]
     summary = _one_row(len(points) - 1, res.abs_sum, res.ratio, res.veech is not None)
@@ -1038,8 +1043,9 @@ _EXPERIMENTS = [
         "averaged pair-correlation decay D(N) over a schedule, with a power-law fit",
         {
             "kind": {"enum": ["mobius", "liouville", "ones"], "default": "liouville"},
-            # N <= MAX_FFT / 2 keeps the correlation transform of length >= 2N inside MAX_FFT
-            "schedule": {**_int_array([4096, 16384, 65536]), "items": {"type": "integer", "minimum": 1, "maximum": MAX_FFT // 2}},
+            # N >= 2 keeps log log N finite in the fit; N <= MAX_FFT / 2 keeps the
+            # correlation transform of length >= 2N inside MAX_FFT
+            "schedule": {**_int_array([4096, 16384, 65536]), "items": {"type": "integer", "minimum": 2, "maximum": MAX_FFT // 2}},
         },
         _run_chowla,
     ),
@@ -1129,51 +1135,96 @@ def _non_finite(value) -> bool:
     return isinstance(value, list) and any(_non_finite(v) for v in value)
 
 
-def _is_integer(checker, instance) -> bool:
-    # 2.0 is not an integer: every count and limit in a config is used as an int
-    return isinstance(instance, int) and not isinstance(instance, bool)
-
-
-_Validator = validators.extend(
-    Draft202012Validator,
-    type_checker=Draft202012Validator.TYPE_CHECKER.redefine("integer", _is_integer),
+_TYPES = {"integer": int, "number": numbers.Real, "boolean": bool, "null": type(None), "array": list, "object": dict}
+_BOUNDS = (  # keyword, the comparison true of a number that breaks it, the wording
+    ("minimum", operator.lt, "is less than the minimum of"),
+    ("exclusiveMinimum", operator.le, "is less than or equal to the minimum of"),
+    ("maximum", operator.gt, "is greater than the maximum of"),
 )
+_KEYWORDS = {"type", "const", "enum", "items", "minItems", "properties", "required", "additionalProperties",
+             "oneOf", "default", *(keyword for keyword, _, _ in _BOUNDS)}
 
 
-def _other_form(error) -> bool:
-    """Whether ``error`` says that a document carries none of the required
-    keys of an untagged oneOf branch (a veech form)."""
-    return (
-        error.validator == "required"
-        and not error.path
-        and not any("const" in prop for prop in error.schema["properties"].values())
-        and not set(error.validator_value) & set(error.instance)
-    )
+def _is(value, type_name: str) -> bool:
+    """Whether a JSON value has a schema type: true is no integer or number, and 2.0 is no integer."""
+    return isinstance(value, _TYPES[type_name]) and (type_name == "boolean" or not isinstance(value, bool))
 
 
-def _relevance(error):
-    """best_match's order, except inside a oneOf: the errors of a branch whose
-    "type" or "variant" tag the document does not carry come last, and before
-    them those of an untagged branch none of whose required keys it carries.
-    Such errors say little about the document."""
-    parent = error.parent
-    branch = [] if parent is None else [
-        e for e in parent.context if e.relative_schema_path[0] == error.relative_schema_path[0]
-    ]
-    return (any(e.validator == "const" for e in branch), any(map(_other_form, branch)), *relevance(error))
+def _equal(a, b) -> bool:
+    """JSON equality of the scalars that `const` and `enum` hold: true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _branch(branches, value):
+    """The oneOf branch that judges a document: the one whose "type" or
+    "variant" tag it carries, or else the only one some of whose required
+    keys it carries; None when no branch is picked."""
+    keys = value.keys() if isinstance(value, dict) else set()
+    tagged = [b for b in branches
+              if any(k in keys and _equal(value[k], s["const"]) for k, s in b["properties"].items() if "const" in s)]
+    carried = tagged or [b for b in branches if keys & set(b["required"])]
+    return carried[0] if len(carried) == 1 else None
+
+
+def _violation(schema, value, path=()):
+    """The first rule of `schema` that the JSON value breaks, as (path,
+    message), or None.  The keywords in _KEYWORDS mean what they mean in
+    JSON Schema (Draft 2020-12), with the usual validator wording, except
+    that a oneOf judges a document by its `_branch` alone.  An object's own
+    rules come before those of its properties."""
+    if "oneOf" in schema:
+        branch = _branch(schema["oneOf"], value)
+        if branch is None:  # name the tag values, or else the keys, that pick a branch
+            tags = [f"{k}={s['const']}" for b in schema["oneOf"] for k, s in b["properties"].items() if "const" in s]
+            forms = ", ".join(tags or ["+".join(b["required"]) for b in schema["oneOf"]])
+            return path, f"{value!r} is not valid under any of the given schemas (expected one of: {forms})"
+        if problem := _violation(branch, value, path):
+            return problem
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", ())
+    if types and not any(_is(value, t) for t in types):
+        return path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        return path, f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    for keyword, breaks, words in _BOUNDS if _is(value, "number") else ():
+        if keyword in schema and breaks(value, schema[keyword]):
+            return path, f"{value!r} {words} {schema[keyword]!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} {'should be non-empty' if schema['minItems'] == 1 else 'is too short'}"
+        for i, item in enumerate(value if "items" in schema else ()):
+            if problem := _violation(schema["items"], item, (*path, i)):
+                return problem
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        if missing := [k for k in schema.get("required", ()) if k not in value]:
+            return path, f"{missing[0]!r} is a required property"
+        if schema.get("additionalProperties") is False and (extra := sorted(value.keys() - properties.keys(), key=str)):
+            names, verb = ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"
+            return path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        for key, sub in properties.items():
+            if key in value and (problem := _violation(sub, value[key], (*path, key))):
+                return problem
+    return None
+
+
+def _unchecked(schema) -> set:
+    """The keywords of a schema, and of every schema inside it, that `_violation`
+    does not check; an additionalProperties other than false is one."""
+    inner = [*schema.get("properties", {}).values(), *schema.get("oneOf", ()), *filter(None, [schema.get("items")])]
+    own = {k for k, v in schema.items() if k not in _KEYWORDS or (k == "additionalProperties" and v is not False)}
+    return own.union(*map(_unchecked, inner))
+
+
+if unchecked := set().union(*(_unchecked(e.schema()) for e in _EXPERIMENTS)):  # it would let any value through
+    raise NotImplementedError(f"config schemas use keywords the checker does not implement: {sorted(unchecked)}")
 
 
 def validate_config(experiment: Experiment, doc: dict) -> None:
-    error = best_match(_Validator(experiment.schema()).iter_errors(doc), key=_relevance)
-    if error is not None:
-        where = ".".join(str(part) for part in error.absolute_path)
-        message = error.message
-        if error.validator == "oneOf":  # name the tag values, or else the keys, that pick a branch
-            branches = error.validator_value
-            tags = [f"{k}={s['const']}" for b in branches for k, s in b["properties"].items() if "const" in s]
-            forms = tags or ["+".join(b["required"]) for b in branches]
-            message += f" (expected one of: {', '.join(forms)})"
-        raise ParameterError(f"invalid config: {where + ': ' if where else ''}{message}")
+    if problem := _violation(experiment.schema(), doc):
+        where = ".".join(str(part) for part in problem[0])
+        raise ParameterError(f"invalid config: {where + ': ' if where else ''}{problem[1]}")
     if _non_finite(doc):
         raise ParameterError("invalid config: NaN and Infinity are not allowed")
 
@@ -1191,7 +1242,7 @@ def prepare_run(experiment: Experiment, config: dict | None, seed: int | None):
     params.update({k: v for k, v in doc.items() if k not in ("experiment", "seed")})
     for key, prop in experiment.properties.items():
         if "oneOf" in prop:
-            branch = next(b for b in prop["oneOf"] if _Validator(b).is_valid(params[key]))
+            branch = _branch(prop["oneOf"], params[key])
             params[key] = {**_defaults(branch["properties"]), **params[key]}
     return params, eff_seed
 

@@ -806,10 +806,17 @@ def test_second_moment_writes_only_its_largest_table(sandbox):
         ("gc-deviation", {"family": {"type": "subshift", "length": 100, "size": 101}}),
         ("bfree", {"limit": 100}),
         ("bfree", {"members": [4, 9], "k": 3}),
+        ("chowla", {"schedule": [1, 2]}),
+        ("shatter", {"family": {"type": "subshift", "length": 3000, "size": 8}, "n": 4, "alpha": 0.9, "beta": 0.1}),
+        ("shatter-prob", {"family": {"type": "subshift", "length": 3000, "size": 8}, "n": 4, "alpha": 0.9, "beta": 0.1}),
+        ("partition", {"top": 1}),
+        ("partition", {"rule": "squares", "top": 3}),
     ],
     ids=["negative", "above-one", "decreasing-points", "besicovitch-below-first-window", "chowla-one-point",
          "chowla-decreasing", "disjointness-rational-alpha", "subshift-shorter-than-size",
-         "bfree-below-first-window", "bfree-k-past-members"],
+         "bfree-below-first-window", "bfree-k-past-members", "chowla-schedule-at-one",
+         "shatter-alpha-above-beta", "shatter-prob-alpha-above-beta", "partition-one-point",
+         "partition-squares-one-point"],
 )
 def test_exponent_and_partition_order_rejected_before_sieving(sandbox, monkeypatch, name, config):
     def built(*args):
@@ -818,6 +825,7 @@ def test_exponent_and_partition_order_rejected_before_sieving(sandbox, monkeypat
     monkeypatch.setattr(harness, "bfree_indicator", built)
     result = invoke(sandbox, name, config)
     assert result.exit_code == 2
+    assert result.stdout == ""
     assert json.loads(result.stderr)["error"] == "config"
     assert not (sandbox / "results").exists()
     assert not (sandbox / "cache").exists() or not any((sandbox / "cache").iterdir())

@@ -305,6 +305,12 @@ class TestChowlaDecay:
         with pytest.raises(ParameterError):
             chowla_decay(sieve_mobius(512), (256, 128))
 
+    def test_schedule_starts_at_two(self):
+        # log log 1 is -inf, which the fit cannot take
+        with pytest.raises(ParameterError, match=">= 2"):
+            chowla_decay(np.ones(8, dtype=np.int8), (1, 2))
+        assert chowla_decay(np.ones(8, dtype=np.int8), (2, 4)).abscissae == (2, 4)
+
     def test_short_values_rejected(self):
         with pytest.raises(ParameterError):
             chowla_decay(np.ones(255, dtype=np.int8), (64, 128))
